@@ -13,9 +13,7 @@ checks (:mod:`nltraffic.analysis`), and an experiment harness with a CLI
 from ._version import __version__
 from .errors import ConfigurationError, ConvergenceError, SolverError
 from .model import (
-    KernelSpec,
     PiecewiseConstant1D,
-    VelocityLaw,
     build_bar_u,
     build_u0,
     cell_average,
@@ -25,7 +23,6 @@ from .model import (
     piecewise_from_text,
     piecewise_to_text,
     save_piecewise,
-    velocity,
 )
 from .fv import (
     Grid1D,

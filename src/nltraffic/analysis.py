@@ -250,7 +250,7 @@ def reconstruct_tv_from_characteristics(record: SolutionRecord, tau: float) -> T
     snapshot cell averages would only show a smeared remnant).
     """
     K = _match_stock_datum(record.config.datum)
-    if not any(abs(t - tau) <= 1e-9 for t in record.snapshots):
+    if tau not in record.snapshots:
         raise ConfigurationError(
             f"tau={tau} is not among the record's snapshot times {record.times}"
         )

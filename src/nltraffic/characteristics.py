@@ -93,14 +93,38 @@ def _sample_cells(values: np.ndarray, grid: Grid1D, x, left: float, right: float
     return np.where(idx < 0, left, np.where(idx >= grid.n_cells, right, inner))
 
 
+def _rk4(speed, rate, X, V, h):
+    """One classical Runge-Kutta step of dX/dt = speed(X), dV/dt = rate(X, V)."""
+    k1x = speed(X)
+    k1v = rate(X, V)
+    X2 = X + 0.5 * h * k1x
+    V2 = V + 0.5 * h * k1v
+    k2x = speed(X2)
+    k2v = rate(X2, V2)
+    X3 = X + 0.5 * h * k2x
+    V3 = V + 0.5 * h * k2v
+    k3x = speed(X3)
+    k3v = rate(X3, V3)
+    X4 = X + h * k3x
+    V4 = V + h * k3v
+    k4x = speed(X4)
+    k4v = rate(X4, V4)
+    return (
+        X + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+        V + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+    )
+
+
 def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
     """Trace a batch of characteristics through one record's field history.
 
     Each stored field interval gets one Runge-Kutta step (fourth order), with
     the field linearly interpolated in space and frozen in time inside the
     interval, matching how the marcher used it.  The growth-law values use
-    the jam state ahead as sampled from the latest snapshot at or before the
-    interval start.
+    the jam state ahead as sampled from the latest snapshot taken at or
+    before the interval's step.  Row ``k`` of the output is the state after
+    ``k`` steps; it samples the snapshot taken after ``k`` steps, unless
+    ``t_end`` cuts that step short and is not itself a snapshot time.
     """
     if record.w_fields.shape[0] == 0:
         raise ConfigurationError(
@@ -119,24 +143,26 @@ def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
         t_end = t_max
     if not (0.0 <= t_end <= t_max + 1e-12):
         raise ConfigurationError(f"t_end={t_end} outside the stored range [0, {t_max}]")
+    n_steps = record.snapshot_steps.get(t_end)
+    if n_steps is None:
+        n_steps = int(np.searchsorted(record.w_times[:-1], t_end))
+    # The state after k steps; of several snapshots at one step, the latest.
+    at_step = {record.snapshot_steps[t]: record.snapshots[t] for t in record.times}
 
     cfg = record.config
     edges = grid.edges
-    u0 = record.snapshots[0.0]
+    ahead = at_step[0]
     X = starts.copy()
-    V = _sample_cells(u0, grid, X, cfg.left_ghost_value, cfg.right_ghost_value)
+    V = _sample_cells(ahead, grid, X, cfg.left_ghost_value, cfg.right_ghost_value)
     out_t = [0.0]
     out_x = [X.copy()]
     out_v = [V.copy()]
 
-    for i in range(record.w_fields.shape[0]):
+    for i in range(n_steps):
         t0 = record.w_times[i]
         t1 = min(record.w_times[i + 1], t_end)
-        if t0 >= t_end - 1e-15:
-            break
-        h = t1 - t0
         w_row = record.w_fields[i]
-        ahead = record.latest_snapshot_at_or_before(t0).values
+        ahead = at_step.get(i, ahead)
 
         def speed(x):
             return 1.0 - np.interp(x, edges, w_row)
@@ -147,16 +173,7 @@ def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
             )
             return v * (a - v) / eps
 
-        k1x = speed(X)
-        k1v = growth(X, V)
-        k2x = speed(X + 0.5 * h * k1x)
-        k2v = growth(X + 0.5 * h * k1x, V + 0.5 * h * k1v)
-        k3x = speed(X + 0.5 * h * k2x)
-        k3v = growth(X + 0.5 * h * k2x, V + 0.5 * h * k2v)
-        k4x = speed(X + h * k3x)
-        k4v = growth(X + h * k3x, V + h * k3v)
-        X = X + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        V = V + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        X, V = _rk4(speed, growth, X, V, t1 - t0)
         out_t.append(t1)
         out_x.append(X.copy())
         out_v.append(V.copy())
@@ -165,14 +182,12 @@ def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
     positions = np.asarray(out_x)  # (n_points, n_paths)
     transported = np.asarray(out_v)
 
-    snap_times = np.asarray(record.times)
     sampled = np.full_like(positions, np.nan)
-    for r, t in enumerate(times):
-        hits = np.flatnonzero(np.abs(snap_times - t) <= 1e-9)
-        if hits.size:
-            field = record.snapshots[float(snap_times[hits[0]])]
-            sampled[r] = _sample_cells(
-                field, grid, positions[r], cfg.left_ghost_value, cfg.right_ghost_value
+    cut_short = t_end not in record.snapshot_steps and t_end < record.w_times[n_steps]
+    for k, field in at_step.items():
+        if k < n_steps or (k == n_steps and not cut_short):
+            sampled[k] = _sample_cells(
+                field, grid, positions[k], cfg.left_ghost_value, cfg.right_ghost_value
             )
 
     paths = []
@@ -278,6 +293,7 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
     for t in wanted:
         i = int(np.argmin(np.abs(nodes - t)))
         record.snapshots[t] = u_rows[i].copy()
+        record.snapshot_steps[t] = i
     record.w_times = nodes.copy()
     record.w_fields = w_rows
     record.info.update(
@@ -307,8 +323,6 @@ def _transport_on_frozen_field(
     edges = grid.edges
     dx = grid.dx
     n = grid.n_cells
-    E = edges.copy()
-    v = u0.copy()
     out = np.empty((nodes.size, n))
     out[0] = u0
 
@@ -318,7 +332,6 @@ def _transport_on_frozen_field(
         return np.where((x < grid.x_left) | (x >= grid.x_right), 0.0, s)
 
     for i in range(nodes.size - 1):
-        h = nodes[i + 1] - nodes[i]
         w_row = w_rows[i]
         slopes = np.diff(w_row) / dx
 
@@ -329,25 +342,8 @@ def _transport_on_frozen_field(
             mid = 0.5 * (x_edges[:-1] + x_edges[1:])
             return vals * slope_at(slopes, mid)
 
-        k1E = speed(E)
-        k1v = value_rate(E, v)
-        E2 = E + 0.5 * h * k1E
-        v2 = v + 0.5 * h * k1v
-        k2E = speed(E2)
-        k2v = value_rate(E2, v2)
-        E3 = E + 0.5 * h * k2E
-        v3 = v + 0.5 * h * k2v
-        k3E = speed(E3)
-        k3v = value_rate(E3, v3)
-        E4 = E + h * k3E
-        v4 = v + h * k3v
-        k4E = speed(E4)
-        k4v = value_rate(E4, v4)
-        E = E + h / 6.0 * (k1E + 2.0 * k2E + 2.0 * k3E + k4E)
-        v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        E, v = _rk4(speed, value_rate, edges, out[i], nodes[i + 1] - nodes[i])
         out[i + 1] = _resample_markers(
             E, v, grid, config.left_ghost_value, config.right_ghost_value
         )
-        E = edges.copy()
-        v = out[i + 1].copy()
     return out

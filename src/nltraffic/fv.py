@@ -131,7 +131,6 @@ class SolverConfig:
     left_ghost_value: float = 0.0
     right_ghost_value: float = 1.0
     output_times: tuple = ()
-    w_stride: int = 1
 
     def __post_init__(self):
         if self.scheme not in ("upwind", "lax-friedrichs"):
@@ -140,12 +139,7 @@ class SolverConfig:
             raise ConfigurationError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        ratio = self.epsilon / self.grid.dx
-        m = round(ratio)
-        if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, m):
-            raise ConfigurationError(
-                f"epsilon={self.epsilon} is not a whole number of cells (dx={self.grid.dx})"
-            )
+        _whole_cells(self.epsilon, self.grid.dx, f"epsilon={self.epsilon}")
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ConfigurationError(f"t_final must be positive, got {self.t_final}")
         for name in ("left_ghost_value", "right_ghost_value"):
@@ -159,10 +153,6 @@ class SolverConfig:
             raise ConfigurationError("output times must be strictly increasing")
         if any(t > self.t_final + 1e-12 for t in times):
             raise ConfigurationError("output times must not exceed t_final")
-        if not isinstance(self.w_stride, (int, np.integer)) or self.w_stride < 1:
-            raise ConfigurationError(
-                f"w_stride must be a positive integer, got {self.w_stride!r}"
-            )
         object.__setattr__(self, "output_times", times)
 
     @property
@@ -177,13 +167,16 @@ class SolutionRecord:
     ``w_times`` holds N+1 interval boundaries and ``w_fields`` the N interface
     rows, each valid on ``[w_times[i], w_times[i+1])``; characteristic tracing
     interpolates inside this history.  ``snapshots`` maps times to cell-average
-    arrays.  Runs of the sharp-interaction limit leave the history empty and
-    set ``epsilon`` to 0.
+    arrays, and ``snapshot_steps`` maps the same times to the number of steps
+    taken before each snapshot, so snapshot ``t`` holds the state at
+    ``w_times[snapshot_steps[t]]``.  Runs of the sharp-interaction limit leave
+    the history empty and set ``epsilon`` to 0.
     """
 
     config: SolverConfig
     epsilon: float
     snapshots: dict = field(default_factory=dict)
+    snapshot_steps: dict = field(default_factory=dict)
     w_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
     w_fields: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     info: dict = field(default_factory=dict)
@@ -196,18 +189,19 @@ class SolutionRecord:
     def times(self) -> list:
         return sorted(self.snapshots)
 
-    def snapshot(self, t: float, atol: float = 1e-12) -> GridFunction:
-        for s in self.snapshots:
-            if abs(s - t) <= atol:
-                return GridFunction(self.grid, self.snapshots[s], time=s)
-        raise KeyError(f"no snapshot at t={t}; stored times: {self.times}")
+    def snapshot(self, t: float) -> GridFunction:
+        if t not in self.snapshots:
+            raise KeyError(f"no snapshot at t={t}; stored times: {self.times}")
+        return GridFunction(self.grid, self.snapshots[t], time=t)
 
-    def latest_snapshot_at_or_before(self, t: float) -> GridFunction:
-        eligible = [s for s in self.snapshots if s <= t + 1e-12]
-        if not eligible:
-            raise KeyError(f"no snapshot at or before t={t}")
-        s = max(eligible)
-        return GridFunction(self.grid, self.snapshots[s], time=s)
+
+def _whole_cells(length: float, dx: float, what: str) -> int:
+    """Number of cells of size ``dx`` in ``length``, which must be whole."""
+    ratio = length / dx
+    m = round(ratio)
+    if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, m):
+        raise ConfigurationError(f"{what} is not a whole number of cells (dx={dx})")
+    return m
 
 
 def compute_w(u, epsilon: float, dx: float = None, right_ghost_value: float = 1.0) -> np.ndarray:
@@ -226,12 +220,7 @@ def compute_w(u, epsilon: float, dx: float = None, right_ghost_value: float = 1.
     if dx is None:
         raise ConfigurationError("dx is required when u is a bare array")
     u = np.asarray(u, dtype=float)
-    ratio = epsilon / dx
-    m = round(ratio)
-    if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, m):
-        raise ConfigurationError(
-            f"epsilon={epsilon} is not a whole number of cells (dx={dx})"
-        )
+    m = _whole_cells(epsilon, dx, f"epsilon={epsilon}")
     ext = np.concatenate([u, np.full(m, right_ghost_value)])
     sums = np.convolve(ext, np.ones(m), mode="valid")
     return sums / m
@@ -316,72 +305,76 @@ def _project_datum(datum, grid: Grid1D) -> np.ndarray:
     return vals.copy()
 
 
-def _march_targets(output_times: tuple, t_final: float) -> list:
-    targets = sorted(set(output_times) | {t_final})
-    return [t for t in targets if t > 0.0]
+def _march(config: SolverConfig, advance, record: SolutionRecord) -> list:
+    """Carry the datum to ``t_final`` with ``advance``, snapshotting on the way.
+
+    ``advance(u, room)`` returns the next state and the step it took, which
+    must not exceed ``room``, the time left to the next target; each target
+    (the output times and ``t_final``) is therefore hit exactly.  Each
+    snapshot is stored with the number of steps taken before it.  Returns the
+    N+1 step boundary times of the N steps taken.
+    """
+    targets = sorted(set(config.output_times) | {config.t_final})
+    targets = [target for target in targets if target > 0.0]
+    u = _project_datum(config.datum, config.grid)
+    record.snapshots[0.0] = u.copy()
+    record.snapshot_steps[0.0] = 0
+    times = [0.0]
+    t = 0.0
+    step = 0
+    for target in targets:
+        while t < target - 1e-14:
+            u, dt = advance(u, target - t)
+            if not np.all(np.isfinite(u)):
+                bad = int(np.flatnonzero(~np.isfinite(u))[0])
+                raise SolverError(
+                    f"non-finite value in cell {bad} (x={config.grid.centers[bad]:.6g}) "
+                    f"at t={t + dt:.6g} after {step + 1} steps"
+                )
+            t += dt
+            times.append(t)
+            step += 1
+        t = target
+        record.snapshots[target] = u.copy()
+        record.snapshot_steps[target] = step
+    record.info["steps"] = step
+    return times
 
 
 def solve_nonlocal(config: SolverConfig) -> SolutionRecord:
     """March the lookahead model to ``t_final``, snapshotting on the way.
 
     Snapshots are taken at ``config.output_times`` and at ``t_final``, hitting
-    each time exactly by shortening the step.  The lookahead-field history is
-    stored for every step (thinned to every ``w_stride``-th step on request)
-    so characteristics can be traced afterwards.
+    each time exactly by shortening the step.  The lookahead field of every
+    step is stored so characteristics can be traced afterwards.
     """
     grid = config.grid
-    u = _project_datum(config.datum, grid)
     dx = grid.dx
     m = config.lookahead_cells
-    targets = _march_targets(config.output_times, config.t_final)
-
-    record = SolutionRecord(config=config, epsilon=config.epsilon)
-    record.snapshots[0.0] = u.copy()
-    w_times = [0.0]
     w_fields = []
 
     # The Lax-Friedrichs update is a convex combination of neighbours only up
     # to lambda = 2M/(2M+1); shrink its step accordingly.
     lxf_factor = 2.0 * m / (2.0 * m + 1.0) if config.scheme == "lax-friedrichs" else 1.0
 
-    t = 0.0
-    step = 0
-    for target in targets:
-        while t < target - 1e-14:
-            w = compute_w(u, config.epsilon, dx, config.right_ghost_value)
-            dt = min(cfl_dt(w, dx, config.cfl) * lxf_factor, target - t)
-            if config.scheme == "upwind":
-                u = step_upwind(u, w, dt, dx, config.left_ghost_value)
-            else:
-                u = step_lax_friedrichs(
-                    u, w, dt, dx, config.left_ghost_value, config.right_ghost_value
-                )
-            if not np.all(np.isfinite(u)):
-                bad = int(np.flatnonzero(~np.isfinite(u))[0])
-                raise SolverError(
-                    f"non-finite value in cell {bad} (x={grid.centers[bad]:.6g}) "
-                    f"at t={t + dt:.6g} after {step + 1} steps"
-                )
-            w_fields.append(w)
-            t += dt
-            w_times.append(t)
-            step += 1
-        t = target
-        record.snapshots[target] = u.copy()
+    def advance(u, room):
+        w = compute_w(u, config.epsilon, dx, config.right_ghost_value)
+        dt = min(cfl_dt(w, dx, config.cfl) * lxf_factor, room)
+        if config.scheme == "upwind":
+            u = step_upwind(u, w, dt, dx, config.left_ghost_value)
+        else:
+            u = step_lax_friedrichs(
+                u, w, dt, dx, config.left_ghost_value, config.right_ghost_value
+            )
+        w_fields.append(w)
+        return u, dt
 
-    record.w_times = np.asarray(w_times)
+    record = SolutionRecord(config=config, epsilon=config.epsilon)
+    record.info["scheme"] = config.scheme
+    record.w_times = np.asarray(_march(config, advance, record))
     record.w_fields = (
         np.asarray(w_fields) if w_fields else np.zeros((0, grid.n_cells + 1))
     )
-    record.info.update(scheme=config.scheme, steps=step)
-    if config.w_stride > 1 and w_fields:
-        keep = np.zeros(len(w_fields), dtype=bool)
-        keep[:: config.w_stride] = True
-        keep[-1] = True
-        kept = np.flatnonzero(keep)
-        # Each kept field now stands in until the next kept boundary.
-        record.w_fields = record.w_fields[kept]
-        record.w_times = np.concatenate((record.w_times[kept], [w_times[-1]]))
     return record
 
 
@@ -408,35 +401,18 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     the returned record carries ``epsilon = 0`` and no lookahead history,
     which is what marks it as untraceable.
     """
-    grid = config.grid
-    u = _project_datum(config.datum, grid)
-    dx = grid.dx
-    targets = _march_targets(config.output_times, config.t_final)
+    dx = config.grid.dx
+    dt_max = config.cfl * dx  # |f'(u)| = |1 - 2u| <= 1 on [0, 1]
+
+    def advance(u, room):
+        dt = min(dt_max, room)
+        u_ext = np.concatenate(
+            ([config.left_ghost_value], u, [config.right_ghost_value])
+        )
+        flux = godunov_flux_local(u_ext[:-1], u_ext[1:])
+        return u - dt / dx * (flux[1:] - flux[:-1]), dt
 
     record = SolutionRecord(config=config, epsilon=0.0)
-    record.snapshots[0.0] = u.copy()
-
-    t = 0.0
-    step = 0
-    dt_max = config.cfl * dx  # |f'(u)| = |1 - 2u| <= 1 on [0, 1]
-    for target in targets:
-        while t < target - 1e-14:
-            dt = min(dt_max, target - t)
-            u_ext = np.concatenate(
-                ([config.left_ghost_value], u, [config.right_ghost_value])
-            )
-            flux = godunov_flux_local(u_ext[:-1], u_ext[1:])
-            u = u - dt / dx * (flux[1:] - flux[:-1])
-            if not np.all(np.isfinite(u)):
-                bad = int(np.flatnonzero(~np.isfinite(u))[0])
-                raise SolverError(
-                    f"non-finite value in cell {bad} (x={grid.centers[bad]:.6g}) "
-                    f"at t={t + dt:.6g} after {step + 1} steps"
-                )
-            t += dt
-            step += 1
-        t = target
-        record.snapshots[target] = u.copy()
-
-    record.info.update(scheme="godunov-local", steps=step)
+    record.info["scheme"] = "godunov-local"
+    _march(config, advance, record)
     return record

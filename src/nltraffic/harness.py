@@ -19,7 +19,7 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigurationError, ConvergenceError, SolverError
 from .model import PiecewiseConstant1D, build_bar_u, build_u0, load_piecewise
-from .fv import Grid1D, SolverConfig, solve_local, solve_nonlocal
+from .fv import Grid1D, SolverConfig, _whole_cells, solve_local, solve_nonlocal
 from .characteristics import trace_characteristic, trace_many
 from .analysis import (
     BoundReport,
@@ -108,13 +108,7 @@ def make_grid(domain, dx: float) -> Grid1D:
     a, b = (float(v) for v in domain)
     if not (math.isfinite(dx) and dx > 0.0):
         raise ConfigurationError(f"dx must be positive, got {dx}")
-    ratio = (b - a) / dx
-    n = round(ratio)
-    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, n):
-        raise ConfigurationError(
-            f"domain [{a}, {b}] is not a whole number of cells of size {dx}"
-        )
-    return Grid1D(a, b, int(n))
+    return Grid1D(a, b, _whole_cells(b - a, dx, f"domain [{a}, {b}]"))
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,6 @@ class RunConfig:
     cfl: float = 0.9
     local: bool = False
     out: str = None
-    w_stride: int = 1
 
     def resolved_epsilon(self, grid: Grid1D) -> float:
         if self.local:
@@ -156,7 +149,6 @@ def build_solver_config(run: RunConfig) -> SolverConfig:
         cfl=run.cfl,
         scheme=run.scheme,
         output_times=run.output_times,
-        w_stride=run.w_stride,
     )
 
 
@@ -179,6 +171,17 @@ def _snapshot_lines(grid: Grid1D, values: np.ndarray):
     yield "x,u"
     for x, u in zip(grid.centers, values):
         yield f"{_fmt(x)},{_fmt(u)}"
+
+
+def _write_snapshots(out_dir: Path, record) -> list:
+    """One ``u_t{t}_eps{eps}.csv`` per snapshot of ``record``; returns the paths."""
+    return [
+        _write_lines(
+            out_dir / f"u_t{t:g}_eps{record.epsilon:g}.csv",
+            _snapshot_lines(record.grid, record.snapshots[t]),
+        )
+        for t in record.times
+    ]
 
 
 def _path_lines(path_obj):
@@ -239,12 +242,7 @@ def run_simulate(run: RunConfig) -> list:
     cfg = build_solver_config(run)
     record = solve_local(cfg) if run.local else solve_nonlocal(cfg)
     out_dir = Path(run.out or "out")
-    files = []
-    for t in record.times:
-        name = f"u_t{t:g}_eps{record.epsilon:g}.csv"
-        files.append(
-            _write_lines(out_dir / name, _snapshot_lines(record.grid, record.snapshots[t]))
-        )
+    files = _write_snapshots(out_dir, record)
     extra = {
         "n_cells": cfg.grid.n_cells,
         "lookahead_cells": 0 if run.local else cfg.lookahead_cells,
@@ -458,9 +456,7 @@ def run_mechanism_demo(
     if dx is None:
         m = math.ceil(32.0 * epsilon / h)
     else:
-        m = round(epsilon / dx)
-        if m < 1 or abs(epsilon / dx - m) > 1e-9 * max(1.0, m):
-            raise ConfigurationError(f"epsilon={epsilon} is not a whole number of cells (dx={dx})")
+        m = _whole_cells(epsilon, dx, f"epsilon={epsilon}")
     dx = epsilon / m
     n_left = math.ceil(max(1.0, 4.0 * h) / dx)
     n_right = math.ceil(max(1.0, epsilon + 0.25) / dx)
@@ -504,10 +500,7 @@ def run_mechanism_demo(
     )
     if out is not None:
         out_dir = Path(out)
-        files = []
-        for t in record.times:
-            name = f"u_t{t:g}_eps{record.epsilon:g}.csv"
-            files.append(_write_lines(out_dir / name, _snapshot_lines(grid, record.snapshots[t])))
+        files = _write_snapshots(out_dir, record)
         params = {"h": h, "epsilon": epsilon, "tau": tau, "dx": dx, "verdict": report.ok}
         _write_manifest(out_dir, params, files, time.perf_counter() - t0)
     return report

@@ -1,4 +1,4 @@
-"""Exact piecewise-constant profiles, averaging kernels, and the velocity law.
+"""Exact piecewise-constant profiles, the stock data, and their text format.
 
 Everything in this module is meant to be evaluated without quadrature error:
 profiles are stored as breakpoint/value arrays, integrals are computed from
@@ -9,21 +9,18 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 __all__ = [
     "PiecewiseConstant1D",
-    "KernelSpec",
-    "VelocityLaw",
     "build_bar_u",
     "build_u0",
     "eval_piecewise",
     "cell_average",
     "cell_averages",
-    "velocity",
     "piecewise_to_text",
     "piecewise_from_text",
     "save_piecewise",
@@ -174,96 +171,6 @@ def build_u0(K: int) -> PiecewiseConstant1D:
         left_extension=0.0,
         right_extension=1.0,
     )
-
-
-def _default_profile() -> PiecewiseConstant1D:
-    return PiecewiseConstant1D(
-        breakpoints=np.array([-1.0, 0.0]), values=np.array([1.0])
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class KernelSpec:
-    """Averaging kernel: a nonnegative unit-mass profile supported left of 0.
-
-    ``base_profile`` is the unscaled kernel; the solver looks ``epsilon``
-    ahead, which corresponds to the rescaling ``x -> profile(x / epsilon) / epsilon``.
-    Only compactly supported piecewise-constant profiles inside
-    ``base_support`` (a subinterval of (-oo, 0]) are accepted.
-    """
-
-    base_support: tuple = (-1.0, 0.0)
-    base_profile: PiecewiseConstant1D = field(default_factory=_default_profile)
-    epsilon: float = 1.0
-
-    def __post_init__(self):
-        lo, hi = (float(v) for v in self.base_support)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"bad support interval ({lo}, {hi})")
-        if hi > 0.0:
-            raise ValueError("kernel support must lie in (-oo, 0]")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        prof = self.base_profile
-        if prof.left_extension != 0.0 or prof.right_extension != 0.0:
-            raise ValueError("kernel profile must vanish outside its breakpoints")
-        if prof.breakpoints[0] < lo - 1e-12 or prof.breakpoints[-1] > hi + 1e-12:
-            raise ValueError("kernel profile exceeds the declared support")
-        if np.any(prof.values < 0.0):
-            raise ValueError("kernel profile must be nonnegative")
-        mass = float(np.sum(prof.values * np.diff(prof.breakpoints)))
-        if abs(mass - 1.0) > 1e-12:
-            raise ValueError(f"kernel must integrate to 1, got {mass!r}")
-        object.__setattr__(self, "base_support", (lo, hi))
-
-    @property
-    def rescaled(self) -> PiecewiseConstant1D:
-        """The kernel stretched to width ``epsilon`` with unit mass preserved."""
-        return PiecewiseConstant1D(
-            breakpoints=self.base_profile.breakpoints * self.epsilon,
-            values=self.base_profile.values / self.epsilon,
-        )
-
-    def evaluate_rescaled(self, x):
-        return eval_piecewise(self.rescaled, x)
-
-    def rescaled_mass(self) -> float:
-        r = self.rescaled
-        return float(np.sum(r.values * np.diff(r.breakpoints)))
-
-
-@dataclass(frozen=True)
-class VelocityLaw:
-    """Affine speed law ``V(u) = intercept + slope * u``.
-
-    The default (1, -1) is the linear decreasing law ``V(u) = 1 - u``; the
-    solvers specialise to it, this class only evaluates and validates.
-    """
-
-    kind: str = "affine"
-    intercept: float = 1.0
-    slope: float = -1.0
-
-    def __post_init__(self):
-        if self.kind != "affine":
-            raise ValueError(f"unsupported velocity law kind {self.kind!r}")
-        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
-            raise ValueError("velocity law coefficients must be finite")
-
-    @property
-    def lipschitz(self) -> float:
-        return abs(self.slope)
-
-    def __call__(self, u):
-        return velocity(self, u)
-
-
-def velocity(law: VelocityLaw, u):
-    """Evaluate the affine speed law at a scalar or array density."""
-    out = law.intercept + law.slope * np.asarray(u, dtype=float)
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
 
 
 # --- plain-text serialization ------------------------------------------------

@@ -157,6 +157,44 @@ def test_trace_respects_t_end():
     assert path.times[0] == 0.0
 
 
+def _sampled_rows(path):
+    return np.flatnonzero(np.isfinite(path.values)).tolist()
+
+
+def test_trace_samples_snapshots_at_their_steps():
+    rec = _record(build_u0(3), output_times=(0.1, 0.17))
+    steps = rec.snapshot_steps
+    path = trace_characteristic(rec, -0.3)
+    assert _sampled_rows(path) == sorted(steps.values())
+    for t, k in steps.items():
+        assert path.values[k] == rec.snapshots[t][rec.grid.cell_of(path.positions[k])]
+
+    at_snapshot = trace_characteristic(rec, -0.3, t_end=0.1)
+    assert at_snapshot.values.size == steps[0.1] + 1
+    assert _sampled_rows(at_snapshot) == [0, steps[0.1]]
+
+    between = trace_characteristic(rec, -0.3, t_end=0.2)
+    assert _sampled_rows(between) == [0, steps[0.1], steps[0.17]]
+    assert np.isnan(between.values[-1])
+
+    # t_end inside the step that lands on 0.1: that row is short of the snapshot
+    short = trace_characteristic(rec, -0.3, t_end=0.0999)
+    assert short.values.size == steps[0.1] + 1
+    assert _sampled_rows(short) == [0]
+
+
+def test_trace_samples_picard_snapshots_at_their_nodes():
+    g = Grid1D(-1.5, 1.0, 320)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
+                       output_times=(0.1, 0.17))
+    rec = solve_picard(cfg)
+    steps = rec.snapshot_steps
+    assert _sampled_rows(trace_characteristic(rec, -0.3)) == sorted(steps.values())
+    at_snapshot = trace_characteristic(rec, -0.3, t_end=0.17)
+    assert _sampled_rows(at_snapshot) == [0, steps[0.1], steps[0.17]]
+    assert at_snapshot.values.size == steps[0.17] + 1
+
+
 def test_trace_rejects_bad_inputs():
     rec = _record(build_u0(3))
     with pytest.raises(ConfigurationError):

@@ -220,8 +220,6 @@ def test_solver_config_validation():
         SolverConfig(**{**ok, "output_times": (0.05, 0.2)})  # beyond t_final
     with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "output_times": (0.05, 0.05)})
-    with pytest.raises(ConfigurationError):
-        SolverConfig(**{**ok, "w_stride": 0})
 
 
 def test_datum_array_must_match_grid():
@@ -345,22 +343,6 @@ def test_snapshots_land_exactly_on_requested_times():
     assert sorted(rec.snapshots) == [0.0, 0.1, 0.17, 0.25]
     assert rec.info["steps"] == len(rec.w_times) - 1
     assert rec.w_fields.shape == (rec.info["steps"], g.n_cells + 1)
-
-
-def test_w_history_thinning_keeps_solution_and_covers_run():
-    g = Grid1D(-1.0, 1.0, 64)
-    base = dict(
-        grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx), t_final=0.2
-    )
-    full = solve_nonlocal(SolverConfig(**base))
-    thin = solve_nonlocal(SolverConfig(**base, w_stride=5))
-    np.testing.assert_array_equal(
-        full.snapshot(0.2).values, thin.snapshot(0.2).values
-    )
-    assert thin.w_fields.shape[0] < full.w_fields.shape[0]
-    assert thin.w_times[0] == 0.0
-    assert thin.w_times[-1] == full.w_times[-1]
-    assert thin.w_times.size == thin.w_fields.shape[0] + 1
 
 
 # --- sharp-interaction limit ---------------------------------------------------------

@@ -203,6 +203,8 @@ def test_mechanism_demo_validation():
         run_mechanism_demo(h=0.0)
     with pytest.raises(ConfigurationError):
         run_mechanism_demo(tau=0.0)
+    with pytest.raises(ConfigurationError):
+        run_mechanism_demo(dx=0.03)  # epsilon is not a whole number of cells
 
 
 def test_run_verify_suite_selection(capsys):

@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from nltraffic import (
-    KernelSpec,
     PiecewiseConstant1D,
-    VelocityLaw,
     build_bar_u,
     build_u0,
     cell_average,
@@ -24,7 +22,6 @@ from nltraffic import (
     piecewise_to_text,
     save_piecewise,
     total_variation,
-    velocity,
 )
 
 
@@ -178,49 +175,6 @@ def test_piecewise_constructor_validation():
         PiecewiseConstant1D(np.array([0.0, np.nan]), np.array([1.0]))
     with pytest.raises(ValueError):
         PiecewiseConstant1D(np.array([0.0, 1.0]), np.array([np.inf]))
-
-
-# --- kernel and speed law -----------------------------------------------------
-
-
-def test_default_kernel_is_unit_mass_window_behind_zero():
-    k = KernelSpec()
-    assert k.base_support == (-1.0, 0.0)
-    assert k.rescaled_mass() == pytest.approx(1.0, abs=1e-12)
-    assert k.evaluate_rescaled(-0.5) == 1.0
-    assert k.evaluate_rescaled(0.5) == 0.0
-
-
-def test_rescaled_kernel_keeps_unit_mass():
-    for eps in (2.0**-6, 0.3, 1.0, 7.5):
-        k = KernelSpec(epsilon=eps)
-        assert abs(k.rescaled_mass() - 1.0) <= 1e-12
-        assert k.evaluate_rescaled(-eps / 2) == pytest.approx(1.0 / eps, rel=1e-14)
-
-
-def test_kernel_rejects_forward_support():
-    with pytest.raises(ValueError):
-        KernelSpec(base_support=(-0.5, 0.5))
-
-
-def test_kernel_rejects_wrong_mass_and_sign():
-    half = PiecewiseConstant1D(np.array([-1.0, 0.0]), np.array([0.5]))
-    with pytest.raises(ValueError):
-        KernelSpec(base_profile=half)
-    neg = PiecewiseConstant1D(np.array([-1.0, -0.5, 0.0]), np.array([3.0, -1.0]))
-    with pytest.raises(ValueError):
-        KernelSpec(base_profile=neg)
-
-
-def test_velocity_law_is_affine_decreasing_by_default():
-    law = VelocityLaw()
-    assert law(0.0) == 1.0
-    assert law(1.0) == 0.0
-    assert law(0.25) == 0.75
-    assert law.lipschitz == 1.0
-    np.testing.assert_array_equal(velocity(law, np.array([0.0, 0.5])), [1.0, 0.5])
-    with pytest.raises(ValueError):
-        VelocityLaw(kind="quadratic")
 
 
 # --- serialization ------------------------------------------------------------
