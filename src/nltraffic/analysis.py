@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .characteristics import trace_many
-from .fv import GridFunction, SolutionRecord
+from .characteristics import PathTracer, trace_many
+from .fv import GridFunction, SolutionRecord, SolverConfig
 from .model import PiecewiseConstant1D, build_u0
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "tv_lower_bound_dyadic",
     "term_threshold_check",
     "evaluate_bounds",
+    "reconstruction_tracer",
     "reconstruct_tv_from_characteristics",
     "check_max_principle",
     "check_monotonicity",
@@ -239,7 +240,32 @@ def _match_stock_datum(datum) -> int:
     return K
 
 
-def reconstruct_tv_from_characteristics(record: SolutionRecord, tau: float) -> TVReconstruction:
+def _reconstruction_starts(datum, epsilon: float, dx: float):
+    """Resolved and skipped blocks, and the plateau-then-gap path starts."""
+    K = _match_stock_datum(datum)
+    k_min = max(0, _fuzzy_ceil(-math.log2(epsilon) / 2.0))  # block fits in [-eps, 0]
+    resolved = [
+        k for k in range(k_min, K + 1) if 2.0 ** (-2 * k - 2) >= dx  # gap >= one cell
+    ]
+    skipped = tuple(k for k in range(k_min, K + 1) if k not in resolved)
+    starts = [-0.75 * 4.0 ** -k for k in resolved] + [-0.375 * 4.0 ** -k for k in resolved]
+    return resolved, skipped, starts
+
+
+def reconstruction_tracer(config: SolverConfig, tau: float) -> PathTracer:
+    """A path tracer for the reconstruction at ``tau``, to march with ``config``.
+
+    Pass it to ``solve_nonlocal(config, observers=[...])`` and then to
+    :func:`reconstruct_tv_from_characteristics` with the returned record, so
+    the paths are traced during the march and no history is stored.
+    """
+    _, _, starts = _reconstruction_starts(config.datum, config.epsilon, config.grid.dx)
+    return PathTracer(config, starts, t_end=tau)
+
+
+def reconstruct_tv_from_characteristics(
+    record: SolutionRecord, tau: float, tracer: PathTracer = None
+) -> TVReconstruction:
     """Rebuild the oscillation sum at time tau from characteristic traces.
 
     For each confined, grid-resolved block this traces one path from the
@@ -247,27 +273,27 @@ def reconstruct_tv_from_characteristics(record: SolutionRecord, tau: float) -> T
     grown values carried along the paths, and sums 2 * plateau value.  The
     carried values integrate the material growth law, so the sum stays
     faithful even after a block has been squeezed below the cell size (where
-    snapshot cell averages would only show a smeared remnant).
+    snapshot cell averages would only show a smeared remnant).  The paths
+    come from ``tracer`` (made by :func:`reconstruction_tracer` and marched
+    with the run) or, without one, from the record's stored history.
     """
-    K = _match_stock_datum(record.config.datum)
+    resolved, skipped, starts = _reconstruction_starts(
+        record.config.datum, record.epsilon, record.grid.dx
+    )
     if tau not in record.snapshots:
         raise ConfigurationError(
             f"tau={tau} is not among the record's snapshot times {record.times}"
         )
-    eps = record.epsilon
-    dx = record.grid.dx
-    k_min = max(0, _fuzzy_ceil(-math.log2(eps) / 2.0))  # block fits in [-eps, 0]
-    resolved = [
-        k for k in range(k_min, K + 1) if 2.0 ** (-2 * k - 2) >= dx  # gap >= one cell
-    ]
-    skipped = tuple(k for k in range(k_min, K + 1) if k not in resolved)
+    if tracer is not None and (tracer.t_end != tau or tracer.starts.tolist() != starts):
+        raise ConfigurationError("tracer was not made by reconstruction_tracer for this tau")
 
     blocks = []
     total = 0.0
     if resolved:
-        plateau_starts = [-0.75 * 4.0 ** -k for k in resolved]
-        gap_starts = [-0.375 * 4.0 ** -k for k in resolved]
-        paths = trace_many(record, plateau_starts + gap_starts, t_end=tau)
+        if tracer is None:
+            paths = trace_many(record, starts, t_end=tau)
+        else:
+            paths = tracer.paths()
         for i, k in enumerate(resolved):
             plateau_path = paths[i]
             gap_path = paths[len(resolved) + i]
@@ -275,8 +301,8 @@ def reconstruct_tv_from_characteristics(record: SolutionRecord, tau: float) -> T
             blocks.append(
                 BlockTrace(
                     k=k,
-                    plateau_start=plateau_starts[i],
-                    gap_start=gap_starts[i],
+                    plateau_start=plateau_path.start,
+                    gap_start=gap_path.start,
                     plateau_value=grown,
                     gap_value=float(gap_path.transported[-1]),
                     contribution=2.0 * grown,
@@ -284,7 +310,7 @@ def reconstruct_tv_from_characteristics(record: SolutionRecord, tau: float) -> T
             )
             total += 2.0 * grown
     return TVReconstruction(
-        tau=tau, epsilon=eps, blocks=tuple(blocks), skipped=skipped, total=total
+        tau=tau, epsilon=record.epsilon, blocks=tuple(blocks), skipped=skipped, total=total
     )
 
 

@@ -1,8 +1,9 @@
-"""Characteristic-line machinery on top of stored solver runs.
+"""Characteristic-line machinery on top of solver runs.
 
 Three pieces live here.  Path tracing integrates dX/dt = 1 - w(t, X) through
-the lookahead-field history a solver run stored, carrying two kinds of values
-along each path: direct samples of the solver's snapshots, and the solution
+the lookahead fields of a solver run, either while the run marches or by
+replaying the history it stored, carrying two kinds of values along each
+path: direct samples of the solver's snapshots, and the solution
 of the growth law along the path (the material derivative of the model,
 du/dt = u * (u(x + epsilon) - u) / epsilon).  The closed form of that growth
 law for a constant state ahead is the logistic curve, exposed separately.
@@ -23,6 +24,7 @@ from .fv import Grid1D, SolutionRecord, SolverConfig, compute_w, _project_datum
 
 __all__ = [
     "CharacteristicPath",
+    "PathTracer",
     "logistic_value",
     "material_rhs",
     "trace_characteristic",
@@ -115,94 +117,135 @@ def _rk4(speed, rate, X, V, h):
     )
 
 
-def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
-    """Trace a batch of characteristics through one record's field history.
+class PathTracer:
+    """March observer that traces a batch of characteristics step by step.
 
-    Each stored field interval gets one Runge-Kutta step (fourth order), with
-    the field linearly interpolated in space and frozen in time inside the
-    interval, matching how the marcher used it.  The growth-law values use
-    the jam state ahead as sampled from the latest snapshot taken at or
-    before the interval's step.  Row ``k`` of the output is the state after
-    ``k`` steps; it samples the snapshot taken after ``k`` steps, unless
-    ``t_end`` cuts that step short and is not itself a snapshot time.
+    Pass it to :func:`~nltraffic.fv.solve_nonlocal` (``observers=[tracer]``)
+    to trace while the run marches, with no stored history, then read
+    :meth:`paths`; :func:`trace_many` replays a stored history through the
+    same observer.  Each march step gets one Runge-Kutta step (fourth order),
+    with the step's field linearly interpolated in space and frozen in time,
+    matching how the marcher used it, and cut short at ``t_end``.  The
+    growth-law values use the jam state ahead as sampled from the latest
+    snapshot taken at or before the step.  Row ``k`` of a path is the state
+    after ``k`` steps; it samples the snapshot taken after ``k`` steps,
+    unless ``t_end`` cuts that step short and is not itself a snapshot time.
+    ``t_end=None`` traces the whole run.
     """
-    if record.w_fields.shape[0] == 0:
-        raise ConfigurationError(
-            "record has no stored lookahead fields and cannot be traced"
-        )
-    grid = record.grid
-    eps = record.epsilon
-    starts = np.asarray(starts, dtype=float).reshape(-1)
-    for y in starts:
-        if not (grid.x_left <= y <= grid.x_right):
+
+    def __init__(self, config: SolverConfig, starts, t_end: float = None):
+        grid = config.grid
+        starts = np.asarray(starts, dtype=float).reshape(-1)
+        for y in starts:
+            if not (grid.x_left <= y <= grid.x_right):
+                raise ConfigurationError(
+                    f"start {y} outside domain [{grid.x_left}, {grid.x_right}]"
+                )
+        if t_end is not None and not (0.0 <= t_end <= config.t_final + 1e-12):
             raise ConfigurationError(
-                f"start {y} outside domain [{grid.x_left}, {grid.x_right}]"
+                f"t_end={t_end} outside the run's range [0, {config.t_final}]"
             )
-    t_max = float(record.w_times[-1])
-    if t_end is None:
-        t_end = t_max
-    if not (0.0 <= t_end <= t_max + 1e-12):
-        raise ConfigurationError(f"t_end={t_end} outside the stored range [0, {t_max}]")
-    n_steps = record.snapshot_steps.get(t_end)
-    if n_steps is None:
-        n_steps = int(np.searchsorted(record.w_times[:-1], t_end))
-    # The state after k steps; of several snapshots at one step, the latest.
-    at_step = {record.snapshot_steps[t]: record.snapshots[t] for t in record.times}
+        self.config = config
+        self.starts = starts
+        self.t_end = math.inf if t_end is None else t_end
+        self._edges = grid.edges
+        self._X = starts.copy()
+        self._V = None
+        self._ahead = None
+        self._t1 = 0.0  # unclipped end of the last traced step
+        self._landed = False  # the snapshot at t_end has been seen
+        self._done = False
+        self._times = [0.0]
+        self._positions = [starts.copy()]
+        self._transported = []
+        self._values = {}
 
-    cfg = record.config
-    edges = grid.edges
-    ahead = at_step[0]
-    X = starts.copy()
-    V = _sample_cells(ahead, grid, X, cfg.left_ghost_value, cfg.right_ghost_value)
-    out_t = [0.0]
-    out_x = [X.copy()]
-    out_v = [V.copy()]
+    def _sample(self, field, x):
+        cfg = self.config
+        return _sample_cells(field, cfg.grid, x, cfg.left_ghost_value, cfg.right_ghost_value)
 
-    for i in range(n_steps):
-        t0 = record.w_times[i]
-        t1 = min(record.w_times[i + 1], t_end)
-        w_row = record.w_fields[i]
-        ahead = at_step.get(i, ahead)
+    def snapshot(self, step: int, t: float, u: np.ndarray) -> None:
+        """Notice of the snapshot ``u`` at time ``t``, taken after ``step`` steps."""
+        if self._done:
+            return
+        self._ahead = u
+        if step == 0:
+            self._V = self._sample(u, self._X)
+            self._transported = [self._V.copy()]
+        # A row cut short at t_end samples nothing, unless t_end is the time
+        # of this very snapshot (whose accumulated step end may miss it by
+        # an ulp either way).
+        self._landed = self._landed or t == self.t_end
+        if self._landed or self._t1 <= self.t_end:
+            self._values[step] = self._sample(u, self._X)
+
+    def step(self, step: int, t0: float, t1: float, w: np.ndarray) -> None:
+        """Notice of march step ``step`` over ``[t0, t1]`` with lookahead row ``w``."""
+        if self._done or self._landed or not t0 < self.t_end:
+            self._done = True
+            return
+        edges = self._edges
+        eps = self.config.epsilon
+        ahead = self._ahead
 
         def speed(x):
-            return 1.0 - np.interp(x, edges, w_row)
+            return 1.0 - np.interp(x, edges, w)
 
         def growth(x, v):
-            a = _sample_cells(
-                ahead, grid, x + eps, cfg.left_ghost_value, cfg.right_ghost_value
-            )
-            return v * (a - v) / eps
+            return v * (self._sample(ahead, x + eps) - v) / eps
 
-        X, V = _rk4(speed, growth, X, V, t1 - t0)
-        out_t.append(t1)
-        out_x.append(X.copy())
-        out_v.append(V.copy())
+        end = min(t1, self.t_end)
+        self._X, self._V = _rk4(speed, growth, self._X, self._V, end - t0)
+        self._t1 = t1
+        self._times.append(end)
+        self._positions.append(self._X.copy())
+        self._transported.append(self._V.copy())
 
-    times = np.asarray(out_t)
-    positions = np.asarray(out_x)  # (n_points, n_paths)
-    transported = np.asarray(out_v)
-
-    sampled = np.full_like(positions, np.nan)
-    cut_short = t_end not in record.snapshot_steps and t_end < record.w_times[n_steps]
-    for k, field in at_step.items():
-        if k < n_steps or (k == n_steps and not cut_short):
-            sampled[k] = _sample_cells(
-                field, grid, positions[k], cfg.left_ghost_value, cfg.right_ghost_value
-            )
-
-    paths = []
-    for c, y in enumerate(starts):
-        paths.append(
+    def paths(self) -> list:
+        """The traced paths, one per start, in the order of the starts."""
+        if self._V is None:
+            raise ConfigurationError("the tracer has not observed a march")
+        times = np.asarray(self._times)
+        positions = np.asarray(self._positions)  # (n_points, n_paths)
+        transported = np.asarray(self._transported)
+        sampled = np.full_like(positions, np.nan)
+        for k, row in self._values.items():
+            sampled[k] = row
+        return [
             CharacteristicPath(
                 start=float(y),
-                epsilon=eps,
+                epsilon=self.config.epsilon,
                 times=times,
                 positions=positions[:, c],
                 values=sampled[:, c],
                 transported=transported[:, c],
             )
+            for c, y in enumerate(self.starts)
+        ]
+
+
+def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
+    """Trace a batch of characteristics through one record's stored history.
+
+    Replays the record's snapshots and lookahead rows, in march order,
+    through a :class:`PathTracer`, so the paths equal those traced while the
+    run marched.
+    """
+    if record.w_fields.shape[0] == 0:
+        raise ConfigurationError(
+            "record has no stored lookahead fields and cannot be traced"
         )
-    return paths
+    tracer = PathTracer(record.config, starts, t_end)
+    at_step = {}
+    for t in record.times:
+        at_step.setdefault(record.snapshot_steps[t], []).append(t)
+    n_steps = record.w_fields.shape[0]
+    for k in range(n_steps + 1):
+        for t in at_step.get(k, ()):
+            tracer.snapshot(k, t, record.snapshots[t])
+        if k < n_steps:
+            tracer.step(k, record.w_times[k], record.w_times[k + 1], record.w_fields[k])
+    return tracer.paths()
 
 
 def trace_characteristic(record: SolutionRecord, y: float, t_end: float = None) -> CharacteristicPath:
@@ -272,13 +315,15 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
     residuals = []
     u_rows = None
     for _ in range(max_iter):
+        u_rows = None  # release the previous transport before the next one
         u_rows = _transport_on_frozen_field(u0, nodes, w_rows, grid, config)
-        new_w = np.empty_like(w_rows)
+        res = 0.0
         for i in range(n_int):
-            new_w[i] = compute_w(u_rows[i], eps, dx, config.right_ghost_value)
-        res = float(np.max(np.abs(new_w - w_rows)))
+            row = compute_w(u_rows[i], eps, dx, config.right_ghost_value)
+            res = np.maximum(res, np.max(np.abs(row - w_rows[i])))  # NaN sticks
+            w_rows[i] = row
+        res = float(res)
         residuals.append(res)
-        w_rows = new_w
         if res <= tol:
             break
     else:

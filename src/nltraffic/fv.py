@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import os
 
 import numpy as np
 
@@ -162,15 +163,16 @@ class SolverConfig:
 
 @dataclass
 class SolutionRecord:
-    """Everything a run produces: snapshots plus the lookahead-field history.
+    """Everything a run produces: snapshots plus, optionally, the field history.
 
     ``w_times`` holds N+1 interval boundaries and ``w_fields`` the N interface
     rows, each valid on ``[w_times[i], w_times[i+1])``; characteristic tracing
-    interpolates inside this history.  ``snapshots`` maps times to cell-average
+    can replay this history.  ``snapshots`` maps times to cell-average
     arrays, and ``snapshot_steps`` maps the same times to the number of steps
     taken before each snapshot, so snapshot ``t`` holds the state at
-    ``w_times[snapshot_steps[t]]``.  Runs of the sharp-interaction limit leave
-    the history empty and set ``epsilon`` to 0.
+    ``w_times[snapshot_steps[t]]``.  Runs whose observers were chosen by the
+    caller leave the history empty; runs of the sharp-interaction limit leave
+    it empty too and set ``epsilon`` to 0.
     """
 
     config: SolverConfig
@@ -305,26 +307,50 @@ def _project_datum(datum, grid: Grid1D) -> np.ndarray:
     return vals.copy()
 
 
-def _march(config: SolverConfig, advance, record: SolutionRecord) -> list:
+def _targets(config: SolverConfig) -> list:
+    """The times a march must land on: positive output times and ``t_final``."""
+    return [t for t in sorted(set(config.output_times) | {config.t_final}) if t > 0.0]
+
+
+def _lxf_factor(config: SolverConfig) -> float:
+    """Step shrink factor: 2M/(2M+1) for Lax-Friedrichs, 1 for upwind.
+
+    The Lax-Friedrichs update is a convex combination of neighbours only up
+    to lambda = 2M/(2M+1), with M the window width in cells.
+    """
+    if config.scheme != "lax-friedrichs":
+        return 1.0
+    m = config.lookahead_cells
+    return 2.0 * m / (2.0 * m + 1.0)
+
+
+def _march(config: SolverConfig, advance, record: SolutionRecord, observers=()) -> None:
     """Carry the datum to ``t_final`` with ``advance``, snapshotting on the way.
 
-    ``advance(u, room)`` returns the next state and the step it took, which
-    must not exceed ``room``, the time left to the next target; each target
-    (the output times and ``t_final``) is therefore hit exactly.  Each
-    snapshot is stored with the number of steps taken before it.  Returns the
-    N+1 step boundary times of the N steps taken.
+    ``advance(u, room)`` returns the next state, the step it took, which
+    must not exceed ``room``, the time left to the next target, and the
+    lookahead row it used (None for the local limit); each target (the
+    output times and ``t_final``) is therefore hit exactly.  Each snapshot is
+    stored with the number of steps taken before it.  Every observer hears
+    ``snapshot(step, t, u)`` for each stored snapshot, ``step`` being the
+    number of steps taken, and ``step(step, t0, t1, w)`` after each step,
+    where ``t0`` and ``t1`` are the accumulated step boundaries (which can
+    sit an ulp off the target the clock is then reset to).
     """
-    targets = sorted(set(config.output_times) | {config.t_final})
-    targets = [target for target in targets if target > 0.0]
     u = _project_datum(config.datum, config.grid)
-    record.snapshots[0.0] = u.copy()
-    record.snapshot_steps[0.0] = 0
-    times = [0.0]
-    t = 0.0
     step = 0
-    for target in targets:
+
+    def snapshot(t):
+        record.snapshots[t] = u.copy()
+        record.snapshot_steps[t] = step
+        for obs in observers:
+            obs.snapshot(step, t, record.snapshots[t])
+
+    snapshot(0.0)
+    t = t_mark = 0.0
+    for target in _targets(config):
         while t < target - 1e-14:
-            u, dt = advance(u, target - t)
+            u, dt, w = advance(u, target - t)
             if not np.all(np.isfinite(u)):
                 bad = int(np.flatnonzero(~np.isfinite(u))[0])
                 raise SolverError(
@@ -332,30 +358,75 @@ def _march(config: SolverConfig, advance, record: SolutionRecord) -> list:
                     f"at t={t + dt:.6g} after {step + 1} steps"
                 )
             t += dt
-            times.append(t)
+            for obs in observers:
+                obs.step(step, t_mark, t, w)
+            t_mark = t
             step += 1
         t = target
-        record.snapshots[target] = u.copy()
-        record.snapshot_steps[target] = step
+        snapshot(target)
     record.info["steps"] = step
-    return times
 
 
-def solve_nonlocal(config: SolverConfig) -> SolutionRecord:
+class _History:
+    """Observer that keeps every step boundary and every lookahead row."""
+
+    def __init__(self):
+        self.times = [0.0]
+        self.rows = []
+
+    def snapshot(self, step, t, u):
+        pass
+
+    def step(self, step, t0, t1, w):
+        self.times.append(t1)
+        self.rows.append(w)
+
+
+def _check_history_fits(config: SolverConfig) -> None:
+    """Refuse a run whose full lookahead history cannot fit in physical memory.
+
+    The estimate counts the steps of the march at its largest step
+    ``cfl * dx`` (shrunk for Lax-Friedrichs) between consecutive targets,
+    each storing ``n + 1`` floats.
+    """
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    dt = config.cfl * config.grid.dx * _lxf_factor(config)
+    steps = 0
+    start = 0.0
+    for target in _targets(config):
+        steps += math.ceil((target - start) / dt)
+        start = target
+    need = steps * (config.grid.n_cells + 1) * 8
+    if need > physical:
+        raise ConfigurationError(
+            f"the lookahead history of {steps} steps needs about {need / 2**30:.3g} GiB, "
+            f"more than the {physical / 2**30:.3g} GiB of physical memory; "
+            "pass observers (a PathTracer) to trace without storing it"
+        )
+
+
+def solve_nonlocal(config: SolverConfig, observers=None) -> SolutionRecord:
     """March the lookahead model to ``t_final``, snapshotting on the way.
 
     Snapshots are taken at ``config.output_times`` and at ``t_final``, hitting
-    each time exactly by shortening the step.  The lookahead field of every
-    step is stored so characteristics can be traced afterwards.
+    each time exactly by shortening the step.  By default the lookahead field
+    of every step is stored on the record so characteristics can be traced
+    afterwards; a history that cannot fit in physical memory is refused with
+    :class:`ConfigurationError` before anything is allocated.  Given
+    ``observers`` (see :func:`_march`; a
+    :class:`~nltraffic.characteristics.PathTracer`, say), the march hands
+    each step to them instead and stores no history.
     """
-    grid = config.grid
-    dx = grid.dx
-    m = config.lookahead_cells
-    w_fields = []
-
-    # The Lax-Friedrichs update is a convex combination of neighbours only up
-    # to lambda = 2M/(2M+1); shrink its step accordingly.
-    lxf_factor = 2.0 * m / (2.0 * m + 1.0) if config.scheme == "lax-friedrichs" else 1.0
+    history = None
+    if observers is None:
+        _check_history_fits(config)
+        history = _History()
+        observers = (history,)
+    dx = config.grid.dx
+    lxf_factor = _lxf_factor(config)
 
     def advance(u, room):
         w = compute_w(u, config.epsilon, dx, config.right_ghost_value)
@@ -366,15 +437,18 @@ def solve_nonlocal(config: SolverConfig) -> SolutionRecord:
             u = step_lax_friedrichs(
                 u, w, dt, dx, config.left_ghost_value, config.right_ghost_value
             )
-        w_fields.append(w)
-        return u, dt
+        return u, dt, w
 
     record = SolutionRecord(config=config, epsilon=config.epsilon)
     record.info["scheme"] = config.scheme
-    record.w_times = np.asarray(_march(config, advance, record))
-    record.w_fields = (
-        np.asarray(w_fields) if w_fields else np.zeros((0, grid.n_cells + 1))
-    )
+    _march(config, advance, record, observers)
+    if history is not None:
+        record.w_times = np.asarray(history.times)
+        record.w_fields = (
+            np.asarray(history.rows)
+            if history.rows
+            else np.zeros((0, config.grid.n_cells + 1))
+        )
     return record
 
 
@@ -410,7 +484,7 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
             ([config.left_ghost_value], u, [config.right_ghost_value])
         )
         flux = godunov_flux_local(u_ext[:-1], u_ext[1:])
-        return u - dt / dx * (flux[1:] - flux[:-1]), dt
+        return u - dt / dx * (flux[1:] - flux[:-1]), dt, None
 
     record = SolutionRecord(config=config, epsilon=0.0)
     record.info["scheme"] = "godunov-local"

@@ -20,7 +20,7 @@ from ._version import __version__
 from .errors import ConfigurationError, ConvergenceError, SolverError
 from .model import PiecewiseConstant1D, build_bar_u, build_u0, load_piecewise
 from .fv import Grid1D, SolverConfig, _whole_cells, solve_local, solve_nonlocal
-from .characteristics import trace_characteristic, trace_many
+from .characteristics import PathTracer
 from .analysis import (
     BoundReport,
     VerifyReport,
@@ -29,6 +29,7 @@ from .analysis import (
     check_plateau,
     evaluate_bounds,
     reconstruct_tv_from_characteristics,
+    reconstruction_tracer,
     term_threshold_check,
     total_variation,
     tv_lower_bound_dyadic,
@@ -224,8 +225,11 @@ def _write_manifest(out_dir: Path, params: dict, files, wall_s: float) -> Path:
 
 
 def _flat_params(run: RunConfig, extra: dict = None) -> dict:
+    """Manifest parameters of a run; the output directory is not one of them."""
     params = {}
     for key, val in asdict(run).items():
+        if key == "out":
+            continue
         if isinstance(val, tuple):
             val = ",".join(str(v) for v in val)
         params[key] = val
@@ -240,7 +244,7 @@ def run_simulate(run: RunConfig) -> list:
     """Solve one configuration and write a snapshot CSV per output time."""
     t0 = time.perf_counter()
     cfg = build_solver_config(run)
-    record = solve_local(cfg) if run.local else solve_nonlocal(cfg)
+    record = solve_local(cfg) if run.local else solve_nonlocal(cfg, observers=())
     out_dir = Path(run.out or "out")
     files = _write_snapshots(out_dir, record)
     extra = {
@@ -258,12 +262,12 @@ def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
         raise ConfigurationError("paths need the lookahead field; local runs have none")
     t0 = time.perf_counter()
     cfg = build_solver_config(run)
-    record = solve_nonlocal(cfg)
-    paths = trace_many(record, starts, t_end)
+    tracer = PathTracer(cfg, starts, t_end)
+    solve_nonlocal(cfg, observers=[tracer])
     out_dir = Path(run.out or "out")
     files = []
-    for p in paths:
-        name = f"char_y{p.start:g}_eps{record.epsilon:g}.csv"
+    for p in tracer.paths():
+        name = f"char_y{p.start:g}_eps{cfg.epsilon:g}.csv"
         files.append(_write_lines(out_dir / name, _path_lines(p)))
     extra = {"starts": ",".join(str(float(s)) for s in starts), "n_cells": cfg.grid.n_cells}
     _write_manifest(out_dir, _flat_params(run, extra), files, time.perf_counter() - t0)
@@ -324,7 +328,8 @@ def run_sweep(spec: SweepSpec, out: str = None):
 
     Each j gets one solve carried to max(tau) with snapshots at every tau;
     each (tau, j) row combines the analytic bounds with the measured grid
-    total variation and the characteristic-trace reconstruction.  A failed
+    total variation and the characteristic-trace reconstruction, whose paths
+    are traced during the solve, so no field history is stored.  A failed
     solve marks its rows with NaN measurements and is reported, not raised.
     """
     t0 = time.perf_counter()
@@ -347,10 +352,11 @@ def run_sweep(spec: SweepSpec, out: str = None):
             scheme=spec.scheme,
             output_times=tuple(gridded),
         )
+        tracers = {tau: reconstruction_tracer(cfg, tau) for tau in spec.taus}
         record = None
         error = None
         try:
-            record = solve_nonlocal(cfg)
+            record = solve_nonlocal(cfg, observers=list(tracers.values()))
         except (SolverError, ConvergenceError) as exc:
             error = f"j={j}: {exc}"
             failures.append(error)
@@ -360,7 +366,7 @@ def run_sweep(spec: SweepSpec, out: str = None):
                 rows.append(replace(base, measured_tv=math.nan, reconstructed_tv=math.nan))
                 continue
             snap = record.snapshot(tau)
-            recon = reconstruct_tv_from_characteristics(record, tau)
+            recon = reconstruct_tv_from_characteristics(record, tau, tracers[tau])
             rows.append(
                 replace(
                     base,
@@ -471,7 +477,8 @@ def run_mechanism_demo(
         t_final=tau,
         output_times=(t_probe,),
     )
-    record = solve_nonlocal(cfg)
+    tracer = PathTracer(cfg, [-0.75 * h], t_end=t_probe)
+    record = solve_nonlocal(cfg, observers=[tracer])
 
     centers = grid.centers
     vacuum_sel = (centers >= -h / 8.0) & (centers < 0.0)
@@ -483,7 +490,7 @@ def run_mechanism_demo(
         vacuum_max = max(vacuum_max, float(np.max(np.abs(u[vacuum_sel]))))
         plateau_max = max(plateau_max, float(np.max(np.abs(u[jam_sel] - 1.0))))
 
-    probe = trace_characteristic(record, -0.75 * h, t_end=t_probe)
+    (probe,) = tracer.paths()
     slope = (probe.values[-1] - probe.values[0]) / t_probe
 
     report = MechanismReport(
@@ -521,7 +528,8 @@ def _canned_blowup(epsilon: float, dx: float, t_final: float, outputs: tuple) ->
 
 
 def _suite_max_principle():
-    record = solve_nonlocal(_canned_blowup(2.0 ** -3, 2.0 ** -8, 0.3, (0.1, 0.2)))
+    cfg = _canned_blowup(2.0 ** -3, 2.0 ** -8, 0.3, (0.1, 0.2))
+    record = solve_nonlocal(cfg, observers=())
     return [check_max_principle(record, 0.0, 1.0)]
 
 
@@ -537,31 +545,36 @@ def _suite_monotonicity():
             scheme=scheme,
             output_times=(0.1, 0.25),
         )
-        report = check_monotonicity(solve_nonlocal(cfg))
+        report = check_monotonicity(solve_nonlocal(cfg, observers=()))
         reports.append(replace(report, name=f"monotonicity-{scheme}"))
     return reports
 
 
 def _suite_plateau():
-    record = solve_nonlocal(_canned_blowup(2.0 ** -4, 2.0 ** -8, 0.5, (0.25,)))
+    cfg = _canned_blowup(2.0 ** -4, 2.0 ** -8, 0.5, (0.25,))
+    record = solve_nonlocal(cfg, observers=())
     return [check_plateau(record, 5e-3)]
 
 
 def _suite_characteristics():
-    record = solve_nonlocal(_canned_blowup(2.0 ** -4, 2.0 ** -8, 0.3, ()))
-    eps = record.epsilon
+    cfg = _canned_blowup(2.0 ** -4, 2.0 ** -8, 0.3, ())
+    eps = cfg.epsilon
+    tracers = [
+        PathTracer(cfg, [0.0]),
+        PathTracer(cfg, np.linspace(-eps, 0.0, 20)),
+        PathTracer(cfg, np.linspace(-1.2, -0.01, 20)),
+    ]
+    solve_nonlocal(cfg, observers=tracers)
+    (origin,), confined, ordered = (tracer.paths() for tracer in tracers)
     reports = []
 
-    origin = trace_characteristic(record, 0.0)
     reports.append(
         VerifyReport("origin-pinned", float(np.max(np.abs(origin.positions))), 1e-6)
     )
 
-    ys = np.linspace(-eps, 0.0, 20)
-    paths = trace_many(record, ys)
     worst = 0.0
     where = ""
-    for p in paths:
+    for p in confined:
         high = float(np.max(p.positions))
         low = float(np.max(p.start - p.positions))
         if max(high, low) > worst:
@@ -569,10 +582,8 @@ def _suite_characteristics():
             where = f"start {p.start:g}"
     reports.append(VerifyReport("confinement", worst, 1e-8, where))
 
-    ys = np.linspace(-1.2, -0.01, 20)
-    paths = trace_many(record, ys)
     cross = 0.0
-    for left, right in zip(paths, paths[1:]):
+    for left, right in zip(ordered, ordered[1:]):
         cross = max(cross, float(np.max(left.positions - right.positions)))
     reports.append(VerifyReport("non-crossing", cross, 1e-8))
     return reports

@@ -23,6 +23,7 @@ from nltraffic import (
     evaluate_bounds,
     parse_datum,
     reconstruct_tv_from_characteristics,
+    reconstruction_tracer,
     solve_nonlocal,
     term_threshold_check,
     total_variation,
@@ -232,6 +233,24 @@ def test_reconstruction_grows_with_time():
     for b in late.blocks:
         assert b.contribution == pytest.approx(2.0 * b.plateau_value, abs=0)
         assert b.plateau_value > b.gap_value
+
+
+def test_reconstruction_traced_during_the_march_equals_replay():
+    g = Grid1D(-1.5, 1.0, 640)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=build_u0(6), t_final=0.2,
+                       output_times=(0.1,))
+    replayed = solve_nonlocal(cfg)
+    tracers = {tau: reconstruction_tracer(cfg, tau) for tau in (0.1, 0.2)}
+    live = solve_nonlocal(cfg, observers=list(tracers.values()))
+    assert live.w_fields.size == 0
+    for tau, tracer in tracers.items():
+        assert reconstruct_tv_from_characteristics(live, tau, tracer) == (
+            reconstruct_tv_from_characteristics(replayed, tau)
+        )
+    with pytest.raises(ConfigurationError):
+        reconstruct_tv_from_characteristics(live, 0.2, tracers[0.1])
+    with pytest.raises(ConfigurationError):
+        reconstruct_tv_from_characteristics(live, 0.2)  # no tracer, no history
 
 
 def test_reconstruction_rejects_foreign_records_and_bad_times():

@@ -12,6 +12,7 @@ from nltraffic import (
     ConfigurationError,
     ConvergenceError,
     Grid1D,
+    PathTracer,
     SolverConfig,
     build_u0,
     logistic_value,
@@ -181,6 +182,53 @@ def test_trace_samples_snapshots_at_their_steps():
     short = trace_characteristic(rec, -0.3, t_end=0.0999)
     assert short.values.size == steps[0.1] + 1
     assert _sampled_rows(short) == [0]
+
+
+@pytest.mark.parametrize("outputs", [(0.08, 0.21), (0.104, 0.23)])
+def test_trace_to_a_snapshot_missed_by_an_ulp_stops_on_it(outputs):
+    # On this coarse grid the step landing on the second output time starts
+    # below half of it, so its accumulated end misses the time by an ulp:
+    # over it for 0.21, under it for 0.23.
+    g = Grid1D(-1.5, 1.0, 10)
+    cfg = SolverConfig(grid=g, epsilon=g.dx, datum=build_u0(0), t_final=0.5,
+                       output_times=outputs)
+    rec = solve_nonlocal(cfg)
+    t = outputs[1]
+    k = rec.snapshot_steps[t]
+    assert rec.w_times[k] != t
+    path = trace_characteristic(rec, -0.75, t_end=t)
+    assert path.values.size == k + 1
+    assert path.times[-1] == min(rec.w_times[k], t)
+    assert path.values[-1] == rec.snapshots[t][g.cell_of(path.positions[-1])]
+
+
+@pytest.mark.parametrize("t_end", [None, 0.1, 0.2, 0.0999])
+def test_live_tracing_equals_replay_of_the_history(t_end):
+    g = Grid1D(-1.5, 1.0, 320)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3,
+                       output_times=(0.1, 0.17))
+    starts = np.linspace(-1.2, 0.0, 9)
+    replayed = trace_many(solve_nonlocal(cfg), starts, t_end)
+    tracer = PathTracer(cfg, starts, t_end)
+    record = solve_nonlocal(cfg, observers=[tracer])
+    assert record.w_fields.size == 0
+    live = tracer.paths()
+    assert len(live) == len(replayed)
+    for a, b in zip(live, replayed):
+        assert a.start == b.start and a.epsilon == b.epsilon
+        for name in ("times", "positions", "values", "transported"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_path_tracer_validates_before_the_march():
+    g = Grid1D(-1.5, 1.0, 320)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3)
+    with pytest.raises(ConfigurationError):
+        PathTracer(cfg, [7.0])
+    with pytest.raises(ConfigurationError):
+        PathTracer(cfg, [-0.3], t_end=0.5)
+    with pytest.raises(ConfigurationError):
+        PathTracer(cfg, [-0.3]).paths()  # nothing observed yet
 
 
 def test_trace_samples_picard_snapshots_at_their_nodes():

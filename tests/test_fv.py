@@ -7,6 +7,8 @@ small deterministic configuration lattices rather than random draws, so a
 failure reproduces byte for byte.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -343,6 +345,62 @@ def test_snapshots_land_exactly_on_requested_times():
     assert sorted(rec.snapshots) == [0.0, 0.1, 0.17, 0.25]
     assert rec.info["steps"] == len(rec.w_times) - 1
     assert rec.w_fields.shape == (rec.info["steps"], g.n_cells + 1)
+
+
+class _StepLog:
+    """Observer that records every notice a march hands out."""
+
+    def __init__(self):
+        self.notices = []
+
+    def snapshot(self, step, t, u):
+        self.notices.append(("snapshot", step, t))
+
+    def step(self, step, t0, t1, w):
+        self.notices.append(("step", step, t0, t1, w.copy()))
+
+
+def test_observers_see_the_history_that_is_not_stored():
+    g = Grid1D(-1.0, 1.0, 64)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx),
+                       t_final=0.25, output_times=(0.1, 0.17))
+    full = solve_nonlocal(cfg)
+    log = _StepLog()
+    live = solve_nonlocal(cfg, observers=[log])
+    assert live.w_fields.size == 0 and live.w_times.size == 0
+    assert live.info["steps"] == full.info["steps"]
+    for t in full.snapshots:
+        np.testing.assert_array_equal(live.snapshots[t], full.snapshots[t])
+    assert live.snapshot_steps == full.snapshot_steps
+    snaps = [n[1:] for n in log.notices if n[0] == "snapshot"]
+    assert snaps == [(full.snapshot_steps[t], t) for t in full.times]
+    steps = [n[1:] for n in log.notices if n[0] == "step"]
+    assert [s[0] for s in steps] == list(range(full.info["steps"]))
+    assert [s[1] for s in steps] == full.w_times[:-1].tolist()
+    assert [s[2] for s in steps] == full.w_times[1:].tolist()
+    np.testing.assert_array_equal(np.array([s[3] for s in steps]), full.w_fields)
+    # each snapshot is announced before the step that leaves it
+    order = [(n[1], n[0] == "step") for n in log.notices]
+    assert order == sorted(order)
+
+
+class _Unprojectable:
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the datum was projected before the history check")
+
+
+def test_history_that_cannot_fit_is_refused_before_allocating():
+    g = Grid1D(-1.0, 1.0, 1000)
+    # about 5.6e17 steps of 1001 floats: 4e21 bytes, past any address space
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=_Unprojectable(), t_final=1e15)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            solve_nonlocal(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- sharp-interaction limit ---------------------------------------------------------

@@ -24,7 +24,16 @@ from nltraffic import (
     sweep_resolution,
     write_bounds,
 )
+import nltraffic
 from nltraffic.cli import main as cli_main
+
+
+def test_package_exports_names_not_submodules():
+    submodules = {"analysis", "characteristics", "errors", "fv", "harness", "model"}
+    assert not submodules & set(nltraffic.__all__)
+    assert len(set(nltraffic.__all__)) == len(nltraffic.__all__)
+    for name in nltraffic.__all__:
+        assert getattr(nltraffic, name) is not None
 
 
 # --- datum parsing ---------------------------------------------------------------
@@ -143,6 +152,13 @@ def test_run_simulate_writes_deterministic_artifacts(tmp_path):
     manifest = (a / "manifest.txt").read_text()
     assert "tool = nltraffic" in manifest
     assert "wall_time_s" in manifest
+
+    def timeless(out):
+        lines = (out / "manifest.txt").read_text().splitlines()
+        return [ln for ln in lines if not ln.startswith("wall_time_s = ")]
+
+    assert timeless(a) == timeless(b)
+    assert len(timeless(a)) == len(manifest.splitlines()) - 1
 
 
 def test_run_characteristics_writes_paths_and_rejects_local(tmp_path):
