@@ -91,7 +91,9 @@ def _sample_cells(values: np.ndarray, grid: Grid1D, x, left: float, right: float
     """Piecewise-constant lookup of cell values with ghost extensions."""
     x = np.asarray(x, dtype=float)
     idx = np.floor((x - grid.x_left) / grid.dx).astype(int)
-    inner = values[np.clip(idx, 0, grid.n_cells - 1)]
+    # Not np.clip: on these few-element arrays its per-call set-up costs
+    # three times the clamp itself.
+    inner = values[np.minimum(np.maximum(idx, 0), grid.n_cells - 1)]
     return np.where(idx < 0, left, np.where(idx >= grid.n_cells, right, inner))
 
 

@@ -120,7 +120,7 @@ class SolverConfig:
     ``epsilon`` must be a whole number of cells so the lookahead average is a
     plain window sum; anything else would smear the datum's jumps.  ``datum``
     is a piecewise-constant profile (projected to exact cell averages) or a
-    ready-made array of cell values.
+    ready-made array of cell values, densities in [0, 1] either way.
     """
 
     grid: Grid1D
@@ -211,10 +211,18 @@ def compute_w(u, epsilon: float, dx: float = None, right_ghost_value: float = 1.
 
     For a field of ``n`` cells this returns ``n + 1`` values; entry ``i`` is
     the mean of the ``M = epsilon/dx`` cells starting at interface ``i``,
-    cells beyond the right edge counting as ``right_ghost_value``.  A windowed
-    convolution keeps each value an independent M-term sum, so no roundoff
-    drags from one end of the grid to the other the way a running cumulative
-    sum would.
+    cells beyond the right edge counting as ``right_ghost_value``.
+
+    The window sums come from the block split of van Herk (*Pattern Recogn.
+    Lett.* 13, 1992) and Gil & Werman (*IEEE TPAMI* 15, 1993), which costs
+    O(n) whatever ``M``: the field, padded with the right ghost, is cut into
+    blocks of ``M`` cells, and the window starting at offset ``r`` of a block
+    is the sum of that block's cells from ``r`` on (a running sum of the
+    reversed block) plus the next block's first ``r`` cells (a running sum of
+    the block).  Each value therefore sums only the cells of its own window,
+    so no roundoff drags from one end of the grid to the other the way a
+    running sum over the whole grid would, and a window of jam cells sums to
+    exactly ``M``.
     """
     if isinstance(u, GridFunction):
         dx = u.grid.dx
@@ -223,17 +231,31 @@ def compute_w(u, epsilon: float, dx: float = None, right_ghost_value: float = 1.
         raise ConfigurationError("dx is required when u is a bare array")
     u = np.asarray(u, dtype=float)
     m = _whole_cells(epsilon, dx, f"epsilon={epsilon}")
-    ext = np.concatenate([u, np.full(m, right_ghost_value)])
-    sums = np.convolve(ext, np.ones(m), mode="valid")
-    return sums / m
+    n = u.size
+    # Enough whole blocks for the last window, which ends at cell n + m - 1.
+    nb = -(-n // m) + 1
+    ext = np.empty(nb * m)
+    ext[:n] = u
+    ext[n:] = right_ghost_value
+    blocks = ext.reshape(nb, m)
+    suffix = np.empty_like(blocks)
+    np.cumsum(blocks[:, ::-1], axis=1, out=suffix[:, ::-1])
+    # Prefix sums in place; the last column would be a whole next block, but
+    # a window starting on a block boundary takes nothing from the next one.
+    np.cumsum(blocks, axis=1, out=blocks)
+    blocks[:, -1] = 0.0
+    sums = suffix.ravel()[: n + 1] + ext[m - 1 : n + m]
+    sums /= m
+    return sums
 
 
 def cfl_dt(w: np.ndarray, dx: float, cfl: float) -> float:
     """Largest stable step for the upwind flux, capped at ``cfl * dx``.
 
     The transport speed is ``1 - w``, at most 1 for fields in [0, 1], so the
-    cap is what binds in practice; the floor guards a jammed road where the
-    speed degenerates to 0.
+    cap is what binds in practice (:func:`solve_nonlocal` steps at the cap
+    without calling this); the floor guards a jammed road where the speed
+    degenerates to 0.
     """
     speed = float(np.max(1.0 - np.asarray(w)))
     return min(cfl * dx / max(speed, 1e-12), cfl * dx)
@@ -297,14 +319,27 @@ def step_lax_friedrichs(
 
 
 def _project_datum(datum, grid: Grid1D) -> np.ndarray:
+    """Cell values of ``datum`` on ``grid``; every density must lie in [0, 1].
+
+    The marchers step at ``cfl * dx``, which bounds the transport speed
+    ``1 - w`` only while ``w`` stays in [0, 1], so other data are refused
+    before the march starts.
+    """
     if isinstance(datum, PiecewiseConstant1D):
-        return cell_averages(datum, grid.edges)
-    vals = np.asarray(datum, dtype=float)
-    if vals.shape != (grid.n_cells,):
+        levels = np.concatenate(([datum.left_extension], datum.values, [datum.right_extension]))
+        vals = cell_averages(datum, grid.edges)
+    else:
+        vals = levels = np.array(datum, dtype=float)
+        if vals.shape != (grid.n_cells,):
+            raise ConfigurationError(
+                f"datum array shape {vals.shape} does not match grid with {grid.n_cells} cells"
+            )
+    # NaN passes here and is reported, with its cell, by the march
+    if np.any((levels < 0.0) | (levels > 1.0)):
         raise ConfigurationError(
-            f"datum array shape {vals.shape} does not match grid with {grid.n_cells} cells"
+            f"datum values must lie in [0, 1], got [{np.nanmin(levels)}, {np.nanmax(levels)}]"
         )
-    return vals.copy()
+    return vals
 
 
 def _targets(config: SolverConfig) -> list:
@@ -368,37 +403,47 @@ def _march(config: SolverConfig, advance, record: SolutionRecord, observers=()) 
 
 
 class _History:
-    """Observer that keeps every step boundary and every lookahead row."""
+    """Observer that keeps every step boundary and every lookahead row.
 
-    def __init__(self):
-        self.times = [0.0]
-        self.rows = []
+    Both arrays are allocated once, for ``steps`` steps (see
+    :func:`_max_steps`), and filled as the march goes.
+    """
+
+    def __init__(self, steps: int, n_cells: int):
+        self.times = np.zeros(steps + 1)
+        self.rows = np.empty((steps, n_cells + 1))
 
     def snapshot(self, step, t, u):
         pass
 
     def step(self, step, t0, t1, w):
-        self.times.append(t1)
-        self.rows.append(w)
+        self.rows[step] = w
+        self.times[step + 1] = t1
 
 
-def _check_history_fits(config: SolverConfig) -> None:
-    """Refuse a run whose full lookahead history cannot fit in physical memory.
+def _max_steps(config: SolverConfig) -> int:
+    """Most steps the march of ``config`` can take, so history rows to allocate.
 
-    The estimate counts the steps of the march at its largest step
-    ``cfl * dx`` (shrunk for Lax-Friedrichs) between consecutive targets,
-    each storing ``n + 1`` floats.
+    Between consecutive targets the march takes ``ceil(gap / dt)`` steps of
+    its largest step ``cfl * dx`` (shrunk for Lax-Friedrichs), plus at most
+    one more when the accumulated clock ends short of the target by more than
+    the landing guard of :func:`_march`.
     """
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return
     dt = config.cfl * config.grid.dx * _lxf_factor(config)
     steps = 0
     start = 0.0
     for target in _targets(config):
-        steps += math.ceil((target - start) / dt)
+        steps += math.ceil((target - start) / dt) + 1
         start = target
+    return steps
+
+
+def _check_history_fits(config: SolverConfig, steps: int) -> None:
+    """Refuse a run whose ``steps`` lookahead rows cannot fit in physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
     need = steps * (config.grid.n_cells + 1) * 8
     if need > physical:
         raise ConfigurationError(
@@ -419,18 +464,23 @@ def solve_nonlocal(config: SolverConfig, observers=None) -> SolutionRecord:
     ``observers`` (see :func:`_march`; a
     :class:`~nltraffic.characteristics.PathTracer`, say), the march hands
     each step to them instead and stores no history.
+
+    Every step is ``cfl * dx`` (shrunk for Lax-Friedrichs), or shorter to
+    land on a target: the transport speed ``1 - w`` is at most 1 for fields
+    in [0, 1], and :func:`step_upwind` refuses a step that breaks the limit.
     """
     history = None
     if observers is None:
-        _check_history_fits(config)
-        history = _History()
+        steps = _max_steps(config)
+        _check_history_fits(config, steps)
+        history = _History(steps, config.grid.n_cells)
         observers = (history,)
     dx = config.grid.dx
-    lxf_factor = _lxf_factor(config)
+    dt_max = config.cfl * dx * _lxf_factor(config)
 
     def advance(u, room):
         w = compute_w(u, config.epsilon, dx, config.right_ghost_value)
-        dt = min(cfl_dt(w, dx, config.cfl) * lxf_factor, room)
+        dt = min(dt_max, room)
         if config.scheme == "upwind":
             u = step_upwind(u, w, dt, dx, config.left_ghost_value)
         else:
@@ -443,12 +493,9 @@ def solve_nonlocal(config: SolverConfig, observers=None) -> SolutionRecord:
     record.info["scheme"] = config.scheme
     _march(config, advance, record, observers)
     if history is not None:
-        record.w_times = np.asarray(history.times)
-        record.w_fields = (
-            np.asarray(history.rows)
-            if history.rows
-            else np.zeros((0, config.grid.n_cells + 1))
-        )
+        taken = record.info["steps"]
+        record.w_times = history.times[: taken + 1]
+        record.w_fields = history.rows[:taken]
     return record
 
 

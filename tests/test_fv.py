@@ -16,6 +16,7 @@ from nltraffic import (
     ConfigurationError,
     Grid1D,
     GridFunction,
+    PiecewiseConstant1D,
     SolverConfig,
     SolverError,
     build_bar_u,
@@ -25,6 +26,7 @@ from nltraffic import (
     compute_w,
     godunov_flux_local,
     parse_datum,
+    piecewise_to_text,
     solve_local,
     solve_nonlocal,
     step_lax_friedrichs,
@@ -80,15 +82,19 @@ def test_grid_function_norms():
 # --- lookahead average ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 16])
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 17, 64, 128])
 def test_compute_w_matches_slicing_oracle(m):
-    g = Grid1D(0.0, 1.0, 32)
-    dx = g.dx
-    u = (np.arange(32) % 7) / 7.0  # deterministic, non-symmetric profile
-    w = compute_w(GridFunction(g, u), m * dx)
-    np.testing.assert_allclose(w, window_mean_oracle(u, m, 1.0), rtol=0, atol=1e-15)
-    w0 = compute_w(u, m * dx, dx=dx, right_ghost_value=0.0)
-    np.testing.assert_allclose(w0, window_mean_oracle(u, m, 0.0), rtol=0, atol=1e-15)
+    # 32 cells, then the edges of the block split into blocks of m: a ragged
+    # last block, n + 1 a whole number of blocks, a field shorter than one
+    for n in sorted({32, 3 * m + 5, 3 * m - 1, max(m - 3, 1)}):
+        g = Grid1D(0.0, 1.0, n)
+        dx = g.dx
+        u = (np.arange(n) % 7) / 7.0  # deterministic, non-symmetric profile
+        w = compute_w(GridFunction(g, u), m * dx)
+        np.testing.assert_allclose(w, window_mean_oracle(u, m, 1.0), rtol=0, atol=1e-15)
+        for ghost in (0.0, 0.375):
+            w0 = compute_w(u, m * dx, dx=dx, right_ghost_value=ghost)
+            np.testing.assert_allclose(w0, window_mean_oracle(u, m, ghost), rtol=0, atol=1e-15)
 
 
 def test_compute_w_constant_is_exact():
@@ -117,11 +123,20 @@ def test_compute_w_requires_whole_cell_window():
 
 
 def test_compute_w_jam_window_is_bit_exact():
-    g = Grid1D(-1.0, 1.0, 64)
-    u = np.where(g.centers >= 0, 1.0, 0.3)
-    w = compute_w(GridFunction(g, u), 4 * g.dx)
-    jam = np.flatnonzero(g.edges >= 0.0)
-    assert np.all(w[jam] == 1.0)
+    # the second jam starts at interface 550, inside a block of 128 cells
+    for n, m, edge in ((64, 4, 0.0), (1000, 128, 0.1)):
+        g = Grid1D(-1.0, 1.0, n)
+        u = np.where(g.centers >= edge, 1.0, 0.3)
+        w = compute_w(GridFunction(g, u), m * g.dx)
+        jam = np.flatnonzero(g.edges >= edge)
+        assert np.all(w[jam] == 1.0)
+
+
+def test_compute_w_returns_its_own_interface_array():
+    u = np.linspace(0.0, 1.0, 300)
+    w = compute_w(u, 64 * 0.01, dx=0.01)
+    assert w.shape == (301,)
+    assert w.flags.owndata and w.base is None
 
 
 # --- step size -------------------------------------------------------------------
@@ -133,6 +148,26 @@ def test_cfl_dt_caps_at_cfl_dx():
     assert cfl_dt(np.full(5, 0.5), 0.1, 0.9) == cap  # speed 1/2 still capped
     assert cfl_dt(np.ones(5), 0.1, 0.9) == cap  # jammed road, floor guards 1/0
     assert cfl_dt(np.full(5, -1.0), 0.1, 0.9) == pytest.approx(cap / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("scheme, factor", [("upwind", 1.0), ("lax-friedrichs", 16 / 17)])
+def test_every_step_is_the_cfl_step_except_landings(scheme, factor):
+    g = Grid1D(-1.5, 1.0, 640)
+    cfg = SolverConfig(grid=g, epsilon=8 * g.dx, datum=build_u0(4), t_final=0.3,
+                       scheme=scheme, output_times=(0.1, 0.17))
+    rec = solve_nonlocal(cfg)
+    # replay the march clock: full steps of cfl * dx * factor, each target
+    # reached by a shortened step, the clock reset onto it afterwards
+    dt = 0.9 * g.dx * factor
+    t, times, landings = 0.0, [0.0], 0
+    for target in (0.1, 0.17, 0.3):
+        while t < target - 1e-14:
+            landings += dt > target - t
+            t += min(dt, target - t)
+            times.append(t)
+        t = target
+    assert landings == 3
+    assert rec.w_times.tolist() == times
 
 
 # --- single steps ----------------------------------------------------------------
@@ -230,6 +265,21 @@ def test_datum_array_must_match_grid():
         solve_nonlocal(
             SolverConfig(grid=g, epsilon=4 * g.dx, datum=np.zeros(32), t_final=0.1)
         )
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "lax-friedrichs"])
+def test_datum_outside_unit_interval_is_refused_before_the_march(tmp_path, scheme):
+    g = Grid1D(-1.0, 1.0, 64)
+    path = tmp_path / "datum.txt"
+    path.write_text(piecewise_to_text(PiecewiseConstant1D(
+        breakpoints=np.array([0.0]), values=np.array([]),
+        left_extension=-0.5, right_extension=1.0)))
+    for datum in (parse_datum(f"file:{path}", g.dx),
+                  np.where(g.centers < 0.0, -0.5, 1.0), np.full(64, 1.5)):
+        cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=datum, t_final=0.1,
+                           scheme=scheme)
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 1\]"):
+            solve_nonlocal(cfg, observers=())
 
 
 def test_non_finite_datum_aborts_with_location():
@@ -382,6 +432,32 @@ def test_observers_see_the_history_that_is_not_stored():
     # each snapshot is announced before the step that leaves it
     order = [(n[1], n[0] == "step") for n in log.notices]
     assert order == sorted(order)
+
+
+def test_history_is_recorded_without_a_second_copy():
+    g = Grid1D(-1.5, 1.0, 640)
+    cfg = SolverConfig(grid=g, epsilon=8 * g.dx, datum=build_u0(4), t_final=0.3,
+                       output_times=(0.1, 0.17))
+    tracemalloc.start()
+    try:
+        rec = solve_nonlocal(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.w_fields.shape == (rec.info["steps"], g.n_cells + 1)
+    assert peak < 1.5 * rec.w_fields.nbytes
+
+
+def test_history_has_room_for_a_landing_step_after_a_short_clock():
+    # 400 steps of dx = 0.0025 add up to just under 1.0 (by more than the
+    # 1e-14 landing guard), so the march takes a 401st, ulp-sized step
+    g = Grid1D(-1.5, 1.0, 1000)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx),
+                       t_final=1.0, cfl=1.0)
+    rec = solve_nonlocal(cfg)
+    assert rec.info["steps"] == 401
+    assert rec.w_fields.shape == (401, 1001)
+    assert rec.w_times[-2] < 1.0 - 1e-14
 
 
 class _Unprojectable:
