@@ -42,9 +42,13 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def _fuzzy_ceil(x: float) -> int:
-    """Ceiling that forgives values a hair above an integer (float log noise)."""
-    return math.ceil(x - 1e-9)
+def _first_confined_block(epsilon: float) -> int:
+    """Index of the widest datum block that fits in one lookahead distance.
+
+    Block k starts at -4^-k, so it lies in [-epsilon, 0] from
+    k = ceil(-log2(epsilon) / 2) on; the dyadic epsilons have exact logs.
+    """
+    return max(0, math.ceil(-math.log2(epsilon) / 2.0))
 
 
 def total_variation(u) -> float:
@@ -83,7 +87,7 @@ def tv_lower_bound_series(tau: float, epsilon: float, tail_tol: float = 1e-15) -
             "and dyadic bounds remain available)"
         )
     decay = math.exp(-x)
-    k = max(0, _fuzzy_ceil(-math.log2(epsilon) / 2.0))
+    k = _first_confined_block(epsilon)
     total = 0.0
     while True:
         p = 2.0 ** -k
@@ -113,10 +117,8 @@ def tv_lower_bound_count(tau: float, epsilon: float) -> int:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    lo = -math.log2(epsilon) / 2.0
-    hi = _count_upper_limit(tau / epsilon)
-    k_min = max(0, math.ceil(lo))
-    k_max = math.floor(hi)
+    k_min = _first_confined_block(epsilon)
+    k_max = math.floor(_count_upper_limit(tau / epsilon))
     return max(0, k_max - k_min + 1)
 
 
@@ -243,7 +245,7 @@ def _match_stock_datum(datum) -> int:
 def _reconstruction_starts(datum, epsilon: float, dx: float):
     """Resolved and skipped blocks, and the plateau-then-gap path starts."""
     K = _match_stock_datum(datum)
-    k_min = max(0, _fuzzy_ceil(-math.log2(epsilon) / 2.0))  # block fits in [-eps, 0]
+    k_min = _first_confined_block(epsilon)
     resolved = [
         k for k in range(k_min, K + 1) if 2.0 ** (-2 * k - 2) >= dx  # gap >= one cell
     ]
@@ -275,7 +277,7 @@ def reconstruct_tv_from_characteristics(
     faithful even after a block has been squeezed below the cell size (where
     snapshot cell averages would only show a smeared remnant).  The paths
     come from ``tracer`` (made by :func:`reconstruction_tracer` and marched
-    with the run) or, without one, from the record's stored history.
+    with the run) or, without one, from :func:`trace_many`.
     """
     resolved, skipped, starts = _reconstruction_starts(
         record.config.datum, record.epsilon, record.grid.dx

@@ -2,14 +2,15 @@
 
 Three pieces live here.  Path tracing integrates dX/dt = 1 - w(t, X) through
 the lookahead fields of a solver run, either while the run marches or by
-replaying the history it stored, carrying two kinds of values along each
-path: direct samples of the solver's snapshots, and the solution
-of the growth law along the path (the material derivative of the model,
-du/dt = u * (u(x + epsilon) - u) / epsilon).  The closed form of that growth
-law for a constant state ahead is the logistic curve, exposed separately.
-Finally, a fixed-point solver rebuilds the solution by repeatedly freezing
-the lookahead field and transporting the datum along its characteristics,
-which gives an independent cross-check on the finite-volume marcher.
+marching it again (a fixed-point run is replayed from the field history it
+stores), carrying two kinds of values along each path: direct samples of the
+solver's snapshots, and the solution of the growth law along the path (the
+material derivative of the model, du/dt = u * (u(x + epsilon) - u) /
+epsilon).  The closed form of that growth law for a constant state ahead is
+the logistic curve, exposed separately.  Finally, a fixed-point solver
+rebuilds the solution by repeatedly freezing the lookahead field and
+transporting the datum along its characteristics, which gives an
+independent cross-check on the finite-volume marcher.
 """
 
 from __future__ import annotations
@@ -20,14 +21,20 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .fv import Grid1D, SolutionRecord, SolverConfig, compute_w, _project_datum
+from .fv import (
+    Grid1D,
+    SolutionRecord,
+    SolverConfig,
+    compute_w,
+    solve_nonlocal,
+    _project_datum,
+)
 
 __all__ = [
     "CharacteristicPath",
     "PathTracer",
     "logistic_value",
     "material_rhs",
-    "trace_characteristic",
     "trace_many",
     "solve_picard",
 ]
@@ -123,11 +130,11 @@ class PathTracer:
     """March observer that traces a batch of characteristics step by step.
 
     Pass it to :func:`~nltraffic.fv.solve_nonlocal` (``observers=[tracer]``)
-    to trace while the run marches, with no stored history, then read
-    :meth:`paths`; :func:`trace_many` replays a stored history through the
-    same observer.  Each march step gets one Runge-Kutta step (fourth order),
-    with the step's field linearly interpolated in space and frozen in time,
-    matching how the marcher used it, and cut short at ``t_end``.  The
+    to trace while the run marches, then read :meth:`paths`;
+    :func:`trace_many` drives the same observer from a finished record.
+    Each march step gets one Runge-Kutta step (fourth order), with the
+    step's field linearly interpolated in space and frozen in time, matching
+    how the marcher used it, and cut short at ``t_end``.  The
     growth-law values use the jam state ahead as sampled from the latest
     snapshot taken at or before the step.  Row ``k`` of a path is the state
     after ``k`` steps; it samples the snapshot taken after ``k`` steps,
@@ -194,7 +201,7 @@ class PathTracer:
             return 1.0 - np.interp(x, edges, w)
 
         def growth(x, v):
-            return v * (self._sample(ahead, x + eps) - v) / eps
+            return material_rhs(v, self._sample(ahead, x + eps), eps)
 
         end = min(t1, self.t_end)
         self._X, self._V = _rk4(speed, growth, self._X, self._V, end - t0)
@@ -227,17 +234,23 @@ class PathTracer:
 
 
 def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
-    """Trace a batch of characteristics through one record's stored history.
+    """Trace a batch of characteristics through one record's lookahead fields.
 
-    Replays the record's snapshots and lookahead rows, in march order,
-    through a :class:`PathTracer`, so the paths equal those traced while the
-    run marched.
+    A marcher record's configuration is marched again with a
+    :class:`PathTracer` (marches are deterministic, so the paths equal those
+    traced while the record's own run marched); a fixed-point record's
+    stored snapshots and rows are replayed, in step order, through the same
+    observer.  Records of the sharp-interaction limit have no lookahead
+    field and are refused.
     """
-    if record.w_fields.shape[0] == 0:
+    if record.epsilon == 0.0:
         raise ConfigurationError(
-            "record has no stored lookahead fields and cannot be traced"
+            "record of the sharp-interaction limit has no lookahead field to trace"
         )
     tracer = PathTracer(record.config, starts, t_end)
+    if record.info.get("scheme") != "picard":
+        solve_nonlocal(record.config, observers=[tracer])
+        return tracer.paths()
     at_step = {}
     for t in record.times:
         at_step.setdefault(record.snapshot_steps[t], []).append(t)
@@ -248,11 +261,6 @@ def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
         if k < n_steps:
             tracer.step(k, record.w_times[k], record.w_times[k + 1], record.w_fields[k])
     return tracer.paths()
-
-
-def trace_characteristic(record: SolutionRecord, y: float, t_end: float = None) -> CharacteristicPath:
-    """Trace a single characteristic; see :func:`trace_many`."""
-    return trace_many(record, [y], t_end)[0]
 
 
 def _resample_markers(E: np.ndarray, v: np.ndarray, grid: Grid1D, left: float, right: float) -> np.ndarray:
@@ -369,14 +377,8 @@ def _transport_on_frozen_field(
     """
     edges = grid.edges
     dx = grid.dx
-    n = grid.n_cells
-    out = np.empty((nodes.size, n))
+    out = np.empty((nodes.size, grid.n_cells))
     out[0] = u0
-
-    def slope_at(slopes, x):
-        idx = np.clip(np.floor((x - grid.x_left) / dx).astype(int), 0, n - 1)
-        s = slopes[idx]
-        return np.where((x < grid.x_left) | (x >= grid.x_right), 0.0, s)
 
     for i in range(nodes.size - 1):
         w_row = w_rows[i]
@@ -387,7 +389,7 @@ def _transport_on_frozen_field(
 
         def value_rate(x_edges, vals):
             mid = 0.5 * (x_edges[:-1] + x_edges[1:])
-            return vals * slope_at(slopes, mid)
+            return vals * _sample_cells(slopes, grid, mid, 0.0, 0.0)
 
         E, v = _rk4(speed, value_rate, edges, out[i], nodes[i + 1] - nodes[i])
         out[i + 1] = _resample_markers(

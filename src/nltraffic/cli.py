@@ -85,7 +85,8 @@ def _settle(args: argparse.Namespace) -> dict:
             dest = key.replace("-", "_")
             if dest not in ns:
                 raise ValueError(f"config key {key!r} does not apply to this command")
-            if ns[dest] is None:
+            # an absent positional list (verify's suites) parses as [], not None
+            if ns[dest] is None or ns[dest] == []:
                 ns[dest] = _COERCE[dest](raw)
     return ns
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-import os
 
 import numpy as np
 
@@ -163,16 +162,15 @@ class SolverConfig:
 
 @dataclass
 class SolutionRecord:
-    """Everything a run produces: snapshots plus, optionally, the field history.
+    """Everything a run produces: snapshots and, for Picard runs, the field history.
 
-    ``w_times`` holds N+1 interval boundaries and ``w_fields`` the N interface
-    rows, each valid on ``[w_times[i], w_times[i+1])``; characteristic tracing
-    can replay this history.  ``snapshots`` maps times to cell-average
-    arrays, and ``snapshot_steps`` maps the same times to the number of steps
-    taken before each snapshot, so snapshot ``t`` holds the state at
-    ``w_times[snapshot_steps[t]]``.  Runs whose observers were chosen by the
-    caller leave the history empty; runs of the sharp-interaction limit leave
-    it empty too and set ``epsilon`` to 0.
+    ``snapshots`` maps times to cell-average arrays, and ``snapshot_steps``
+    maps the same times to the number of steps taken before each snapshot.
+    The marchers store no field history; the fixed-point solver fills
+    ``w_times`` with N+1 interval boundaries and ``w_fields`` with the N
+    interface rows, each valid on ``[w_times[i], w_times[i+1])``, so
+    snapshot ``t`` holds the state at ``w_times[snapshot_steps[t]]``.  Runs
+    of the sharp-interaction limit set ``epsilon`` to 0.
     """
 
     config: SolverConfig
@@ -402,79 +400,19 @@ def _march(config: SolverConfig, advance, record: SolutionRecord, observers=()) 
     record.info["steps"] = step
 
 
-class _History:
-    """Observer that keeps every step boundary and every lookahead row.
-
-    Both arrays are allocated once, for ``steps`` steps (see
-    :func:`_max_steps`), and filled as the march goes.
-    """
-
-    def __init__(self, steps: int, n_cells: int):
-        self.times = np.zeros(steps + 1)
-        self.rows = np.empty((steps, n_cells + 1))
-
-    def snapshot(self, step, t, u):
-        pass
-
-    def step(self, step, t0, t1, w):
-        self.rows[step] = w
-        self.times[step + 1] = t1
-
-
-def _max_steps(config: SolverConfig) -> int:
-    """Most steps the march of ``config`` can take, so history rows to allocate.
-
-    Between consecutive targets the march takes ``ceil(gap / dt)`` steps of
-    its largest step ``cfl * dx`` (shrunk for Lax-Friedrichs), plus at most
-    one more when the accumulated clock ends short of the target by more than
-    the landing guard of :func:`_march`.
-    """
-    dt = config.cfl * config.grid.dx * _lxf_factor(config)
-    steps = 0
-    start = 0.0
-    for target in _targets(config):
-        steps += math.ceil((target - start) / dt) + 1
-        start = target
-    return steps
-
-
-def _check_history_fits(config: SolverConfig, steps: int) -> None:
-    """Refuse a run whose ``steps`` lookahead rows cannot fit in physical memory."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return
-    need = steps * (config.grid.n_cells + 1) * 8
-    if need > physical:
-        raise ConfigurationError(
-            f"the lookahead history of {steps} steps needs about {need / 2**30:.3g} GiB, "
-            f"more than the {physical / 2**30:.3g} GiB of physical memory; "
-            "pass observers (a PathTracer) to trace without storing it"
-        )
-
-
-def solve_nonlocal(config: SolverConfig, observers=None) -> SolutionRecord:
+def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     """March the lookahead model to ``t_final``, snapshotting on the way.
 
     Snapshots are taken at ``config.output_times`` and at ``t_final``, hitting
-    each time exactly by shortening the step.  By default the lookahead field
-    of every step is stored on the record so characteristics can be traced
-    afterwards; a history that cannot fit in physical memory is refused with
-    :class:`ConfigurationError` before anything is allocated.  Given
-    ``observers`` (see :func:`_march`; a
-    :class:`~nltraffic.characteristics.PathTracer`, say), the march hands
-    each step to them instead and stores no history.
+    each time exactly by shortening the step.  The lookahead field of each
+    step is handed to ``observers`` (see :func:`_march`; a
+    :class:`~nltraffic.characteristics.PathTracer`, say) and not stored, so
+    the record keeps only the snapshots.
 
     Every step is ``cfl * dx`` (shrunk for Lax-Friedrichs), or shorter to
     land on a target: the transport speed ``1 - w`` is at most 1 for fields
     in [0, 1], and :func:`step_upwind` refuses a step that breaks the limit.
     """
-    history = None
-    if observers is None:
-        steps = _max_steps(config)
-        _check_history_fits(config, steps)
-        history = _History(steps, config.grid.n_cells)
-        observers = (history,)
     dx = config.grid.dx
     dt_max = config.cfl * dx * _lxf_factor(config)
 
@@ -492,10 +430,6 @@ def solve_nonlocal(config: SolverConfig, observers=None) -> SolutionRecord:
     record = SolutionRecord(config=config, epsilon=config.epsilon)
     record.info["scheme"] = config.scheme
     _march(config, advance, record, observers)
-    if history is not None:
-        taken = record.info["steps"]
-        record.w_times = history.times[: taken + 1]
-        record.w_fields = history.rows[:taken]
     return record
 
 
@@ -519,8 +453,8 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     """Godunov marcher for the sharp-interaction limit ``u_t + (u(1-u))_x = 0``.
 
     ``config.epsilon`` is ignored (pass ``grid.dx`` to satisfy validation);
-    the returned record carries ``epsilon = 0`` and no lookahead history,
-    which is what marks it as untraceable.
+    the returned record carries ``epsilon = 0``, which is what marks it as
+    untraceable.
     """
     dx = config.grid.dx
     dt_max = config.cfl * dx  # |f'(u)| = |1 - 2u| <= 1 on [0, 1]

@@ -27,7 +27,6 @@ from nltraffic import (
     sweep_resolution,
     term_threshold_check,
     total_variation,
-    trace_characteristic,
     trace_many,
     tv_lower_bound_count,
     tv_lower_bound_dyadic,
@@ -133,7 +132,7 @@ def test_criterion_04_jam_plateau_with_refinement():
 def test_criterion_05_growth_law_along_path(fine_plateau_record):
     eps = 2.0**-4
     tau = 0.2
-    path = trace_characteristic(fine_plateau_record, -0.046875, t_end=tau)
+    path = trace_many(fine_plateau_record, [-0.046875], t_end=tau)[0]
     want = logistic_value(0.25, tau, eps)
     got = float(path.values[-1])
     rel = abs(got - want) / want
@@ -160,7 +159,7 @@ def test_criterion_05_growth_law_along_path(fine_plateau_record):
 
 def test_criterion_06_characteristic_geometry(blowup_record):
     eps = blowup_record.epsilon
-    pinned = trace_characteristic(blowup_record, 0.0)
+    pinned = trace_many(blowup_record, [0.0])[0]
     drift = float(np.max(np.abs(pinned.positions)))
     assert drift <= 1e-6
 

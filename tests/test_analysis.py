@@ -43,7 +43,7 @@ def grown_value(k, tau, epsilon):
 
 def series_oracle(tau, epsilon, n_terms=400):
     """Brute-force the series: twice the sum of grown values over confined blocks."""
-    k_min = max(0, math.ceil(-math.log2(epsilon) / 2.0 - 1e-9))
+    k_min = max(0, math.ceil(-math.log2(epsilon) / 2.0))
     return 2.0 * sum(grown_value(k, tau, epsilon) for k in range(k_min, k_min + n_terms))
 
 
@@ -63,7 +63,9 @@ def dyadic_oracle(tau, j, k_cap=4000):
 
 
 def test_series_at_time_zero_is_geometric_sum():
-    assert tv_lower_bound_series(0.0, 1.0 - 1e-12) == pytest.approx(4.0, abs=1e-9)
+    # block 0 spans [-1, -1/2) and fits in no lookahead below 1, so the sum
+    # starts at k = 1
+    assert tv_lower_bound_series(0.0, 1.0 - 1e-12) == pytest.approx(2.0, abs=1e-9)
     assert tv_lower_bound_series(0.0, 0.25) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -81,6 +83,16 @@ def test_series_grows_without_bound_as_lookahead_shrinks():
     vals = [tv_lower_bound_series(tau, 2.0**-j) for j in range(3, 10)]
     assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
     assert vals[-1] > 100.0
+
+
+def test_series_and_count_start_at_the_same_confined_block():
+    # a lookahead a hair below 1/4 does not hold block 1, which starts at -1/4
+    eps = 0.25 * (1.0 - 1e-10)
+    got = tv_lower_bound_series(0.2, eps)
+    assert got == pytest.approx(2.0 * sum(grown_value(k, 0.2, eps) for k in range(2, 400)),
+                                abs=1e-12, rel=1e-12)
+    assert got == pytest.approx(1.8640, abs=1e-4)
+    assert tv_lower_bound_count(0.2, eps) == count_oracle(0.2, eps) == 0
 
 
 def test_series_rejects_bad_arguments():
@@ -249,8 +261,10 @@ def test_reconstruction_traced_during_the_march_equals_replay():
         )
     with pytest.raises(ConfigurationError):
         reconstruct_tv_from_characteristics(live, 0.2, tracers[0.1])
-    with pytest.raises(ConfigurationError):
-        reconstruct_tv_from_characteristics(live, 0.2)  # no tracer, no history
+    # without a tracer the record's configuration is marched again
+    assert reconstruct_tv_from_characteristics(live, 0.2) == (
+        reconstruct_tv_from_characteristics(live, 0.2, tracers[0.2])
+    )
 
 
 def test_reconstruction_rejects_foreign_records_and_bad_times():

@@ -5,6 +5,8 @@ here from scratch (classical RK4 with steps far below anything the package
 uses), so the formula and the package's own integrator cannot share a bug.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from nltraffic import (
     solve_local,
     solve_nonlocal,
     solve_picard,
-    trace_characteristic,
     trace_many,
 )
 
@@ -102,7 +103,7 @@ def test_trace_through_constant_field_is_a_straight_line():
     c = 0.25
     rec = _record(np.full(320, c), left_ghost_value=c, right_ghost_value=c,
                   output_times=(0.15,))
-    path = trace_characteristic(rec, -0.8)
+    path = trace_many(rec, [-0.8])[0]
     np.testing.assert_allclose(
         path.positions, -0.8 + (1 - c) * path.times, rtol=0, atol=1e-12
     )
@@ -114,14 +115,14 @@ def test_trace_through_constant_field_is_a_straight_line():
 
 def test_trace_through_jam_never_moves():
     rec = _record(np.ones(320))
-    path = trace_characteristic(rec, -0.5)
+    path = trace_many(rec, [-0.5])[0]
     assert np.all(path.positions == -0.5)
     assert np.all(path.transported == 1.0)
 
 
 def test_origin_stays_pinned_on_oscillatory_datum():
     rec = _record(build_u0(4))
-    path = trace_characteristic(rec, 0.0)
+    path = trace_many(rec, [0.0])[0]
     assert np.max(np.abs(path.positions)) <= 1e-6
 
 
@@ -146,14 +147,14 @@ def test_transported_value_follows_growth_law_on_plateau():
     # sits inside the jam for all time and growth is exactly logistic
     eps = 2.0**-4
     rec = _record(build_u0(4), eps=eps, n=2560, t_final=0.25)
-    path = trace_characteristic(rec, -0.046875)
+    path = trace_many(rec, [-0.046875])[0]
     want = logistic_value(0.25, 0.25, eps)
     assert path.transported[-1] == pytest.approx(want, rel=1e-9)
 
 
 def test_trace_respects_t_end():
     rec = _record(build_u0(3))
-    path = trace_characteristic(rec, -0.3, t_end=0.1)
+    path = trace_many(rec, [-0.3], t_end=0.1)[0]
     assert path.times[-1] == pytest.approx(0.1, abs=1e-12)
     assert path.times[0] == 0.0
 
@@ -165,21 +166,21 @@ def _sampled_rows(path):
 def test_trace_samples_snapshots_at_their_steps():
     rec = _record(build_u0(3), output_times=(0.1, 0.17))
     steps = rec.snapshot_steps
-    path = trace_characteristic(rec, -0.3)
+    path = trace_many(rec, [-0.3])[0]
     assert _sampled_rows(path) == sorted(steps.values())
     for t, k in steps.items():
         assert path.values[k] == rec.snapshots[t][rec.grid.cell_of(path.positions[k])]
 
-    at_snapshot = trace_characteristic(rec, -0.3, t_end=0.1)
+    at_snapshot = trace_many(rec, [-0.3], t_end=0.1)[0]
     assert at_snapshot.values.size == steps[0.1] + 1
     assert _sampled_rows(at_snapshot) == [0, steps[0.1]]
 
-    between = trace_characteristic(rec, -0.3, t_end=0.2)
+    between = trace_many(rec, [-0.3], t_end=0.2)[0]
     assert _sampled_rows(between) == [0, steps[0.1], steps[0.17]]
     assert np.isnan(between.values[-1])
 
     # t_end inside the step that lands on 0.1: that row is short of the snapshot
-    short = trace_characteristic(rec, -0.3, t_end=0.0999)
+    short = trace_many(rec, [-0.3], t_end=0.0999)[0]
     assert short.values.size == steps[0.1] + 1
     assert _sampled_rows(short) == [0]
 
@@ -192,13 +193,16 @@ def test_trace_to_a_snapshot_missed_by_an_ulp_stops_on_it(outputs):
     g = Grid1D(-1.5, 1.0, 10)
     cfg = SolverConfig(grid=g, epsilon=g.dx, datum=build_u0(0), t_final=0.5,
                        output_times=outputs)
-    rec = solve_nonlocal(cfg)
+    step_ends = []
+    clock = SimpleNamespace(snapshot=lambda step, t, u: None,
+                            step=lambda step, t0, t1, w: step_ends.append(t1))
+    rec = solve_nonlocal(cfg, observers=[clock])
     t = outputs[1]
     k = rec.snapshot_steps[t]
-    assert rec.w_times[k] != t
-    path = trace_characteristic(rec, -0.75, t_end=t)
+    assert step_ends[k - 1] != t
+    path = trace_many(rec, [-0.75], t_end=t)[0]
     assert path.values.size == k + 1
-    assert path.times[-1] == min(rec.w_times[k], t)
+    assert path.times[-1] == min(step_ends[k - 1], t)
     assert path.values[-1] == rec.snapshots[t][g.cell_of(path.positions[-1])]
 
 
@@ -237,8 +241,8 @@ def test_trace_samples_picard_snapshots_at_their_nodes():
                        output_times=(0.1, 0.17))
     rec = solve_picard(cfg)
     steps = rec.snapshot_steps
-    assert _sampled_rows(trace_characteristic(rec, -0.3)) == sorted(steps.values())
-    at_snapshot = trace_characteristic(rec, -0.3, t_end=0.17)
+    assert _sampled_rows(trace_many(rec, [-0.3])[0]) == sorted(steps.values())
+    at_snapshot = trace_many(rec, [-0.3], t_end=0.17)[0]
     assert _sampled_rows(at_snapshot) == [0, steps[0.1], steps[0.17]]
     assert at_snapshot.values.size == steps[0.17] + 1
 
@@ -246,15 +250,15 @@ def test_trace_samples_picard_snapshots_at_their_nodes():
 def test_trace_rejects_bad_inputs():
     rec = _record(build_u0(3))
     with pytest.raises(ConfigurationError):
-        trace_characteristic(rec, 7.0)  # outside the domain
+        trace_many(rec, [7.0])  # outside the domain
     with pytest.raises(ConfigurationError):
-        trace_characteristic(rec, -0.3, t_end=1.0)  # beyond stored history
+        trace_many(rec, [-0.3], t_end=1.0)  # beyond the run's t_final
     g = Grid1D(-1.0, 1.0, 64)
     local = solve_local(
         SolverConfig(grid=g, epsilon=g.dx, datum=parse_datum("step", g.dx), t_final=0.1)
     )
     with pytest.raises(ConfigurationError):
-        trace_characteristic(local, -0.3)  # no lookahead history stored
+        trace_many(local, [-0.3])  # the local limit has no lookahead field
 
 
 # --- fixed-point solver -----------------------------------------------------------

@@ -7,8 +7,6 @@ small deterministic configuration lattices rather than random draws, so a
 failure reproduces byte for byte.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -45,6 +43,23 @@ def godunov_oracle(ul, ur):
     f = lambda v: v * (1.0 - v)
     span = np.linspace(min(ul, ur), max(ul, ur), 20001)
     return f(span).min() if ul <= ur else f(span).max()
+
+
+class _StepLog:
+    """Observer that records every notice a march hands out."""
+
+    def __init__(self):
+        self.notices = []
+
+    def snapshot(self, step, t, u):
+        self.notices.append(("snapshot", step, t))
+
+    def step(self, step, t0, t1, w):
+        self.notices.append(("step", step, t0, t1, w.copy()))
+
+    def steps(self):
+        """(step, t0, t1, w) of every step notice, in march order."""
+        return [n[1:] for n in self.notices if n[0] == "step"]
 
 
 # --- grid ----------------------------------------------------------------------
@@ -155,7 +170,8 @@ def test_every_step_is_the_cfl_step_except_landings(scheme, factor):
     g = Grid1D(-1.5, 1.0, 640)
     cfg = SolverConfig(grid=g, epsilon=8 * g.dx, datum=build_u0(4), t_final=0.3,
                        scheme=scheme, output_times=(0.1, 0.17))
-    rec = solve_nonlocal(cfg)
+    log = _StepLog()
+    solve_nonlocal(cfg, observers=[log])
     # replay the march clock: full steps of cfl * dx * factor, each target
     # reached by a shortened step, the clock reset onto it afterwards
     dt = 0.9 * g.dx * factor
@@ -167,7 +183,7 @@ def test_every_step_is_the_cfl_step_except_landings(scheme, factor):
             times.append(t)
         t = target
     assert landings == 3
-    assert rec.w_times.tolist() == times
+    assert [0.0] + [s[2] for s in log.steps()] == times
 
 
 # --- single steps ----------------------------------------------------------------
@@ -391,92 +407,54 @@ def test_snapshots_land_exactly_on_requested_times():
         t_final=0.25,
         output_times=(0.1, 0.17),
     )
-    rec = solve_nonlocal(cfg)
+    log = _StepLog()
+    rec = solve_nonlocal(cfg, observers=[log])
     assert sorted(rec.snapshots) == [0.0, 0.1, 0.17, 0.25]
-    assert rec.info["steps"] == len(rec.w_times) - 1
-    assert rec.w_fields.shape == (rec.info["steps"], g.n_cells + 1)
-
-
-class _StepLog:
-    """Observer that records every notice a march hands out."""
-
-    def __init__(self):
-        self.notices = []
-
-    def snapshot(self, step, t, u):
-        self.notices.append(("snapshot", step, t))
-
-    def step(self, step, t0, t1, w):
-        self.notices.append(("step", step, t0, t1, w.copy()))
+    steps = log.steps()
+    assert rec.info["steps"] == len(steps)
+    assert all(s[3].shape == (g.n_cells + 1,) for s in steps)
 
 
 def test_observers_see_the_history_that_is_not_stored():
     g = Grid1D(-1.0, 1.0, 64)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx),
                        t_final=0.25, output_times=(0.1, 0.17))
-    full = solve_nonlocal(cfg)
+    bare = solve_nonlocal(cfg)
     log = _StepLog()
     live = solve_nonlocal(cfg, observers=[log])
-    assert live.w_fields.size == 0 and live.w_times.size == 0
-    assert live.info["steps"] == full.info["steps"]
-    for t in full.snapshots:
-        np.testing.assert_array_equal(live.snapshots[t], full.snapshots[t])
-    assert live.snapshot_steps == full.snapshot_steps
+    for rec in (bare, live):
+        assert rec.w_fields.size == 0 and rec.w_times.size == 0
+    assert live.info["steps"] == bare.info["steps"]
+    for t in bare.snapshots:
+        np.testing.assert_array_equal(live.snapshots[t], bare.snapshots[t])
+    assert live.snapshot_steps == bare.snapshot_steps
     snaps = [n[1:] for n in log.notices if n[0] == "snapshot"]
-    assert snaps == [(full.snapshot_steps[t], t) for t in full.times]
-    steps = [n[1:] for n in log.notices if n[0] == "step"]
-    assert [s[0] for s in steps] == list(range(full.info["steps"]))
-    assert [s[1] for s in steps] == full.w_times[:-1].tolist()
-    assert [s[2] for s in steps] == full.w_times[1:].tolist()
-    np.testing.assert_array_equal(np.array([s[3] for s in steps]), full.w_fields)
+    assert snaps == [(bare.snapshot_steps[t], t) for t in bare.times]
+    steps = log.steps()
+    assert [s[0] for s in steps] == list(range(bare.info["steps"]))
+    # each step starts where the previous one ended
+    assert [s[1] for s in steps] == [0.0] + [s[2] for s in steps[:-1]]
+    # the step taken from a snapshot averages that snapshot
+    for t, k in bare.snapshot_steps.items():
+        if k < len(steps):
+            np.testing.assert_array_equal(
+                steps[k][3], compute_w(bare.snapshots[t], cfg.epsilon, g.dx))
     # each snapshot is announced before the step that leaves it
     order = [(n[1], n[0] == "step") for n in log.notices]
     assert order == sorted(order)
 
 
-def test_history_is_recorded_without_a_second_copy():
-    g = Grid1D(-1.5, 1.0, 640)
-    cfg = SolverConfig(grid=g, epsilon=8 * g.dx, datum=build_u0(4), t_final=0.3,
-                       output_times=(0.1, 0.17))
-    tracemalloc.start()
-    try:
-        rec = solve_nonlocal(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rec.w_fields.shape == (rec.info["steps"], g.n_cells + 1)
-    assert peak < 1.5 * rec.w_fields.nbytes
-
-
-def test_history_has_room_for_a_landing_step_after_a_short_clock():
+def test_a_short_clock_takes_a_landing_step():
     # 400 steps of dx = 0.0025 add up to just under 1.0 (by more than the
     # 1e-14 landing guard), so the march takes a 401st, ulp-sized step
     g = Grid1D(-1.5, 1.0, 1000)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx),
                        t_final=1.0, cfl=1.0)
-    rec = solve_nonlocal(cfg)
-    assert rec.info["steps"] == 401
-    assert rec.w_fields.shape == (401, 1001)
-    assert rec.w_times[-2] < 1.0 - 1e-14
-
-
-class _Unprojectable:
-    def __array__(self, *args, **kwargs):
-        raise AssertionError("the datum was projected before the history check")
-
-
-def test_history_that_cannot_fit_is_refused_before_allocating():
-    g = Grid1D(-1.0, 1.0, 1000)
-    # about 5.6e17 steps of 1001 floats: 4e21 bytes, past any address space
-    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=_Unprojectable(), t_final=1e15)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ConfigurationError, match="physical memory"):
-            solve_nonlocal(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    log = _StepLog()
+    rec = solve_nonlocal(cfg, observers=[log])
+    steps = log.steps()
+    assert rec.info["steps"] == len(steps) == 401
+    assert steps[-1][1] < 1.0 - 1e-14
 
 
 # --- sharp-interaction limit ---------------------------------------------------------

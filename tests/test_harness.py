@@ -281,6 +281,17 @@ def test_cli_bounds_and_verify(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_verify_reads_suites_from_config(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("suites = bounds\n")
+    assert cli_main(["verify", "--config", str(cfg)]) == 0
+    names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["bound-chain:", "dyadic-count:", "threshold-equivalence:"]
+    # a suite named on the command line wins over the file
+    cfg.write_text("suites = nonsense\n")
+    assert cli_main(["verify", "--config", str(cfg), "bounds"]) == 0
+
+
 def test_cli_mechanism_smoke(capsys):
     code = cli_main(["mechanism", "--h", "0.1", "--epsilon", "0.4", "--tau", "0.05"])
     out = capsys.readouterr().out
