@@ -133,7 +133,7 @@ def tv_lower_bound_dyadic(tau: float, j: int) -> int:
     if not isinstance(j, (int, np.integer)) or j < 0:
         raise ValueError(f"j must be a nonnegative integer, got {j!r}")
     hi = (tau * 2.0 ** j) / _LN2
-    k_min = math.ceil(j / 2.0)
+    k_min = _first_confined_block(2.0 ** -j)
     k_max = math.floor(hi)
     return max(0, k_max - k_min + 1)
 
@@ -335,9 +335,19 @@ class VerifyReport:
         return f"{verdict}  {self.name}: worst {self.worst:.3e} vs tol {self.tolerance:.1e}{where}"
 
 
-def _iter_snapshots(record: SolutionRecord):
+def _worst_over_snapshots(name, tol, record, deviation, centers=None) -> VerifyReport:
+    """Report the largest ``deviation(u)`` over all snapshots, and where it sits."""
+    if centers is None:
+        centers = record.grid.centers
+    worst = 0.0
+    where = ""
     for t in record.times:
-        yield t, record.snapshots[t]
+        dev = deviation(record.snapshots[t])
+        i = int(np.argmax(dev))
+        if dev[i] > worst:
+            worst = float(dev[i])
+            where = f"t={t:g}, x={centers[i]:g}"
+    return VerifyReport(name, worst, tol, where)
 
 
 def check_max_principle(record: SolutionRecord, alpha: float, beta: float) -> VerifyReport:
@@ -347,15 +357,9 @@ def check_max_principle(record: SolutionRecord, alpha: float, beta: float) -> Ve
         raise ConfigurationError(
             f"initial snapshot leaves [{alpha}, {beta}]; the check presumes it starts inside"
         )
-    worst = 0.0
-    where = ""
-    for t, u in _iter_snapshots(record):
-        over = np.maximum(alpha - u, u - beta)
-        i = int(np.argmax(over))
-        if over[i] > worst:
-            worst = float(over[i])
-            where = f"t={t:g}, x={record.grid.centers[i]:g}"
-    return VerifyReport("max-principle", worst, 1e-12, where)
+    return _worst_over_snapshots(
+        "max-principle", 1e-12, record, lambda u: np.maximum(alpha - u, u - beta)
+    )
 
 
 def check_monotonicity(record: SolutionRecord) -> VerifyReport:
@@ -368,15 +372,7 @@ def check_monotonicity(record: SolutionRecord) -> VerifyReport:
         sign = -1.0
     else:
         raise ConfigurationError("initial snapshot is not monotone; nothing to preserve")
-    worst = 0.0
-    where = ""
-    for t, u in _iter_snapshots(record):
-        drop = -sign * np.diff(u)
-        i = int(np.argmax(drop))
-        if drop[i] > worst:
-            worst = float(drop[i])
-            where = f"t={t:g}, x={record.grid.centers[i]:g}"
-    return VerifyReport("monotonicity", worst, 1e-10, where)
+    return _worst_over_snapshots("monotonicity", 1e-10, record, lambda u: -sign * np.diff(u))
 
 
 def check_plateau(record: SolutionRecord, tol: float = 5e-3) -> VerifyReport:
@@ -384,12 +380,6 @@ def check_plateau(record: SolutionRecord, tol: float = 5e-3) -> VerifyReport:
     sel = record.grid.centers >= 0.0
     if not np.any(sel):
         raise ConfigurationError("grid has no cells at x >= 0; nothing to check")
-    worst = 0.0
-    where = ""
-    for t, u in _iter_snapshots(record):
-        dev = np.abs(u[sel] - 1.0)
-        i = int(np.argmax(dev))
-        if dev[i] > worst:
-            worst = float(dev[i])
-            where = f"t={t:g}, x={record.grid.centers[sel][i]:g}"
-    return VerifyReport("plateau", worst, tol, where)
+    return _worst_over_snapshots(
+        "plateau", tol, record, lambda u: np.abs(u[sel] - 1.0), record.grid.centers[sel]
+    )

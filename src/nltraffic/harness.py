@@ -24,6 +24,7 @@ from .characteristics import PathTracer
 from .analysis import (
     BoundReport,
     VerifyReport,
+    _first_confined_block,
     check_max_principle,
     check_monotonicity,
     check_plateau,
@@ -317,7 +318,7 @@ def sweep_resolution(j: int):
     the grid is refined until the last kept gap spans a full cell.  Keeping
     the count bounded keeps the finest sweep grids at ~10^4 cells.
     """
-    k_min = (j + 1) // 2
+    k_min = _first_confined_block(2.0 ** -j)
     k_max = k_min + max(0, min(j - 2, 2))
     dx = 2.0 ** (-2 * (k_max + 1))
     return k_min, k_max, dx
@@ -451,6 +452,8 @@ def run_mechanism_demo(
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ConfigurationError(f"h must be positive, got {h}")
+    if not math.isfinite(epsilon):
+        raise ConfigurationError(f"epsilon must be finite, got {epsilon}")
     if not epsilon > h:
         raise ConfigurationError(
             f"the demo needs epsilon > h (platoon inside one lookahead), got "

@@ -148,6 +148,10 @@ def build_bar_u(h: float) -> PiecewiseConstant1D:
     )
 
 
+# The last block's right edge -2^-(2K+1) rounds to zero past this truncation.
+_MAX_TRUNCATION = 536
+
+
 def build_u0(K: int) -> PiecewiseConstant1D:
     """Oscillatory datum: jam on [0, oo) plus blocks of height 2^-k.
 
@@ -158,6 +162,11 @@ def build_u0(K: int) -> PiecewiseConstant1D:
     """
     if not isinstance(K, (int, np.integer)) or K < 0:
         raise ValueError(f"K must be a nonnegative integer, got {K!r}")
+    if K > _MAX_TRUNCATION:
+        raise ValueError(
+            f"K must be at most {_MAX_TRUNCATION}, beyond which the last block's "
+            f"right edge -2^-(2K+1) rounds to zero; got {K}"
+        )
     breakpoints = []
     values = []
     for k in range(K + 1):

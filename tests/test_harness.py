@@ -1,6 +1,8 @@
 """Datum parsing, grid plumbing, experiment drivers, and the command line."""
 
 import hashlib
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,6 +223,8 @@ def test_mechanism_demo_validation():
         run_mechanism_demo(tau=0.0)
     with pytest.raises(ConfigurationError):
         run_mechanism_demo(dx=0.03)  # epsilon is not a whole number of cells
+    with pytest.raises(ConfigurationError):
+        run_mechanism_demo(epsilon=math.inf)
 
 
 def test_run_verify_suite_selection(capsys):
@@ -271,6 +275,13 @@ def test_cli_error_paths(tmp_path):
     cfg.write_text("no_such_key = 1\n")
     assert cli_main(["simulate", "--config", str(cfg)]) == 2
     assert cli_main(["verify", "nonsense"]) == 2
+    assert cli_main(["mechanism", "--epsilon", "inf"]) == 2
+    # a key must name a flag of the command, not just any parsed attribute
+    cfg.write_text("dyadic-j = 4\n")
+    assert cli_main(["bounds", "--config", str(cfg)]) == 0
+    for key in ("command = sweep", "handler = x", "config = other.cfg", "help = yes"):
+        cfg.write_text(f"dyadic-j = 4\n{key}\n")
+        assert cli_main(["bounds", "--config", str(cfg)]) == 2
 
 
 def test_cli_bounds_and_verify(tmp_path, capsys):
@@ -290,6 +301,40 @@ def test_cli_verify_reads_suites_from_config(tmp_path, capsys):
     # a suite named on the command line wins over the file
     cfg.write_text("suites = nonsense\n")
     assert cli_main(["verify", "--config", str(cfg), "bounds"]) == 0
+
+
+def test_cli_hands_over_only_the_options_given(tmp_path, monkeypatch):
+    seen = {}
+
+    def replace(name, result):
+        def fake(*args, **kwargs):
+            seen[name] = (args, kwargs)
+            return result
+
+        monkeypatch.setattr(nltraffic.harness, name, fake)
+
+    replace("run_simulate", [tmp_path / "u.csv"])
+    replace("run_sweep", ([], []))
+    replace("run_mechanism_demo", SimpleNamespace(lines=lambda: [], ok=True))
+
+    assert cli_main(["simulate", "--dyadic-j", "4"]) == 0
+    assert seen["run_simulate"] == ((RunConfig(dyadic_j=4),), {})
+    assert cli_main(["sweep"]) == 0
+    assert seen["run_sweep"][0][0] == SweepSpec()
+    assert cli_main(["mechanism"]) == 0
+    assert seen["run_mechanism_demo"] == ((), {})
+
+    # config values are typed by the command's own flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dyadic-j = 4\nlocal = yes\n")
+    assert cli_main(["simulate", "--config", str(cfg)]) == 0
+    assert seen["run_simulate"] == ((RunConfig(dyadic_j=4, local=True),), {})
+    assert seen["run_simulate"][0][0].local is True
+    cfg.write_text("tau = 0.05\n")
+    assert cli_main(["mechanism", "--config", str(cfg)]) == 0
+    assert seen["run_mechanism_demo"] == ((), {"tau": 0.05})
+    cfg.write_text("local = maybe\n")
+    assert cli_main(["simulate", "--config", str(cfg)]) == 2
 
 
 def test_cli_mechanism_smoke(capsys):

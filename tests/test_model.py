@@ -86,6 +86,10 @@ def test_blowup_datum_rejects_bad_truncation():
         build_u0(-1)
     with pytest.raises(ValueError):
         build_u0(2.5)
+    # K = 536 puts the last block's right edge at -2^-1073, still a nonzero double
+    assert build_u0(536).breakpoints[-2] == -(2.0 ** -1073)
+    with pytest.raises(ValueError, match="536"):
+        build_u0(537)
 
 
 # --- platoon datum ------------------------------------------------------------
