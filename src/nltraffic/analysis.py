@@ -58,8 +58,7 @@ def total_variation(u) -> float:
     states, so a single step carries variation equal to its jump.
     """
     if isinstance(u, PiecewiseConstant1D):
-        levels = np.concatenate(([u.left_extension], u.values, [u.right_extension]))
-        return float(np.sum(np.abs(np.diff(levels))))
+        return float(np.sum(np.abs(np.diff(u.levels))))
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
     return float(np.sum(np.abs(np.diff(vals))))
 

@@ -134,12 +134,13 @@ class PathTracer:
     :func:`trace_many` drives the same observer from a finished record.
     Each march step gets one Runge-Kutta step (fourth order), with the
     step's field linearly interpolated in space and frozen in time, matching
-    how the marcher used it, and cut short at ``t_end``.  The
-    growth-law values use the jam state ahead as sampled from the latest
-    snapshot taken at or before the step.  Row ``k`` of a path is the state
-    after ``k`` steps; it samples the snapshot taken after ``k`` steps,
-    unless ``t_end`` cuts that step short and is not itself a snapshot time.
-    ``t_end=None`` traces the whole run.
+    how the marcher used it; steps that start at or after ``t_end`` are not
+    traced and the one that crosses it is cut short there.  The growth-law
+    values use the jam state ahead as sampled from the latest snapshot
+    taken at or before the step.  Row ``k`` of a path is the state after
+    ``k`` steps; it samples the snapshot taken after ``k`` steps if that
+    snapshot's time is at most ``t_end``.  ``t_end=None`` traces the whole
+    run.
     """
 
     def __init__(self, config: SolverConfig, starts, t_end: float = None):
@@ -150,7 +151,7 @@ class PathTracer:
                 raise ConfigurationError(
                     f"start {y} outside domain [{grid.x_left}, {grid.x_right}]"
                 )
-        if t_end is not None and not (0.0 <= t_end <= config.t_final + 1e-12):
+        if t_end is not None and not (0.0 <= t_end <= config.t_final):
             raise ConfigurationError(
                 f"t_end={t_end} outside the run's range [0, {config.t_final}]"
             )
@@ -161,9 +162,6 @@ class PathTracer:
         self._X = starts.copy()
         self._V = None
         self._ahead = None
-        self._t1 = 0.0  # unclipped end of the last traced step
-        self._landed = False  # the snapshot at t_end has been seen
-        self._done = False
         self._times = [0.0]
         self._positions = [starts.copy()]
         self._transported = []
@@ -175,23 +173,17 @@ class PathTracer:
 
     def snapshot(self, step: int, t: float, u: np.ndarray) -> None:
         """Notice of the snapshot ``u`` at time ``t``, taken after ``step`` steps."""
-        if self._done:
+        if t > self.t_end:
             return
         self._ahead = u
         if step == 0:
             self._V = self._sample(u, self._X)
             self._transported = [self._V.copy()]
-        # A row cut short at t_end samples nothing, unless t_end is the time
-        # of this very snapshot (whose accumulated step end may miss it by
-        # an ulp either way).
-        self._landed = self._landed or t == self.t_end
-        if self._landed or self._t1 <= self.t_end:
-            self._values[step] = self._sample(u, self._X)
+        self._values[step] = self._sample(u, self._X)
 
     def step(self, step: int, t0: float, t1: float, w: np.ndarray) -> None:
         """Notice of march step ``step`` over ``[t0, t1]`` with lookahead row ``w``."""
-        if self._done or self._landed or not t0 < self.t_end:
-            self._done = True
+        if not t0 < self.t_end:
             return
         edges = self._edges
         eps = self.config.epsilon
@@ -205,7 +197,6 @@ class PathTracer:
 
         end = min(t1, self.t_end)
         self._X, self._V = _rk4(speed, growth, self._X, self._V, end - t0)
-        self._t1 = t1
         self._times.append(end)
         self._positions.append(self._X.copy())
         self._transported.append(self._V.copy())
@@ -293,7 +284,10 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
     field's one-sided slope at the cell's current position, (b) resamples the
     transported representation to the grid at every node time, and (c)
     recomputes the lookahead field from the resampled solution.  It stops
-    when the field changes by at most ``tol`` in the sup norm.
+    when the field changes by at most ``tol`` in the sup norm.  The node
+    times are an even grid with steps of at most ``cfl * dx`` plus every
+    output time, each a node of its own however close it falls to a grid
+    node, so every snapshot sits at exactly its time.
 
     Raises :class:`ConvergenceError` (carrying the residual history) if
     ``max_iter`` rounds do not reach ``tol``.
@@ -316,7 +310,6 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
             )
         )
     )
-    nodes = np.concatenate(([nodes[0]], nodes[1:][np.diff(nodes) > 1e-12]))
     n_int = nodes.size - 1
 
     w0 = compute_w(u0, eps, dx, config.right_ghost_value)
@@ -346,7 +339,7 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
     record = SolutionRecord(config=config, epsilon=eps)
     wanted = sorted(set(config.output_times) | {0.0, config.t_final})
     for t in wanted:
-        i = int(np.argmin(np.abs(nodes - t)))
+        i = int(np.searchsorted(nodes, t))
         record.snapshots[t] = u_rows[i].copy()
         record.snapshot_steps[t] = i
     record.w_times = nodes.copy()

@@ -4,9 +4,9 @@ Exit codes follow one contract everywhere: 0 all good, 1 a computation ran
 but a verification or a sweep row failed, 2 the configuration was invalid.
 Every flag can also come from a ``key = value`` config file (dashes in key
 names, one pair per line, ``#`` comments); explicit flags win over the file.
-A key is typed as its flag is, and a key that is no flag of the command is
-refused.  Only the options that were given are handed on, so every default
-lives in the library.
+A key is typed as its flag is; a key that is no flag of the command, or
+that names an option the file already set, is refused.  Only the options
+that were given are handed on, so every default lives in the library.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _read_config(path: str) -> dict:
-    pairs = {}
+def _read_config(path: str) -> list:
+    pairs = []
     try:
         with open(path, "r", encoding="ascii") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -53,7 +53,7 @@ def _read_config(path: str) -> dict:
                 key, sep, val = line.partition("=")
                 if not sep or not key.strip():
                     raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-                pairs[key.strip()] = val.strip()
+                pairs.append((key.strip(), val.strip()))
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return pairs
@@ -85,8 +85,12 @@ def _settle(args: argparse.Namespace) -> dict:
         del given[key]
     path = given.pop("config", None)
     if path:
-        for key, raw in _read_config(path).items():
+        filed = set()
+        for key, raw in _read_config(path):
             action = _flag(args.parser, key)
+            if action.dest in filed:
+                raise ValueError(f"config file {path} names option {key!r} twice")
+            filed.add(action.dest)
             if action.dest not in given:
                 given[action.dest] = _typed(action, raw)
     return given

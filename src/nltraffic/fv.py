@@ -151,7 +151,7 @@ class SolverConfig:
             raise ConfigurationError("output times must be nonnegative")
         if list(times) != sorted(set(times)):
             raise ConfigurationError("output times must be strictly increasing")
-        if any(t > self.t_final + 1e-12 for t in times):
+        if any(t > self.t_final for t in times):
             raise ConfigurationError("output times must not exceed t_final")
         object.__setattr__(self, "output_times", times)
 
@@ -168,9 +168,9 @@ class SolutionRecord:
     maps the same times to the number of steps taken before each snapshot.
     The marchers store no field history; the fixed-point solver fills
     ``w_times`` with N+1 interval boundaries and ``w_fields`` with the N
-    interface rows, each valid on ``[w_times[i], w_times[i+1])``, so
-    snapshot ``t`` holds the state at ``w_times[snapshot_steps[t]]``.  Runs
-    of the sharp-interaction limit set ``epsilon`` to 0.
+    interface rows, each valid on ``[w_times[i], w_times[i+1])``; every
+    snapshot time is one of the boundaries, ``w_times[snapshot_steps[t]] ==
+    t``.  Runs of the sharp-interaction limit set ``epsilon`` to 0.
     """
 
     config: SolverConfig
@@ -324,7 +324,7 @@ def _project_datum(datum, grid: Grid1D) -> np.ndarray:
     before the march starts.
     """
     if isinstance(datum, PiecewiseConstant1D):
-        levels = np.concatenate(([datum.left_extension], datum.values, [datum.right_extension]))
+        levels = datum.levels
         vals = cell_averages(datum, grid.edges)
     else:
         vals = levels = np.array(datum, dtype=float)
@@ -357,18 +357,18 @@ def _lxf_factor(config: SolverConfig) -> float:
     return 2.0 * m / (2.0 * m + 1.0)
 
 
-def _march(config: SolverConfig, advance, record: SolutionRecord, observers=()) -> None:
+def _march(config: SolverConfig, advance, dt_max: float, record: SolutionRecord, observers=()) -> None:
     """Carry the datum to ``t_final`` with ``advance``, snapshotting on the way.
 
-    ``advance(u, room)`` returns the next state, the step it took, which
-    must not exceed ``room``, the time left to the next target, and the
-    lookahead row it used (None for the local limit); each target (the
-    output times and ``t_final``) is therefore hit exactly.  Each snapshot is
-    stored with the number of steps taken before it.  Every observer hears
-    ``snapshot(step, t, u)`` for each stored snapshot, ``step`` being the
-    number of steps taken, and ``step(step, t0, t1, w)`` after each step,
-    where ``t0`` and ``t1`` are the accumulated step boundaries (which can
-    sit an ulp off the target the clock is then reset to).
+    This loop alone picks the step sizes: ``advance(u, dt)`` returns the
+    state one step of ``dt`` on and the lookahead row it used (None for the
+    local limit), and ``dt`` is ``dt_max`` or the time left to the next
+    target (the output times and ``t_final``), whichever is smaller.  A step
+    that reaches its target ends exactly on it, so the clock never misses a
+    target.  Each snapshot is stored with the number of steps taken before
+    it.  Every observer hears ``snapshot(step, t, u)`` for each stored
+    snapshot, ``step`` being the number of steps taken, and
+    ``step(step, t0, t1, w)`` after each step over ``[t0, t1]``.
     """
     u = _project_datum(config.datum, config.grid)
     step = 0
@@ -380,22 +380,23 @@ def _march(config: SolverConfig, advance, record: SolutionRecord, observers=()) 
             obs.snapshot(step, t, record.snapshots[t])
 
     snapshot(0.0)
-    t = t_mark = 0.0
+    t = 0.0
     for target in _targets(config):
-        while t < target - 1e-14:
-            u, dt, w = advance(u, target - t)
+        while t < target:
+            room = target - t
+            dt = min(dt_max, room)
+            u, w = advance(u, dt)
+            t1 = target if dt == room else t + dt
             if not np.all(np.isfinite(u)):
                 bad = int(np.flatnonzero(~np.isfinite(u))[0])
                 raise SolverError(
                     f"non-finite value in cell {bad} (x={config.grid.centers[bad]:.6g}) "
-                    f"at t={t + dt:.6g} after {step + 1} steps"
+                    f"at t={t1:.6g} after {step + 1} steps"
                 )
-            t += dt
             for obs in observers:
-                obs.step(step, t_mark, t, w)
-            t_mark = t
+                obs.step(step, t, t1, w)
+            t = t1
             step += 1
-        t = target
         snapshot(target)
     record.info["steps"] = step
 
@@ -416,20 +417,17 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     dx = config.grid.dx
     dt_max = config.cfl * dx * _lxf_factor(config)
 
-    def advance(u, room):
+    def advance(u, dt):
         w = compute_w(u, config.epsilon, dx, config.right_ghost_value)
-        dt = min(dt_max, room)
         if config.scheme == "upwind":
-            u = step_upwind(u, w, dt, dx, config.left_ghost_value)
-        else:
-            u = step_lax_friedrichs(
-                u, w, dt, dx, config.left_ghost_value, config.right_ghost_value
-            )
-        return u, dt, w
+            return step_upwind(u, w, dt, dx, config.left_ghost_value), w
+        return step_lax_friedrichs(
+            u, w, dt, dx, config.left_ghost_value, config.right_ghost_value
+        ), w
 
     record = SolutionRecord(config=config, epsilon=config.epsilon)
     record.info["scheme"] = config.scheme
-    _march(config, advance, record, observers)
+    _march(config, advance, dt_max, record, observers)
     return record
 
 
@@ -459,15 +457,14 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     dx = config.grid.dx
     dt_max = config.cfl * dx  # |f'(u)| = |1 - 2u| <= 1 on [0, 1]
 
-    def advance(u, room):
-        dt = min(dt_max, room)
+    def advance(u, dt):
         u_ext = np.concatenate(
             ([config.left_ghost_value], u, [config.right_ghost_value])
         )
         flux = godunov_flux_local(u_ext[:-1], u_ext[1:])
-        return u - dt / dx * (flux[1:] - flux[:-1]), dt, None
+        return u - dt / dx * (flux[1:] - flux[:-1]), None
 
     record = SolutionRecord(config=config, epsilon=0.0)
     record.info["scheme"] = "godunov-local"
-    _march(config, advance, record)
+    _march(config, advance, dt_max, record)
     return record

@@ -59,13 +59,9 @@ TV_WINDOW = (-1.25, 0.5)  # sweeps must resolve all variation inside this window
 
 
 def default_truncation(dx: float) -> int:
-    """Smallest datum truncation whose finest block is still wider than a cell,
-    plus two sub-cell blocks so that skipped oscillations are represented."""
-    return _ceil_half_log(dx) + 2
-
-
-def _ceil_half_log(dx: float) -> int:
-    return max(0, math.ceil(-math.log2(dx) / 2.0 - 1e-9))
+    """Datum truncation for cell size ``dx``: the first block that fits in one
+    cell, plus two finer ones so that skipped oscillations are represented."""
+    return _first_confined_block(dx) + 2
 
 
 def parse_datum(spec: str, dx: float) -> PiecewiseConstant1D:
@@ -297,8 +293,8 @@ class SweepSpec:
         if len(set(taus)) != len(taus):
             raise ConfigurationError("tau values must be distinct")
         js = tuple(int(j) for j in self.js)
-        if any(j < 0 for j in js):
-            raise ConfigurationError("j values must be nonnegative")
+        if any(j < 1 for j in js):
+            raise ConfigurationError("j values must be positive (epsilon = 2^-j below 1)")
         if len(set(js)) != len(js):
             raise ConfigurationError("j values must be distinct")
         a, b = self.domain

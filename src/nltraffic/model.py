@@ -68,24 +68,21 @@ class PiecewiseConstant1D:
         return eval_piecewise(self, x)
 
     @property
-    def n_pieces(self) -> int:
-        """Number of bounded constant pieces (tails not counted)."""
-        return self.values.size
+    def levels(self) -> np.ndarray:
+        """Every value left to right, tails included: ``levels[i]`` holds on
+        the stretch that ends at ``breakpoints[i]``, and ``levels[-1]`` past
+        the last breakpoint."""
+        return np.concatenate(([self.left_extension], self.values, [self.right_extension]))
 
     def jump_points(self, atol: float = 0.0) -> np.ndarray:
         """Breakpoints where the value actually changes."""
-        levels = np.concatenate(
-            ([self.left_extension], self.values, [self.right_extension])
-        )
-        return self.breakpoints[np.abs(np.diff(levels)) > atol]
+        return self.breakpoints[np.abs(np.diff(self.levels)) > atol]
 
 
 def eval_piecewise(f: PiecewiseConstant1D, x):
     """Evaluate ``f`` at a scalar or an array of points."""
     xs = np.asarray(x, dtype=float)
-    lookup = np.concatenate(([f.left_extension], f.values, [f.right_extension]))
-    idx = np.searchsorted(f.breakpoints, xs, side="right")
-    out = lookup[idx]
+    out = f.levels[np.searchsorted(f.breakpoints, xs, side="right")]
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -99,7 +96,7 @@ def _window_mean(f: PiecewiseConstant1D, a: float, b: float) -> float:
     of the datum projecting to exactly constant cell values.
     """
     bp = f.breakpoints
-    lookup = np.concatenate(([f.left_extension], f.values, [f.right_extension]))
+    lookup = f.levels
     lo = int(np.searchsorted(bp, a, side="right"))
     hi = int(np.searchsorted(bp, b, side="left"))
     if lo >= hi:
@@ -126,8 +123,7 @@ def cell_averages(f: PiecewiseConstant1D, edges: np.ndarray) -> np.ndarray:
         raise ValueError("cell edges must be strictly increasing")
     lo = np.searchsorted(f.breakpoints, edges[:-1], side="right")
     hi = np.searchsorted(f.breakpoints, edges[1:], side="left")
-    lookup = np.concatenate(([f.left_extension], f.values, [f.right_extension]))
-    out = lookup[lo].copy()
+    out = f.levels[lo]
     for i in np.nonzero(hi > lo)[0]:
         out[i] = _window_mean(f, float(edges[i]), float(edges[i + 1]))
     return out

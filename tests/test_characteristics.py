@@ -186,10 +186,10 @@ def test_trace_samples_snapshots_at_their_steps():
 
 
 @pytest.mark.parametrize("outputs", [(0.08, 0.21), (0.104, 0.23)])
-def test_trace_to_a_snapshot_missed_by_an_ulp_stops_on_it(outputs):
+def test_trace_to_a_landing_snapshot_stops_on_it(outputs):
     # On this coarse grid the step landing on the second output time starts
-    # below half of it, so its accumulated end misses the time by an ulp:
-    # over it for 0.21, under it for 0.23.
+    # below half of it, so t0 + (t - t0) misses t by an ulp (over it for
+    # 0.21, under it for 0.23); the march ends that step on t all the same.
     g = Grid1D(-1.5, 1.0, 10)
     cfg = SolverConfig(grid=g, epsilon=g.dx, datum=build_u0(0), t_final=0.5,
                        output_times=outputs)
@@ -199,10 +199,10 @@ def test_trace_to_a_snapshot_missed_by_an_ulp_stops_on_it(outputs):
     rec = solve_nonlocal(cfg, observers=[clock])
     t = outputs[1]
     k = rec.snapshot_steps[t]
-    assert step_ends[k - 1] != t
+    assert step_ends[k - 1] == t
     path = trace_many(rec, [-0.75], t_end=t)[0]
     assert path.values.size == k + 1
-    assert path.times[-1] == min(step_ends[k - 1], t)
+    assert path.times[-1] == t
     assert path.values[-1] == rec.snapshots[t][g.cell_of(path.positions[-1])]
 
 
@@ -231,6 +231,9 @@ def test_path_tracer_validates_before_the_march():
         PathTracer(cfg, [7.0])
     with pytest.raises(ConfigurationError):
         PathTracer(cfg, [-0.3], t_end=0.5)
+    PathTracer(cfg, [-0.3], t_end=0.3)
+    with pytest.raises(ConfigurationError):  # one ulp beyond t_final
+        PathTracer(cfg, [-0.3], t_end=np.nextafter(0.3, 1.0))
     with pytest.raises(ConfigurationError):
         PathTracer(cfg, [-0.3]).paths()  # nothing observed yet
 
@@ -245,6 +248,22 @@ def test_trace_samples_picard_snapshots_at_their_nodes():
     at_snapshot = trace_many(rec, [-0.3], t_end=0.17)[0]
     assert _sampled_rows(at_snapshot) == [0, steps[0.1], steps[0.17]]
     assert at_snapshot.values.size == steps[0.17] + 1
+
+
+def test_picard_keeps_an_output_time_next_to_a_node():
+    # 1e-13 past a node of the Picard time grid: the output time is a node of
+    # its own, its snapshot sits there, and a trace to it ends on it
+    g = Grid1D(-1.5, 1.0, 320)
+    n_sub = 29  # ceil(t_final / (cfl * dx))
+    t = np.linspace(0.0, 0.2, n_sub + 1)[10] + 1e-13
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
+                       output_times=(t,))
+    rec = solve_picard(cfg)
+    assert rec.w_times.size == n_sub + 2
+    assert rec.w_times[rec.snapshot_steps[t]] == t
+    path = trace_many(rec, [-0.3], t_end=t)[0]
+    assert path.times[-1] == t
+    assert _sampled_rows(path) == [0, rec.snapshot_steps[t]]
 
 
 def test_trace_rejects_bad_inputs():

@@ -167,23 +167,27 @@ def test_cfl_dt_caps_at_cfl_dx():
 
 @pytest.mark.parametrize("scheme, factor", [("upwind", 1.0), ("lax-friedrichs", 16 / 17)])
 def test_every_step_is_the_cfl_step_except_landings(scheme, factor):
-    g = Grid1D(-1.5, 1.0, 640)
-    cfg = SolverConfig(grid=g, epsilon=8 * g.dx, datum=build_u0(4), t_final=0.3,
-                       scheme=scheme, output_times=(0.1, 0.17))
-    log = _StepLog()
-    solve_nonlocal(cfg, observers=[log])
-    # replay the march clock: full steps of cfl * dx * factor, each target
-    # reached by a shortened step, the clock reset onto it afterwards
-    dt = 0.9 * g.dx * factor
-    t, times, landings = 0.0, [0.0], 0
-    for target in (0.1, 0.17, 0.3):
-        while t < target - 1e-14:
-            landings += dt > target - t
-            t += min(dt, target - t)
-            times.append(t)
-        t = target
-    assert landings == 3
-    assert [0.0] + [s[2] for s in log.steps()] == times
+    # On the 10-cell grid, 0.08 plus the landing step 0.21 - 0.08 adds up to
+    # 0.21000000000000002, so a clock that accumulated that step would miss.
+    for n, t_final, outputs in ((640, 0.3, (0.1, 0.17)), (10, 0.5, (0.08, 0.21))):
+        g = Grid1D(-1.5, 1.0, n)
+        cfg = SolverConfig(grid=g, epsilon=8 * g.dx, datum=build_u0(4), t_final=t_final,
+                           scheme=scheme, output_times=outputs)
+        log = _StepLog()
+        solve_nonlocal(cfg, observers=[log])
+        # replay the march clock: full steps of cfl * dx * factor, and a
+        # shortened step that ends exactly on each target it reaches
+        dt = 0.9 * g.dx * factor
+        t, times, landings = 0.0, [0.0], 0
+        for target in outputs + (t_final,):
+            while t < target:
+                landing = dt >= target - t
+                landings += landing
+                t = target if landing else t + dt
+                times.append(t)
+        assert landings == 3
+        assert [0.0] + [s[2] for s in log.steps()] == times
+        assert [s[1] for s in log.steps()] == times[:-1]
 
 
 # --- single steps ----------------------------------------------------------------
@@ -271,6 +275,9 @@ def test_solver_config_validation():
         SolverConfig(**{**ok, "right_ghost_value": 1.5})
     with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "output_times": (0.05, 0.2)})  # beyond t_final
+    SolverConfig(**{**ok, "output_times": (0.05, 0.1)})  # t_final itself is fine
+    with pytest.raises(ConfigurationError):  # one ulp beyond t_final
+        SolverConfig(**{**ok, "output_times": (np.nextafter(0.1, 1.0),)})
     with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "output_times": (0.05, 0.05)})
 
@@ -445,8 +452,8 @@ def test_observers_see_the_history_that_is_not_stored():
 
 
 def test_a_short_clock_takes_a_landing_step():
-    # 400 steps of dx = 0.0025 add up to just under 1.0 (by more than the
-    # 1e-14 landing guard), so the march takes a 401st, ulp-sized step
+    # 400 steps of dx = 0.0025 add up to just under 1.0, so the march takes
+    # a 401st, ulp-sized step, which ends exactly on t_final
     g = Grid1D(-1.5, 1.0, 1000)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx),
                        t_final=1.0, cfl=1.0)
@@ -455,6 +462,7 @@ def test_a_short_clock_takes_a_landing_step():
     steps = log.steps()
     assert rec.info["steps"] == len(steps) == 401
     assert steps[-1][1] < 1.0 - 1e-14
+    assert steps[-1][2] == 1.0
 
 
 # --- sharp-interaction limit ---------------------------------------------------------

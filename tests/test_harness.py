@@ -79,6 +79,8 @@ def test_default_truncation_tracks_resolution():
     assert default_truncation(4.0**-4) == 6
     assert default_truncation(4.0**-5) == 7
     assert default_truncation(0.1) == 4
+    # just below 4^-4 the finest block must fit in a cell; no fuzz moves it
+    assert default_truncation(4.0**-4 * (1.0 - 1e-12)) == 7
 
 
 # --- grids and run configuration ---------------------------------------------------
@@ -199,6 +201,8 @@ def test_sweep_spec_validation():
         SweepSpec(js=(2, 2))
     with pytest.raises(ConfigurationError):
         SweepSpec(domain=(-0.5, 1.0))
+    with pytest.raises(ConfigurationError):
+        SweepSpec(js=(0, 2))  # epsilon = 1 has no series bound
 
 
 def test_run_sweep_smoke(tmp_path):
@@ -267,7 +271,7 @@ def test_cli_flag_overrides_config(tmp_path):
     assert (out / "u_t0.03125_eps0.0625.csv").exists()
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, capsys):
     # config errors come back as exit 2
     assert cli_main(["simulate", "--datum", "nope", "--epsilon", "0.0625"]) == 2
     assert cli_main(["simulate", "--datum", "step"]) == 2  # epsilon unresolved
@@ -282,6 +286,16 @@ def test_cli_error_paths(tmp_path):
     for key in ("command = sweep", "handler = x", "config = other.cfg", "help = yes"):
         cfg.write_text(f"dyadic-j = 4\n{key}\n")
         assert cli_main(["bounds", "--config", str(cfg)]) == 2
+    # an option named twice in one file, under one spelling or two, exits 2
+    for text in ("dyadic_j = 3\ndyadic-j = 4\n", "tau = 0.1\ntau = 0.4\n",
+                 "dyadic-j = 4\ndyadic-j = 4\n"):
+        cfg.write_text(text)
+        assert cli_main(["bounds", "--config", str(cfg)]) == 2
+    # a flag still overrides the file
+    cfg.write_text("dyadic-j = 3\ntau = 0.1\n")
+    capsys.readouterr()
+    assert cli_main(["bounds", "--config", str(cfg), "--dyadic-j", "4"]) == 0
+    assert capsys.readouterr().out.startswith("tau=0.1 epsilon=0.0625:")
 
 
 def test_cli_bounds_and_verify(tmp_path, capsys):

@@ -106,6 +106,7 @@ def test_platoon_datum_levels_and_jumps():
     assert total_variation(f) == 2.0
     # three value-changing jumps: up 1/2, down 1/2, up 1
     assert f.jump_points().tolist() == [-0.1, -0.05, 0.0]
+    assert f.levels.tolist() == [0.0, 0.5, 0.0, 1.0]  # tails included
 
 
 def test_platoon_datum_rejects_nonpositive_width():

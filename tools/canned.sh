@@ -1,0 +1,39 @@
+#!/bin/sh
+# Write the canned runs of the nltraffic commands into OUT, one directory per
+# run, using the source tree this script sits in.  Two checkouts give
+# byte-identical trees when their results agree:
+#
+#     tools/canned.sh A; (other checkout)/tools/canned.sh B
+#     diff -r -I '^wall_time_s' A B
+#
+# Usage: tools/canned.sh OUT
+set -eu
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+out=$(cd "$1" && pwd)
+
+nl() {
+    PYTHONPATH="$root/src" python3 -m nltraffic.cli "$@"
+}
+
+nl simulate --dyadic-j 4 --tau 0.1,0.3 --out "$out/simulate-blowup" >/dev/null
+nl simulate --datum step --scheme lax-friedrichs --dyadic-j 3 --tau 0.1,0.17 \
+    --out "$out/simulate-step-lxf" >/dev/null
+nl simulate --datum riemann:1,0 --local --out "$out/simulate-riemann-local" >/dev/null
+
+starts=-0.75,-0.5,-0.25,-0.1,-0.05
+nl characteristics --dyadic-j 4 --start=$starts --out "$out/characteristics" >/dev/null
+nl characteristics --dyadic-j 4 --start=$starts --t-end 0.3 \
+    --out "$out/characteristics-t0.3" >/dev/null
+nl characteristics --dyadic-j 4 --start=$starts --t-end 0.2 \
+    --out "$out/characteristics-t0.2" >/dev/null
+
+nl sweep --tau 0.1,0.2 --j 2,3,4,5,6,7 --out "$out/sweep" >"$out/sweep.txt"
+nl mechanism --out "$out/mechanism" >"$out/mechanism.txt"
+nl bounds --tau 0.1,0.2,0.4 --dyadic-j 4 --out "$out/bounds" >"$out/bounds.txt"
+nl verify >"$out/verify.txt"
