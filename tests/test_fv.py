@@ -452,8 +452,8 @@ def test_observers_see_the_history_that_is_not_stored():
 
 
 def test_a_short_clock_takes_a_landing_step():
-    # 400 steps of dx = 0.0025 add up to just under 1.0, so the march takes
-    # a 401st, ulp-sized step, which ends exactly on t_final
+    # 400 steps of dx = 0.0025 add up to about 1e-14 short of 1.0, so the
+    # march takes a 401st step of that size, which ends exactly on t_final
     g = Grid1D(-1.5, 1.0, 1000)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx),
                        t_final=1.0, cfl=1.0)
