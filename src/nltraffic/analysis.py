@@ -51,6 +51,12 @@ def _first_confined_block(epsilon: float) -> int:
     return max(0, math.ceil(-math.log2(epsilon) / 2.0))
 
 
+def _check_tau(tau: float) -> None:
+    """Refuse a time that is not a finite nonnegative number (NaN included)."""
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ConfigurationError(f"tau must be finite and nonnegative, got {tau}")
+
+
 def total_variation(u) -> float:
     """Sum of absolute jumps of a profile, or of adjacent cell differences.
 
@@ -74,8 +80,7 @@ def tv_lower_bound_series(tau: float, epsilon: float, tail_tol: float = 1e-15) -
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     if not tail_tol > 0.0:
         raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     x = tau / epsilon
@@ -114,8 +119,7 @@ def tv_lower_bound_count(tau: float, epsilon: float) -> int:
     """Count of confined blocks whose value has grown to at least 1/2."""
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     k_min = _first_confined_block(epsilon)
     k_max = math.floor(_count_upper_limit(tau / epsilon))
     return max(0, k_max - k_min + 1)
@@ -127,8 +131,7 @@ def tv_lower_bound_dyadic(tau: float, j: int) -> int:
     For fixed tau > 0 the interval length grows like 2^j tau, which is the
     desk-scale face of the unbounded-variation statement.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     if not isinstance(j, (int, np.integer)) or j < 0:
         raise ValueError(f"j must be a nonnegative integer, got {j!r}")
     hi = (tau * 2.0 ** j) / _LN2
@@ -147,8 +150,7 @@ def term_threshold_check(k: int, tau: float, epsilon: float) -> bool:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     decay = math.exp(-tau / epsilon)
     p = 2.0 ** -k
     return p / ((1.0 - p) * decay + p) >= 0.5
@@ -190,13 +192,11 @@ def evaluate_bounds(tau: float, epsilon: float = None, j: int = None) -> BoundRe
 
 @dataclass(frozen=True)
 class BlockTrace:
-    """Traced plateau/gap pair for one oscillation block."""
+    """Traced plateau path for one oscillation block."""
 
     k: int
     plateau_start: float
-    gap_start: float
     plateau_value: float
-    gap_value: float
     contribution: float
 
 
@@ -222,10 +222,6 @@ class TVReconstruction:
 
 def _match_stock_datum(datum) -> int:
     """Return the truncation index K if ``datum`` is the oscillatory datum."""
-    if not isinstance(datum, PiecewiseConstant1D):
-        raise ConfigurationError(
-            "reconstruction needs a record produced from the oscillatory datum"
-        )
     n_bp = datum.breakpoints.size
     if n_bp < 3 or (n_bp - 3) % 2:
         raise ConfigurationError("record datum does not look like the oscillatory datum")
@@ -242,14 +238,14 @@ def _match_stock_datum(datum) -> int:
 
 
 def _reconstruction_starts(datum, epsilon: float, dx: float):
-    """Resolved and skipped blocks, and the plateau-then-gap path starts."""
+    """Resolved and skipped blocks, and the plateau path starts."""
     K = _match_stock_datum(datum)
     k_min = _first_confined_block(epsilon)
     resolved = [
         k for k in range(k_min, K + 1) if 2.0 ** (-2 * k - 2) >= dx  # gap >= one cell
     ]
     skipped = tuple(k for k in range(k_min, K + 1) if k not in resolved)
-    starts = [-0.75 * 4.0 ** -k for k in resolved] + [-0.375 * 4.0 ** -k for k in resolved]
+    starts = [-0.75 * 4.0 ** -k for k in resolved]
     return resolved, skipped, starts
 
 
@@ -270,8 +266,9 @@ def reconstruct_tv_from_characteristics(
     """Rebuild the oscillation sum at time tau from characteristic traces.
 
     For each confined, grid-resolved block this traces one path from the
-    plateau midpoint and one from the adjacent gap midpoint, reads off the
-    grown values carried along the paths, and sums 2 * plateau value.  The
+    plateau midpoint, reads off the grown value carried along it, and sums
+    2 * plateau value.  (The gaps between plateaus need no path: vacuum never
+    grows, since the growth law vanishes at u = 0.)  The
     carried values integrate the material growth law, so the sum stays
     faithful even after a block has been squeezed below the cell size (where
     snapshot cell averages would only show a smeared remnant).  The paths
@@ -295,17 +292,13 @@ def reconstruct_tv_from_characteristics(
             paths = trace_many(record, starts, t_end=tau)
         else:
             paths = tracer.paths()
-        for i, k in enumerate(resolved):
-            plateau_path = paths[i]
-            gap_path = paths[len(resolved) + i]
-            grown = float(plateau_path.transported[-1])
+        for k, path in zip(resolved, paths):
+            grown = float(path.transported[-1])
             blocks.append(
                 BlockTrace(
                     k=k,
-                    plateau_start=plateau_path.start,
-                    gap_start=gap_path.start,
+                    plateau_start=path.start,
                     plateau_value=grown,
-                    gap_value=float(gap_path.transported[-1]),
                     contribution=2.0 * grown,
                 )
             )

@@ -21,14 +21,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .fv import (
-    Grid1D,
-    SolutionRecord,
-    SolverConfig,
-    compute_w,
-    solve_nonlocal,
-    _project_datum,
-)
+from .fv import Grid1D, SolutionRecord, SolverConfig, compute_w, solve_nonlocal
+from .model import cell_averages
 
 __all__ = [
     "CharacteristicPath",
@@ -95,7 +89,7 @@ def material_rhs(u_here, u_ahead, epsilon: float):
 
 
 def _sample_cells(values: np.ndarray, grid: Grid1D, x, left: float, right: float):
-    """Piecewise-constant lookup of cell values with ghost extensions."""
+    """Piecewise-constant lookup of cell values, ``left``/``right`` outside the grid."""
     x = np.asarray(x, dtype=float)
     idx = np.floor((x - grid.x_left) / grid.dx).astype(int)
     # Not np.clip: on these few-element arrays its per-call set-up costs
@@ -168,8 +162,10 @@ class PathTracer:
         self._values = {}
 
     def _sample(self, field, x):
-        cfg = self.config
-        return _sample_cells(field, cfg.grid, x, cfg.left_ghost_value, cfg.right_ghost_value)
+        datum = self.config.datum
+        return _sample_cells(
+            field, self.config.grid, x, datum.left_extension, datum.right_extension
+        )
 
     def snapshot(self, step: int, t: float, u: np.ndarray) -> None:
         """Notice of the snapshot ``u`` at time ``t``, taken after ``step`` steps."""
@@ -299,7 +295,8 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
     grid = config.grid
     dx = grid.dx
     eps = config.epsilon
-    u0 = _project_datum(config.datum, grid)
+    right = config.datum.right_extension
+    u0 = cell_averages(config.datum, grid.edges)
 
     n_sub = max(1, math.ceil(config.t_final / (config.cfl * dx)))
     nodes = np.unique(
@@ -312,7 +309,7 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
     )
     n_int = nodes.size - 1
 
-    w0 = compute_w(u0, eps, dx, config.right_ghost_value)
+    w0 = compute_w(u0, eps, dx, right)
     w_rows = np.tile(w0, (n_int, 1))
 
     residuals = []
@@ -322,7 +319,7 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
         u_rows = _transport_on_frozen_field(u0, nodes, w_rows, grid, config)
         res = 0.0
         for i in range(n_int):
-            row = compute_w(u_rows[i], eps, dx, config.right_ghost_value)
+            row = compute_w(u_rows[i], eps, dx, right)
             res = np.maximum(res, np.max(np.abs(row - w_rows[i])))  # NaN sticks
             w_rows[i] = row
         res = float(res)
@@ -386,6 +383,6 @@ def _transport_on_frozen_field(
 
         E, v = _rk4(speed, value_rate, edges, out[i], nodes[i + 1] - nodes[i])
         out[i + 1] = _resample_markers(
-            E, v, grid, config.left_ghost_value, config.right_ghost_value
+            E, v, grid, config.datum.left_extension, config.datum.right_extension
         )
     return out

@@ -6,9 +6,10 @@ The model is the scalar conservation law
     w(t, x) = mean of u(t, .) over [x, x + epsilon],
 
 solved on a uniform grid with an upwind or a Lax-Friedrichs flux.  Outside
-the computational window the density is frozen at ghost values (vacuum on the
-left, jam on the right by default), which matches the stock data where the
-solution is constant near both ends of the domain.
+the computational window the density is frozen at the datum's own tails, the
+states the road holds beyond its last breakpoints; on the stock data these are
+vacuum on the left and a jam on the right, where the solution is constant
+near both ends of the domain.
 
 The sharp-interaction limit (epsilon -> 0, flux u(1-u)) is handled by a
 Godunov marcher so the two can be compared on the same grid.
@@ -98,19 +99,6 @@ class GridFunction:
             raise ConfigurationError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.grid.dx)
-
-    def l1_diff(self, other: "GridFunction") -> float:
-        if other.grid != self.grid:
-            raise ConfigurationError("grid functions live on different grids")
-        return float(np.sum(np.abs(self.values - other.values)) * self.grid.dx)
-
-    def linf_diff(self, other: "GridFunction") -> float:
-        if other.grid != self.grid:
-            raise ConfigurationError("grid functions live on different grids")
-        return float(np.max(np.abs(self.values - other.values)))
-
 
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
@@ -118,18 +106,18 @@ class SolverConfig:
 
     ``epsilon`` must be a whole number of cells so the lookahead average is a
     plain window sum; anything else would smear the datum's jumps.  ``datum``
-    is a piecewise-constant profile (projected to exact cell averages) or a
-    ready-made array of cell values, densities in [0, 1] either way.
+    is a piecewise-constant profile, projected to exact cell averages, whose
+    tails are the states outside the grid; every level, tails included, must
+    lie in [0, 1], because the marchers step at ``cfl * dx``, which bounds the
+    transport speed ``1 - w`` only while ``w`` stays in [0, 1].
     """
 
     grid: Grid1D
     epsilon: float
-    datum: object
+    datum: PiecewiseConstant1D
     t_final: float
     cfl: float = 0.9
     scheme: str = "upwind"
-    left_ghost_value: float = 0.0
-    right_ghost_value: float = 1.0
     output_times: tuple = ()
 
     def __post_init__(self):
@@ -142,13 +130,18 @@ class SolverConfig:
         _whole_cells(self.epsilon, self.grid.dx, f"epsilon={self.epsilon}")
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ConfigurationError(f"t_final must be positive, got {self.t_final}")
-        for name in ("left_ghost_value", "right_ghost_value"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {v}")
+        if not isinstance(self.datum, PiecewiseConstant1D):
+            raise ConfigurationError(
+                f"datum must be a PiecewiseConstant1D profile, got {type(self.datum).__name__}"
+            )
+        levels = self.datum.levels
+        if np.any((levels < 0.0) | (levels > 1.0)):
+            raise ConfigurationError(
+                f"datum values must lie in [0, 1], got [{levels.min()}, {levels.max()}]"
+            )
         times = tuple(float(t) for t in self.output_times)
-        if any(t < 0.0 for t in times):
-            raise ConfigurationError("output times must be nonnegative")
+        if not all(t >= 0.0 for t in times):
+            raise ConfigurationError(f"output times must be nonnegative, got {times}")
         if list(times) != sorted(set(times)):
             raise ConfigurationError("output times must be strictly increasing")
         if any(t > self.t_final for t in times):
@@ -204,7 +197,7 @@ def _whole_cells(length: float, dx: float, what: str) -> int:
     return m
 
 
-def compute_w(u, epsilon: float, dx: float = None, right_ghost_value: float = 1.0) -> np.ndarray:
+def compute_w(u, epsilon: float, dx: float, right_ghost_value: float = 1.0) -> np.ndarray:
     """Lookahead averages at every cell interface.
 
     For a field of ``n`` cells this returns ``n + 1`` values; entry ``i`` is
@@ -222,11 +215,6 @@ def compute_w(u, epsilon: float, dx: float = None, right_ghost_value: float = 1.
     running sum over the whole grid would, and a window of jam cells sums to
     exactly ``M``.
     """
-    if isinstance(u, GridFunction):
-        dx = u.grid.dx
-        u = u.values
-    if dx is None:
-        raise ConfigurationError("dx is required when u is a bare array")
     u = np.asarray(u, dtype=float)
     m = _whole_cells(epsilon, dx, f"epsilon={epsilon}")
     n = u.size
@@ -316,30 +304,6 @@ def step_lax_friedrichs(
     return u - lam * (flux[1:] - flux[:-1])
 
 
-def _project_datum(datum, grid: Grid1D) -> np.ndarray:
-    """Cell values of ``datum`` on ``grid``; every density must lie in [0, 1].
-
-    The marchers step at ``cfl * dx``, which bounds the transport speed
-    ``1 - w`` only while ``w`` stays in [0, 1], so other data are refused
-    before the march starts.
-    """
-    if isinstance(datum, PiecewiseConstant1D):
-        levels = datum.levels
-        vals = cell_averages(datum, grid.edges)
-    else:
-        vals = levels = np.array(datum, dtype=float)
-        if vals.shape != (grid.n_cells,):
-            raise ConfigurationError(
-                f"datum array shape {vals.shape} does not match grid with {grid.n_cells} cells"
-            )
-    # NaN passes here and is reported, with its cell, by the march
-    if np.any((levels < 0.0) | (levels > 1.0)):
-        raise ConfigurationError(
-            f"datum values must lie in [0, 1], got [{np.nanmin(levels)}, {np.nanmax(levels)}]"
-        )
-    return vals
-
-
 def _targets(config: SolverConfig) -> list:
     """The times a march must land on: positive output times and ``t_final``."""
     return [t for t in sorted(set(config.output_times) | {config.t_final}) if t > 0.0]
@@ -370,7 +334,7 @@ def _march(config: SolverConfig, advance, dt_max: float, record: SolutionRecord,
     snapshot, ``step`` being the number of steps taken, and
     ``step(step, t0, t1, w)`` after each step over ``[t0, t1]``.
     """
-    u = _project_datum(config.datum, config.grid)
+    u = cell_averages(config.datum, config.grid.edges)
     step = 0
 
     def snapshot(t):
@@ -416,14 +380,14 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     """
     dx = config.grid.dx
     dt_max = config.cfl * dx * _lxf_factor(config)
+    left = config.datum.left_extension
+    right = config.datum.right_extension
 
     def advance(u, dt):
-        w = compute_w(u, config.epsilon, dx, config.right_ghost_value)
+        w = compute_w(u, config.epsilon, dx, right)
         if config.scheme == "upwind":
-            return step_upwind(u, w, dt, dx, config.left_ghost_value), w
-        return step_lax_friedrichs(
-            u, w, dt, dx, config.left_ghost_value, config.right_ghost_value
-        ), w
+            return step_upwind(u, w, dt, dx, left), w
+        return step_lax_friedrichs(u, w, dt, dx, left, right), w
 
     record = SolutionRecord(config=config, epsilon=config.epsilon)
     record.info["scheme"] = config.scheme
@@ -456,11 +420,11 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     """
     dx = config.grid.dx
     dt_max = config.cfl * dx  # |f'(u)| = |1 - 2u| <= 1 on [0, 1]
+    left = config.datum.left_extension
+    right = config.datum.right_extension
 
     def advance(u, dt):
-        u_ext = np.concatenate(
-            ([config.left_ghost_value], u, [config.right_ghost_value])
-        )
+        u_ext = np.concatenate(([left], u, [right]))
         flux = godunov_flux_local(u_ext[:-1], u_ext[1:])
         return u - dt / dx * (flux[1:] - flux[:-1]), None
 

@@ -24,6 +24,7 @@ from .characteristics import PathTracer
 from .analysis import (
     BoundReport,
     VerifyReport,
+    _check_tau,
     _first_confined_block,
     check_max_principle,
     check_monotonicity,
@@ -88,9 +89,6 @@ def parse_datum(spec: str, dx: float) -> PiecewiseConstant1D:
             )
         if name == "riemann":
             ul, ur = (float(v) for v in arg.split(","))
-            for v in (ul, ur):
-                if not 0.0 <= v <= 1.0:
-                    raise ConfigurationError(f"riemann states must lie in [0, 1], got {v}")
             return PiecewiseConstant1D(
                 breakpoints=np.array([0.0]), values=np.array([]),
                 left_extension=ul, right_extension=ur,
@@ -288,8 +286,12 @@ class SweepSpec:
 
     def __post_init__(self):
         taus = tuple(sorted(float(t) for t in self.taus))
-        if taus and taus[0] < 0.0:
-            raise ConfigurationError("tau values must be nonnegative")
+        for tau in taus:
+            _check_tau(tau)
+        if not taus:
+            raise ConfigurationError("sweep needs at least one tau")
+        if taus[-1] == 0.0:
+            raise ConfigurationError("sweep needs a positive tau to march to")
         if len(set(taus)) != len(taus):
             raise ConfigurationError("tau values must be distinct")
         js = tuple(int(j) for j in self.js)
@@ -332,11 +334,7 @@ def run_sweep(spec: SweepSpec, out: str = None):
     t0 = time.perf_counter()
     rows = []
     failures = []
-    if not spec.taus:
-        raise ConfigurationError("sweep needs at least one tau")
     t_final = max(spec.taus)
-    if t_final <= 0.0:
-        raise ConfigurationError("sweep needs a positive tau to march to")
     for j in spec.js:
         _, _, dx = sweep_resolution(j)
         gridded = [t for t in spec.taus if t > 0.0]

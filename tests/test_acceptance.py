@@ -265,7 +265,6 @@ def test_criterion_11_local_limit_riemann():
     up = solve_local(
         SolverConfig(
             grid=g, epsilon=dx, datum=parse_datum("riemann:0,1", dx), t_final=0.5,
-            left_ghost_value=0.0, right_ghost_value=1.0,
         )
     )
     jump = lambda u: g.edges[int(np.argmax(u >= 0.5))]
@@ -275,7 +274,6 @@ def test_criterion_11_local_limit_riemann():
     down = solve_local(
         SolverConfig(
             grid=g, epsilon=dx, datum=parse_datum("riemann:1,0", dx), t_final=0.5,
-            left_ghost_value=1.0, right_ghost_value=0.0,
         )
     )
     mid = float(down.snapshot(0.5).values[g.cell_of(0.0)])

@@ -184,6 +184,19 @@ def test_threshold_check_rejects_bad_arguments():
         term_threshold_check(2, -0.1, 0.5)
 
 
+def test_every_bound_refuses_a_tau_that_is_not_finite_and_nonnegative():
+    for tau in (-0.1, math.nan, math.inf):
+        for bound in (
+            lambda: evaluate_bounds(tau, j=4),
+            lambda: tv_lower_bound_series(tau, 0.5),
+            lambda: tv_lower_bound_count(tau, 0.5),
+            lambda: tv_lower_bound_dyadic(tau, 4),
+            lambda: term_threshold_check(2, tau, 0.5),
+        ):
+            with pytest.raises(ConfigurationError, match="tau must be finite"):
+                bound()
+
+
 def test_evaluate_bounds_requires_exactly_one_parameterisation():
     with pytest.raises(ConfigurationError):
         evaluate_bounds(0.2)
@@ -244,7 +257,7 @@ def test_reconstruction_grows_with_time():
     assert late.total > early.total > 2.0 * (2.0**-2 + 2.0**-3)
     for b in late.blocks:
         assert b.contribution == pytest.approx(2.0 * b.plateau_value, abs=0)
-        assert b.plateau_value > b.gap_value
+        assert b.plateau_value > 2.0**-b.k  # grew above its initial height
 
 
 def test_reconstruction_traced_during_the_march_equals_replay():
@@ -319,7 +332,11 @@ def test_plateau_check_passes_and_detects_erosion():
     good = check_plateau(_blowup_record(K=4, t_final=0.2))
     assert good.passed
     assert good.worst == 0.0
-    leaky = _blowup_record(K=4, t_final=1.0, right_ghost_value=0.0)
+    # the jam ends at the domain's right edge, where vacuum follows it
+    jam = build_u0(4)
+    datum = PiecewiseConstant1D(np.append(jam.breakpoints, 1.0), np.append(jam.values, 1.0))
+    g = Grid1D(-1.5, 1.0, 640)
+    leaky = solve_nonlocal(SolverConfig(grid=g, epsilon=2.0**-4, datum=datum, t_final=1.0))
     assert not check_plateau(leaky).passed
 
 

@@ -15,6 +15,7 @@ from nltraffic import (
     ConvergenceError,
     Grid1D,
     PathTracer,
+    PiecewiseConstant1D,
     SolverConfig,
     build_u0,
     logistic_value,
@@ -25,6 +26,11 @@ from nltraffic import (
     solve_picard,
     trace_many,
 )
+
+
+def constant(c):
+    """The profile that holds ``c`` on the whole line."""
+    return PiecewiseConstant1D(np.array([0.0]), np.array([]), c, c)
 
 
 def integrate_growth_ode(u0, t, epsilon, n_steps=20000):
@@ -101,8 +107,7 @@ def _record(datum, eps=2.0**-3, n=320, t_final=0.3, **kw):
 
 def test_trace_through_constant_field_is_a_straight_line():
     c = 0.25
-    rec = _record(np.full(320, c), left_ghost_value=c, right_ghost_value=c,
-                  output_times=(0.15,))
+    rec = _record(constant(c), output_times=(0.15,))
     path = trace_many(rec, [-0.8])[0]
     np.testing.assert_allclose(
         path.positions, -0.8 + (1 - c) * path.times, rtol=0, atol=1e-12
@@ -114,7 +119,7 @@ def test_trace_through_constant_field_is_a_straight_line():
 
 
 def test_trace_through_jam_never_moves():
-    rec = _record(np.ones(320))
+    rec = _record(constant(1.0))
     path = trace_many(rec, [-0.5])[0]
     assert np.all(path.positions == -0.5)
     assert np.all(path.transported == 1.0)
@@ -285,8 +290,7 @@ def test_trace_rejects_bad_inputs():
 
 def test_picard_constant_datum_converges_first_try():
     g = Grid1D(-1.0, 1.0, 128)
-    cfg = SolverConfig(grid=g, epsilon=0.125, datum=np.full(128, 0.3), t_final=0.2,
-                       left_ghost_value=0.3, right_ghost_value=0.3)
+    cfg = SolverConfig(grid=g, epsilon=0.125, datum=constant(0.3), t_final=0.2)
     rec = solve_picard(cfg)
     assert rec.info["iterations"] == 1
     assert np.abs(rec.snapshot(0.2).values - 0.3).max() <= 1e-12
@@ -295,7 +299,7 @@ def test_picard_constant_datum_converges_first_try():
 
 def test_picard_jam_datum_converges_first_try():
     g = Grid1D(-1.0, 1.0, 128)
-    cfg = SolverConfig(grid=g, epsilon=0.125, datum=np.ones(128), t_final=0.2)
+    cfg = SolverConfig(grid=g, epsilon=0.125, datum=constant(1.0), t_final=0.2)
     rec = solve_picard(cfg)
     assert rec.info["iterations"] == 1
     assert np.abs(rec.snapshot(0.2).values - 1.0).max() <= 1e-12

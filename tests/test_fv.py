@@ -13,8 +13,8 @@ import pytest
 from nltraffic import (
     ConfigurationError,
     Grid1D,
-    GridFunction,
     PiecewiseConstant1D,
+    SolutionRecord,
     SolverConfig,
     SolverError,
     build_bar_u,
@@ -30,12 +30,18 @@ from nltraffic import (
     step_lax_friedrichs,
     step_upwind,
 )
+from nltraffic.fv import _march
 
 
 def window_mean_oracle(u, m, right_ghost):
     """Mean of the next m cells after each interface, by explicit slicing."""
     ext = np.concatenate((u, np.full(m, right_ghost)))
     return np.array([ext[i : i + m].mean() for i in range(u.size + 1)])
+
+
+def constant(c):
+    """The profile that holds ``c`` on the whole line."""
+    return PiecewiseConstant1D(np.array([0.0]), np.array([]), c, c)
 
 
 def godunov_oracle(ul, ur):
@@ -85,15 +91,6 @@ def test_grid_validation():
         Grid1D(0.0, np.inf, 4)
 
 
-def test_grid_function_norms():
-    g = Grid1D(0.0, 1.0, 4)
-    a = GridFunction(g, np.array([1.0, 0.0, 2.0, 1.0]))
-    b = GridFunction(g, np.array([0.0, 0.0, 0.0, 0.0]))
-    assert a.mass() == 1.0
-    assert a.l1_diff(b) == 1.0
-    assert a.linf_diff(b) == 2.0
-
-
 # --- lookahead average ----------------------------------------------------------
 
 
@@ -105,7 +102,7 @@ def test_compute_w_matches_slicing_oracle(m):
         g = Grid1D(0.0, 1.0, n)
         dx = g.dx
         u = (np.arange(n) % 7) / 7.0  # deterministic, non-symmetric profile
-        w = compute_w(GridFunction(g, u), m * dx)
+        w = compute_w(u, m * dx, dx)
         np.testing.assert_allclose(w, window_mean_oracle(u, m, 1.0), rtol=0, atol=1e-15)
         for ghost in (0.0, 0.375):
             w0 = compute_w(u, m * dx, dx=dx, right_ghost_value=ghost)
@@ -115,7 +112,7 @@ def test_compute_w_matches_slicing_oracle(m):
 def test_compute_w_constant_is_exact():
     g = Grid1D(-1.0, 1.0, 50)
     u = np.full(50, 0.375)
-    w = compute_w(GridFunction(g, u), 5 * g.dx, right_ghost_value=0.375)
+    w = compute_w(u, 5 * g.dx, g.dx, right_ghost_value=0.375)
     assert np.all(w == 0.375)
 
 
@@ -124,7 +121,7 @@ def test_compute_w_step_halfway_through_window():
     eps = 0.25
     g = Grid1D(-1.0, 1.0, 128)
     u = np.where(g.centers >= -eps / 2, 1.0, 0.0)
-    w = compute_w(GridFunction(g, u), eps)
+    w = compute_w(u, eps, g.dx)
     i = int(np.flatnonzero(np.isclose(g.edges, -eps))[0])
     assert w[i] == 0.5
     assert w[-1] == 1.0
@@ -134,7 +131,7 @@ def test_compute_w_step_halfway_through_window():
 def test_compute_w_requires_whole_cell_window():
     g = Grid1D(0.0, 1.0, 10)
     with pytest.raises(ConfigurationError):
-        compute_w(GridFunction(g, np.zeros(10)), 0.15)
+        compute_w(np.zeros(10), 0.15, g.dx)
 
 
 def test_compute_w_jam_window_is_bit_exact():
@@ -142,7 +139,7 @@ def test_compute_w_jam_window_is_bit_exact():
     for n, m, edge in ((64, 4, 0.0), (1000, 128, 0.1)):
         g = Grid1D(-1.0, 1.0, n)
         u = np.where(g.centers >= edge, 1.0, 0.3)
-        w = compute_w(GridFunction(g, u), m * g.dx)
+        w = compute_w(u, m * g.dx, g.dx)
         jam = np.flatnonzero(g.edges >= edge)
         assert np.all(w[jam] == 1.0)
 
@@ -259,7 +256,7 @@ def test_godunov_flux_vectorizes():
 
 def test_solver_config_validation():
     g = Grid1D(-1.0, 1.0, 64)
-    ok = dict(grid=g, epsilon=4 * g.dx, datum=np.zeros(64), t_final=0.1)
+    ok = dict(grid=g, epsilon=4 * g.dx, datum=constant(0.0), t_final=0.1)
     SolverConfig(**ok)
     with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "epsilon": 3.7 * g.dx})
@@ -272,22 +269,20 @@ def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "t_final": 0.0})
     with pytest.raises(ConfigurationError):
-        SolverConfig(**{**ok, "right_ghost_value": 1.5})
-    with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "output_times": (0.05, 0.2)})  # beyond t_final
     SolverConfig(**{**ok, "output_times": (0.05, 0.1)})  # t_final itself is fine
     with pytest.raises(ConfigurationError):  # one ulp beyond t_final
         SolverConfig(**{**ok, "output_times": (np.nextafter(0.1, 1.0),)})
     with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "output_times": (0.05, 0.05)})
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        SolverConfig(**{**ok, "output_times": (float("nan"),)})
 
 
-def test_datum_array_must_match_grid():
+def test_solver_config_refuses_an_array_datum():
     g = Grid1D(-1.0, 1.0, 64)
-    with pytest.raises(ConfigurationError):
-        solve_nonlocal(
-            SolverConfig(grid=g, epsilon=4 * g.dx, datum=np.zeros(32), t_final=0.1)
-        )
+    with pytest.raises(ConfigurationError, match="PiecewiseConstant1D"):
+        SolverConfig(grid=g, epsilon=4 * g.dx, datum=np.zeros(64), t_final=0.1)
 
 
 @pytest.mark.parametrize("scheme", ["upwind", "lax-friedrichs"])
@@ -297,22 +292,43 @@ def test_datum_outside_unit_interval_is_refused_before_the_march(tmp_path, schem
     path.write_text(piecewise_to_text(PiecewiseConstant1D(
         breakpoints=np.array([0.0]), values=np.array([]),
         left_extension=-0.5, right_extension=1.0)))
-    for datum in (parse_datum(f"file:{path}", g.dx),
-                  np.where(g.centers < 0.0, -0.5, 1.0), np.full(64, 1.5)):
-        cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=datum, t_final=0.1,
-                           scheme=scheme)
+    too_dense = PiecewiseConstant1D(np.array([0.0]), np.array([]), 0.0, 1.5)
+    for datum in (parse_datum(f"file:{path}", g.dx), too_dense, constant(1.5)):
         with pytest.raises(ConfigurationError, match=r"must lie in \[0, 1\]"):
-            solve_nonlocal(cfg, observers=())
+            SolverConfig(grid=g, epsilon=4 * g.dx, datum=datum, t_final=0.1,
+                         scheme=scheme)
+
+
+@pytest.mark.parametrize("solve, scheme", [
+    (solve_nonlocal, "upwind"), (solve_nonlocal, "lax-friedrichs"), (solve_local, "upwind")])
+def test_file_datum_is_marched_against_its_own_tails(tmp_path, solve, scheme):
+    g = Grid1D(-2.0, 2.0, 128)
+    path = tmp_path / "datum.txt"
+    path.write_text(piecewise_to_text(PiecewiseConstant1D(
+        breakpoints=np.array([-0.25, 0.25]), values=np.array([0.6]),
+        left_extension=0.3, right_extension=0.3)))
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum(f"file:{path}", g.dx),
+                       t_final=0.2, scheme=scheme)
+    u = solve(cfg).snapshots[0.2]
+    # in its 8 steps the bump reaches at most one window (4 cells) plus one
+    # cell a step upstream and one cell a step downstream, so the outer 16
+    # cells on each side see only the tails
+    np.testing.assert_allclose(u[:16], 0.3, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u[-16:], 0.3, rtol=0, atol=1e-12)
 
 
 def test_non_finite_datum_aborts_with_location():
+    # A profile cannot hold NaN, so the step plants one in cell 17.
     g = Grid1D(-1.0, 1.0, 64)
-    bad = np.zeros(64)
-    bad[17] = np.nan
-    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=bad, t_final=0.1)
-    with pytest.raises(SolverError) as err:
-        solve_nonlocal(cfg)
-    assert "cell" in str(err.value)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.0), t_final=0.1)
+
+    def advance(u, dt):
+        u = u.copy()
+        u[17] = np.nan
+        return u, None
+
+    with pytest.raises(SolverError, match="cell 17"):
+        _march(cfg, advance, 0.9 * g.dx, SolutionRecord(cfg, cfg.epsilon))
 
 
 # --- marching properties -------------------------------------------------------------
@@ -353,8 +369,6 @@ def test_monotone_data_stay_monotone(scheme, datum_spec):
         datum=datum,
         t_final=0.25,
         scheme=scheme,
-        left_ghost_value=datum(-2.0),
-        right_ghost_value=datum(2.0),
     )
     rec = solve_nonlocal(cfg)
     for t in rec.times:
@@ -383,19 +397,18 @@ def test_monotone_data_tv_never_grows(scheme):
 @pytest.mark.parametrize("scheme", ["upwind", "lax-friedrichs"])
 def test_interior_bump_conserves_mass(scheme):
     g = Grid1D(-1.0, 1.0, 100)
-    u0 = np.where((g.centers > -0.6) & (g.centers < -0.2), 0.8, 0.0)
+    # 0.8 on the cells between the edges at -0.6 and -0.2, vacuum elsewhere
+    bump = PiecewiseConstant1D(g.edges[[20, 40]], np.array([0.8]))
     cfg = SolverConfig(
         grid=g,
         epsilon=5 * g.dx,
-        datum=u0,
+        datum=bump,
         t_final=0.3,
         scheme=scheme,
-        left_ghost_value=0.0,
-        right_ghost_value=0.0,
     )
     rec = solve_nonlocal(cfg)
-    m0 = rec.snapshot(0.0).mass()
-    assert abs(rec.snapshot(0.3).mass() - m0) <= 1e-10
+    m0 = np.sum(rec.snapshots[0.0]) * g.dx
+    assert abs(np.sum(rec.snapshots[0.3]) * g.dx - m0) <= 1e-10
 
 
 def test_jam_side_is_bit_exact_under_upwind():
@@ -470,8 +483,7 @@ def test_a_short_clock_takes_a_landing_step():
 
 def test_local_solver_keeps_constants_and_marks_record():
     g = Grid1D(-1.0, 1.0, 50)
-    cfg = SolverConfig(grid=g, epsilon=g.dx, datum=np.full(50, 0.6), t_final=0.2,
-                       left_ghost_value=0.6, right_ghost_value=0.6)
+    cfg = SolverConfig(grid=g, epsilon=g.dx, datum=constant(0.6), t_final=0.2)
     rec = solve_local(cfg)
     np.testing.assert_array_equal(rec.snapshot(0.2).values, np.full(50, 0.6))
     assert rec.epsilon == 0.0

@@ -65,7 +65,6 @@ def test_parse_datum_forms(tmp_path):
         "bar_u",
         "bar_u:zero",
         "riemann:0.5",
-        "riemann:0.2,1.5",
         "blowup:many",
         "file:/no/such/profile.txt",
     ],
@@ -195,8 +194,9 @@ def test_sweep_spec_validation():
     assert spec.js == (2, 4)
     with pytest.raises(ConfigurationError):
         SweepSpec(taus=(0.1, 0.1))
-    with pytest.raises(ConfigurationError):
-        SweepSpec(taus=(-0.1,))
+    for taus in ((-0.1,), (math.nan,), (0.1, math.inf), (), (0.0,)):
+        with pytest.raises(ConfigurationError):
+            SweepSpec(taus=taus)
     with pytest.raises(ConfigurationError):
         SweepSpec(js=(2, 2))
     with pytest.raises(ConfigurationError):
@@ -214,8 +214,6 @@ def test_run_sweep_smoke(tmp_path):
         assert r.reconstructed_tv > 0.0
         assert r.count_bound >= r.dyadic_bound
     assert (tmp_path / "sweep.csv").exists()
-    with pytest.raises(ConfigurationError):
-        run_sweep(SweepSpec(taus=()))
 
 
 def test_mechanism_demo_validation():
@@ -280,6 +278,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(cfg)]) == 2
     assert cli_main(["verify", "nonsense"]) == 2
     assert cli_main(["mechanism", "--epsilon", "inf"]) == 2
+    # a density outside [0, 1] is refused by the solver configuration
+    assert cli_main(["simulate", "--datum", "riemann:0.2,1.5", "--dyadic-j", "4"]) == 2
+    # a time that is not a finite nonnegative number is refused at once
+    assert cli_main(["simulate", "--tau", "nan", "--dyadic-j", "4"]) == 2
+    assert cli_main(["bounds", "--tau", "nan", "--dyadic-j", "4"]) == 2
     # a key must name a flag of the command, not just any parsed attribute
     cfg.write_text("dyadic-j = 4\n")
     assert cli_main(["bounds", "--config", str(cfg)]) == 0
@@ -296,6 +299,18 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["bounds", "--config", str(cfg), "--dyadic-j", "4"]) == 0
     assert capsys.readouterr().out.startswith("tau=0.1 epsilon=0.0625:")
+
+
+@pytest.mark.parametrize("local", [False, True])
+def test_cli_constant_road_stays_constant(tmp_path, local):
+    out = tmp_path / "out"
+    argv = ["simulate", "--datum", "riemann:0.5,0.5", "--dyadic-j", "4", "--out", str(out)]
+    assert cli_main(argv + ["--local"] * local) == 0
+    snapshots = sorted(out.glob("u_t*.csv"))
+    assert len(snapshots) == 2
+    for f in snapshots:
+        u = np.loadtxt(f, delimiter=",", skiprows=1)[:, 1]
+        assert u.size == 640 and np.all(u == 0.5)
 
 
 def test_cli_bounds_and_verify(tmp_path, capsys):
