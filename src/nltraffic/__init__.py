@@ -7,135 +7,25 @@ monotone finite-volume marchers for the nonlocal law and its sharp
 closed-form growth law and a fixed-point reference solver
 (:mod:`nltraffic.characteristics`), total-variation bounds and property
 checks (:mod:`nltraffic.analysis`), and an experiment harness with a CLI
-(:mod:`nltraffic.harness`, ``nltraffic``).
+(:mod:`nltraffic.harness`, ``nltraffic``).  Each module's ``__all__`` is
+the one list of its public names.
 """
 
 from ._version import __version__
-from .errors import ConfigurationError, ConvergenceError, SolverError
-from .model import (
-    PiecewiseConstant1D,
-    build_bar_u,
-    build_u0,
-    cell_average,
-    cell_averages,
-    eval_piecewise,
-    load_piecewise,
-    piecewise_from_text,
-    piecewise_to_text,
-    save_piecewise,
-)
-from .fv import (
-    Grid1D,
-    GridFunction,
-    SolutionRecord,
-    SolverConfig,
-    cfl_dt,
-    compute_w,
-    godunov_flux_local,
-    solve_local,
-    solve_nonlocal,
-    step_lax_friedrichs,
-    step_upwind,
-)
-from .characteristics import (
-    CharacteristicPath,
-    PathTracer,
-    logistic_value,
-    material_rhs,
-    solve_picard,
-    trace_many,
-)
-from .analysis import (
-    BlockTrace,
-    BoundReport,
-    TVReconstruction,
-    VerifyReport,
-    check_max_principle,
-    check_monotonicity,
-    check_plateau,
-    evaluate_bounds,
-    reconstruct_tv_from_characteristics,
-    reconstruction_tracer,
-    term_threshold_check,
-    total_variation,
-    tv_lower_bound_count,
-    tv_lower_bound_dyadic,
-    tv_lower_bound_series,
-)
-from .harness import (
-    MechanismReport,
-    RunConfig,
-    SweepSpec,
-    default_truncation,
-    make_grid,
-    parse_datum,
-    run_characteristics,
-    run_mechanism_demo,
-    run_simulate,
-    run_sweep,
-    run_verify,
-    sweep_resolution,
-    write_bounds,
-)
+from . import analysis, characteristics, errors, fv, harness, model
+from .errors import *
+from .model import *
+from .fv import *
+from .characteristics import *
+from .analysis import *
+from .harness import *
 
 __all__ = [
     "__version__",
-    "ConfigurationError",
-    "ConvergenceError",
-    "SolverError",
-    "PiecewiseConstant1D",
-    "build_bar_u",
-    "build_u0",
-    "cell_average",
-    "cell_averages",
-    "eval_piecewise",
-    "load_piecewise",
-    "piecewise_from_text",
-    "piecewise_to_text",
-    "save_piecewise",
-    "Grid1D",
-    "GridFunction",
-    "SolutionRecord",
-    "SolverConfig",
-    "cfl_dt",
-    "compute_w",
-    "godunov_flux_local",
-    "solve_local",
-    "solve_nonlocal",
-    "step_lax_friedrichs",
-    "step_upwind",
-    "CharacteristicPath",
-    "PathTracer",
-    "logistic_value",
-    "material_rhs",
-    "solve_picard",
-    "trace_many",
-    "BlockTrace",
-    "BoundReport",
-    "TVReconstruction",
-    "VerifyReport",
-    "check_max_principle",
-    "check_monotonicity",
-    "check_plateau",
-    "evaluate_bounds",
-    "reconstruct_tv_from_characteristics",
-    "reconstruction_tracer",
-    "term_threshold_check",
-    "total_variation",
-    "tv_lower_bound_count",
-    "tv_lower_bound_dyadic",
-    "tv_lower_bound_series",
-    "MechanismReport",
-    "RunConfig",
-    "SweepSpec",
-    "default_truncation",
-    "make_grid",
-    "parse_datum",
-    "run_characteristics",
-    "run_mechanism_demo",
-    "run_simulate",
-    "run_sweep",
-    "run_verify",
-    "sweep_resolution",
-    "write_bounds",
+    *errors.__all__,
+    *model.__all__,
+    *fv.__all__,
+    *characteristics.__all__,
+    *analysis.__all__,
+    *harness.__all__,
 ]

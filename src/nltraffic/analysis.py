@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .characteristics import PathTracer, trace_many
+from .characteristics import PathTracer, _check_tau, trace_many
 from .fv import GridFunction, SolutionRecord, SolverConfig
 from .model import PiecewiseConstant1D, build_u0
 
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# The series bound stops summing once a term falls below this.
+_TAIL_TOL = 1e-15
 
 
 def _first_confined_block(epsilon: float) -> int:
@@ -51,10 +53,10 @@ def _first_confined_block(epsilon: float) -> int:
     return max(0, math.ceil(-math.log2(epsilon) / 2.0))
 
 
-def _check_tau(tau: float) -> None:
-    """Refuse a time that is not a finite nonnegative number (NaN included)."""
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ConfigurationError(f"tau must be finite and nonnegative, got {tau}")
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse a lookahead outside (0, 1], the range every bound covers."""
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
 
 
 def total_variation(u) -> float:
@@ -69,20 +71,17 @@ def total_variation(u) -> float:
     return float(np.sum(np.abs(np.diff(vals))))
 
 
-def tv_lower_bound_series(tau: float, epsilon: float, tail_tol: float = 1e-15) -> float:
+def tv_lower_bound_series(tau: float, epsilon: float) -> float:
     """Series lower bound: 2 * sum of grown block values over confined blocks.
 
     Sums 2 * 2^-k / ((1 - 2^-k) e^(-tau/eps) + 2^-k) for k from the first
     block narrower than the lookahead distance, stopping once a term drops
-    below ``tail_tol`` and adding a geometric majorant of the dropped tail
-    (at most 8 * tail_tol), so the result overshoots the infinite series by
-    that much at worst.
+    below ``_TAIL_TOL`` and adding a geometric majorant of the dropped tail
+    (at most 8 * ``_TAIL_TOL``), so the result overshoots the infinite
+    series by that much at worst.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     _check_tau(tau)
-    if not tail_tol > 0.0:
-        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     x = tau / epsilon
     if x > 700.0:
         raise ValueError(
@@ -96,7 +95,7 @@ def tv_lower_bound_series(tau: float, epsilon: float, tail_tol: float = 1e-15) -
     while True:
         p = 2.0 ** -k
         term = 2.0 * p / ((1.0 - p) * decay + p)
-        if term < tail_tol:
+        if term < _TAIL_TOL:
             # Each dropped term is at most 4 * 2^-k * e^(tau/eps) for k >= 1,
             # so the dropped tail sums to at most 8 * 2^-k * e^(tau/eps);
             # evaluated in log form since e^(tau/eps) alone may overflow.
@@ -117,8 +116,7 @@ def _count_upper_limit(x: float) -> float:
 
 def tv_lower_bound_count(tau: float, epsilon: float) -> int:
     """Count of confined blocks whose value has grown to at least 1/2."""
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     _check_tau(tau)
     k_min = _first_confined_block(epsilon)
     k_max = math.floor(_count_upper_limit(tau / epsilon))
@@ -148,8 +146,7 @@ def term_threshold_check(k: int, tau: float, epsilon: float) -> bool:
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     _check_tau(tau)
     decay = math.exp(-tau / epsilon)
     p = 2.0 ** -k
@@ -249,15 +246,16 @@ def _reconstruction_starts(datum, epsilon: float, dx: float):
     return resolved, skipped, starts
 
 
-def reconstruction_tracer(config: SolverConfig, tau: float) -> PathTracer:
-    """A path tracer for the reconstruction at ``tau``, to march with ``config``.
+def reconstruction_tracer(config: SolverConfig) -> PathTracer:
+    """A path tracer for the reconstruction, to march with ``config``.
 
-    Pass it to ``solve_nonlocal(config, observers=[...])`` and then to
+    It traces the whole run.  Pass it to ``solve_nonlocal(config,
+    observers=[...])`` and then, for each snapshot time tau, to
     :func:`reconstruct_tv_from_characteristics` with the returned record, so
-    the paths are traced during the march and no history is stored.
+    the paths are traced once, during the march, and no history is stored.
     """
     _, _, starts = _reconstruction_starts(config.datum, config.epsilon, config.grid.dx)
-    return PathTracer(config, starts, t_end=tau)
+    return PathTracer(config, starts)
 
 
 def reconstruct_tv_from_characteristics(
@@ -273,7 +271,9 @@ def reconstruct_tv_from_characteristics(
     faithful even after a block has been squeezed below the cell size (where
     snapshot cell averages would only show a smeared remnant).  The paths
     come from ``tracer`` (made by :func:`reconstruction_tracer` and marched
-    with the run) or, without one, from :func:`trace_many`.
+    with the run) or, without one, from :func:`trace_many`; either way the
+    grown value is the one in the path's row ``record.snapshot_steps[tau]``,
+    the state after the steps that end on tau.
     """
     resolved, skipped, starts = _reconstruction_starts(
         record.config.datum, record.epsilon, record.grid.dx
@@ -282,8 +282,11 @@ def reconstruct_tv_from_characteristics(
         raise ConfigurationError(
             f"tau={tau} is not among the record's snapshot times {record.times}"
         )
-    if tracer is not None and (tracer.t_end != tau or tracer.starts.tolist() != starts):
-        raise ConfigurationError("tracer was not made by reconstruction_tracer for this tau")
+    if tracer is not None and (tracer.t_end < tau or tracer.starts.tolist() != starts):
+        raise ConfigurationError(
+            "tracer must start on the plateau paths of reconstruction_tracer and reach tau"
+        )
+    row = record.snapshot_steps[tau]
 
     blocks = []
     total = 0.0
@@ -293,7 +296,7 @@ def reconstruct_tv_from_characteristics(
         else:
             paths = tracer.paths()
         for k, path in zip(resolved, paths):
-            grown = float(path.transported[-1])
+            grown = float(path.transported[row])
             blocks.append(
                 BlockTrace(
                     k=k,
@@ -367,11 +370,11 @@ def check_monotonicity(record: SolutionRecord) -> VerifyReport:
     return _worst_over_snapshots("monotonicity", 1e-10, record, lambda u: -sign * np.diff(u))
 
 
-def check_plateau(record: SolutionRecord, tol: float = 5e-3) -> VerifyReport:
-    """Cells at x >= 0 must stay within ``tol`` of the jam value 1."""
+def check_plateau(record: SolutionRecord) -> VerifyReport:
+    """Cells at x >= 0 must stay within 5e-3 of the jam value 1."""
     sel = record.grid.centers >= 0.0
     if not np.any(sel):
         raise ConfigurationError("grid has no cells at x >= 0; nothing to check")
     return _worst_over_snapshots(
-        "plateau", tol, record, lambda u: np.abs(u[sel] - 1.0), record.grid.centers[sel]
+        "plateau", 5e-3, record, lambda u: np.abs(u[sel] - 1.0), record.grid.centers[sel]
     )

@@ -33,6 +33,17 @@ __all__ = [
     "solve_picard",
 ]
 
+# Fixed-point stopping rule: the sup-norm change of the lookahead field that
+# counts as converged, and the rounds allowed before giving up.
+_PICARD_TOL = 1e-8
+_PICARD_MAX_ITER = 50
+
+
+def _check_tau(tau: float) -> None:
+    """Refuse a time that is not a finite nonnegative number (NaN included)."""
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ConfigurationError(f"tau must be finite and nonnegative, got {tau}")
+
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicPath:
@@ -68,8 +79,7 @@ def logistic_value(u0y: float, t: float, epsilon: float) -> float:
     """
     if not (0.0 <= u0y <= 1.0):
         raise ValueError(f"u0y must lie in [0, 1], got {u0y}")
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_tau(t)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if u0y == 0.0:
@@ -271,7 +281,7 @@ def _resample_markers(E: np.ndarray, v: np.ndarray, grid: Grid1D, left: float, r
     return np.diff(out) / grid.dx
 
 
-def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) -> SolutionRecord:
+def solve_picard(config: SolverConfig) -> SolutionRecord:
     """Fixed-point construction of the solution, as a cross-check solver.
 
     Starting from the lookahead field of the datum held constant in time, the
@@ -280,18 +290,14 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
     field's one-sided slope at the cell's current position, (b) resamples the
     transported representation to the grid at every node time, and (c)
     recomputes the lookahead field from the resampled solution.  It stops
-    when the field changes by at most ``tol`` in the sup norm.  The node
-    times are an even grid with steps of at most ``cfl * dx`` plus every
-    output time, each a node of its own however close it falls to a grid
-    node, so every snapshot sits at exactly its time.
+    when the field changes by at most ``_PICARD_TOL`` in the sup norm.  The
+    node times are an even grid with steps of at most ``cfl * dx`` plus
+    every output time, each a node of its own however close it falls to a
+    grid node, so every snapshot sits at exactly its time.
 
     Raises :class:`ConvergenceError` (carrying the residual history) if
-    ``max_iter`` rounds do not reach ``tol``.
+    ``_PICARD_MAX_ITER`` rounds do not reach ``_PICARD_TOL``.
     """
-    if not tol > 0.0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
     grid = config.grid
     dx = grid.dx
     eps = config.epsilon
@@ -314,7 +320,7 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
 
     residuals = []
     u_rows = None
-    for _ in range(max_iter):
+    for _ in range(_PICARD_MAX_ITER):
         u_rows = None  # release the previous transport before the next one
         u_rows = _transport_on_frozen_field(u0, nodes, w_rows, grid, config)
         res = 0.0
@@ -324,12 +330,12 @@ def solve_picard(config: SolverConfig, tol: float = 1e-8, max_iter: int = 50) ->
             w_rows[i] = row
         res = float(res)
         residuals.append(res)
-        if res <= tol:
+        if res <= _PICARD_TOL:
             break
     else:
         raise ConvergenceError(
             f"fixed-point iteration stalled at residual {residuals[-1]:.3e} "
-            f"after {max_iter} rounds (tol {tol:.1e})",
+            f"after {_PICARD_MAX_ITER} rounds (tol {_PICARD_TOL:.1e})",
             residuals,
         )
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigurationError", "ConvergenceError", "SolverError"]
+
 
 class ConfigurationError(ValueError):
     """A run configuration is internally inconsistent (grid, epsilon, times...)."""

@@ -87,7 +87,6 @@ class GridFunction:
 
     grid: Grid1D
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -185,7 +184,7 @@ class SolutionRecord:
     def snapshot(self, t: float) -> GridFunction:
         if t not in self.snapshots:
             raise KeyError(f"no snapshot at t={t}; stored times: {self.times}")
-        return GridFunction(self.grid, self.snapshots[t], time=t)
+        return GridFunction(self.grid, self.snapshots[t])
 
 
 def _whole_cells(length: float, dx: float, what: str) -> int:

@@ -20,12 +20,12 @@ from ._version import __version__
 from .errors import ConfigurationError, ConvergenceError, SolverError
 from .model import PiecewiseConstant1D, build_bar_u, build_u0, load_piecewise
 from .fv import Grid1D, SolverConfig, _whole_cells, solve_local, solve_nonlocal
-from .characteristics import PathTracer
+from .characteristics import PathTracer, _check_tau
 from .analysis import (
     BoundReport,
     VerifyReport,
-    _check_tau,
     _first_confined_block,
+    _worst_over_snapshots,
     check_max_principle,
     check_monotonicity,
     check_plateau,
@@ -44,7 +44,6 @@ __all__ = [
     "default_truncation",
     "parse_datum",
     "make_grid",
-    "build_solver_config",
     "sweep_resolution",
     "run_simulate",
     "run_characteristics",
@@ -52,7 +51,6 @@ __all__ = [
     "write_bounds",
     "run_mechanism_demo",
     "run_verify",
-    "VERIFY_SUITES",
 ]
 
 DEFAULT_DOMAIN = (-1.5, 1.0)
@@ -327,9 +325,10 @@ def run_sweep(spec: SweepSpec, out: str = None):
 
     Each j gets one solve carried to max(tau) with snapshots at every tau;
     each (tau, j) row combines the analytic bounds with the measured grid
-    total variation and the characteristic-trace reconstruction, whose paths
-    are traced during the solve, so no field history is stored.  A failed
-    solve marks its rows with NaN measurements and is reported, not raised.
+    total variation and the characteristic-trace reconstruction.  One tracer
+    per solve traces the plateau paths during the march, and every tau reads
+    its row of them, so no field history is stored.  A failed solve marks
+    its rows with NaN measurements and is reported, not raised.
     """
     t0 = time.perf_counter()
     rows = []
@@ -347,11 +346,11 @@ def run_sweep(spec: SweepSpec, out: str = None):
             scheme=spec.scheme,
             output_times=tuple(gridded),
         )
-        tracers = {tau: reconstruction_tracer(cfg, tau) for tau in spec.taus}
+        tracer = reconstruction_tracer(cfg)
         record = None
         error = None
         try:
-            record = solve_nonlocal(cfg, observers=list(tracers.values()))
+            record = solve_nonlocal(cfg, observers=[tracer])
         except (SolverError, ConvergenceError) as exc:
             error = f"j={j}: {exc}"
             failures.append(error)
@@ -361,7 +360,7 @@ def run_sweep(spec: SweepSpec, out: str = None):
                 rows.append(replace(base, measured_tv=math.nan, reconstructed_tv=math.nan))
                 continue
             snap = record.snapshot(tau)
-            recon = reconstruct_tv_from_characteristics(record, tau, tracers[tau])
+            recon = reconstruct_tv_from_characteristics(record, tau, tracer)
             rows.append(
                 replace(
                     base,
@@ -444,8 +443,7 @@ def run_mechanism_demo(
     lookahead window from the start; that is the regime where the growth
     rate at the platoon value 1/2 equals 1/(4 epsilon).
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ConfigurationError(f"h must be positive, got {h}")
+    datum = build_bar_u(h)
     if not math.isfinite(epsilon):
         raise ConfigurationError(f"epsilon must be finite, got {epsilon}")
     if not epsilon > h:
@@ -465,7 +463,6 @@ def run_mechanism_demo(
     n_right = math.ceil(max(1.0, epsilon + 0.25) / dx)
     grid = Grid1D(-n_left * dx, n_right * dx, n_left + n_right)
 
-    datum = build_bar_u(h)
     t_probe = tau / 5.0
     cfg = SolverConfig(
         grid=grid,
@@ -479,13 +476,9 @@ def run_mechanism_demo(
 
     centers = grid.centers
     vacuum_sel = (centers >= -h / 8.0) & (centers < 0.0)
-    jam_sel = centers >= 0.0
-    vacuum_max = 0.0
-    plateau_max = 0.0
-    for t in record.times:
-        u = record.snapshots[t]
-        vacuum_max = max(vacuum_max, float(np.max(np.abs(u[vacuum_sel]))))
-        plateau_max = max(plateau_max, float(np.max(np.abs(u[jam_sel] - 1.0))))
+    vacuum = _worst_over_snapshots(
+        "vacuum", 1e-6, record, lambda u: np.abs(u[vacuum_sel]), centers[vacuum_sel]
+    )
 
     (probe,) = tracer.paths()
     slope = (probe.values[-1] - probe.values[0]) / t_probe
@@ -497,8 +490,8 @@ def run_mechanism_demo(
         dx=dx,
         tv_initial=total_variation(datum),
         tv_final=total_variation(record.snapshot(tau)),
-        vacuum_max=vacuum_max,
-        plateau_max=plateau_max,
+        vacuum_max=vacuum.worst,
+        plateau_max=check_plateau(record).worst,
         slope_estimate=float(slope),
         slope_expected=1.0 / (4.0 * epsilon),
     )
@@ -550,7 +543,7 @@ def _suite_monotonicity():
 def _suite_plateau():
     cfg = _canned_blowup(2.0 ** -4, 2.0 ** -8, 0.5, (0.25,))
     record = solve_nonlocal(cfg, observers=())
-    return [check_plateau(record, 5e-3)]
+    return [check_plateau(record)]
 
 
 def _suite_characteristics():

@@ -14,12 +14,12 @@ import math
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "PiecewiseConstant1D",
     "build_bar_u",
     "build_u0",
-    "eval_piecewise",
-    "cell_average",
     "cell_averages",
     "piecewise_to_text",
     "piecewise_from_text",
@@ -65,7 +65,12 @@ class PiecewiseConstant1D:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, x):
-        return eval_piecewise(self, x)
+        """Evaluate at a scalar or an array of points."""
+        xs = np.asarray(x, dtype=float)
+        out = self.levels[np.searchsorted(self.breakpoints, xs, side="right")]
+        if np.ndim(x) == 0:
+            return float(out)
+        return out
 
     @property
     def levels(self) -> np.ndarray:
@@ -73,19 +78,6 @@ class PiecewiseConstant1D:
         the stretch that ends at ``breakpoints[i]``, and ``levels[-1]`` past
         the last breakpoint."""
         return np.concatenate(([self.left_extension], self.values, [self.right_extension]))
-
-    def jump_points(self, atol: float = 0.0) -> np.ndarray:
-        """Breakpoints where the value actually changes."""
-        return self.breakpoints[np.abs(np.diff(self.levels)) > atol]
-
-
-def eval_piecewise(f: PiecewiseConstant1D, x):
-    """Evaluate ``f`` at a scalar or an array of points."""
-    xs = np.asarray(x, dtype=float)
-    out = f.levels[np.searchsorted(f.breakpoints, xs, side="right")]
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def _window_mean(f: PiecewiseConstant1D, a: float, b: float) -> float:
@@ -103,15 +95,6 @@ def _window_mean(f: PiecewiseConstant1D, a: float, b: float) -> float:
         return float(lookup[lo])
     cuts = np.concatenate(([a], bp[lo:hi], [b]))
     return float(np.dot(lookup[lo : hi + 1], np.diff(cuts)) / (b - a))
-
-
-def cell_average(f: PiecewiseConstant1D, a: float, b: float) -> float:
-    """Exact mean of ``f`` over the window ``[a, b]``."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("window endpoints must be finite")
-    if not a < b:
-        raise ValueError(f"empty window [{a}, {b}]")
-    return _window_mean(f, a, b)
 
 
 def cell_averages(f: PiecewiseConstant1D, edges: np.ndarray) -> np.ndarray:
@@ -135,7 +118,7 @@ def build_bar_u(h: float) -> PiecewiseConstant1D:
     Total variation is 2 for every ``h > 0``.
     """
     if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be positive and finite, got {h}")
+        raise ConfigurationError(f"h must be positive and finite, got {h}")
     return PiecewiseConstant1D(
         breakpoints=np.array([-h, -h / 2.0, 0.0]),
         values=np.array([0.5, 0.0]),

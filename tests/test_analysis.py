@@ -14,6 +14,7 @@ from nltraffic import (
     ConfigurationError,
     Grid1D,
     GridFunction,
+    PathTracer,
     PiecewiseConstant1D,
     SolverConfig,
     build_u0,
@@ -96,14 +97,25 @@ def test_series_and_count_start_at_the_same_confined_block():
 
 
 def test_series_rejects_bad_arguments():
+    # a lookahead of 1 is the top of the range every bound covers
+    assert tv_lower_bound_series(0.1, 1.0) == pytest.approx(
+        series_oracle(0.1, 1.0), abs=1e-12, rel=1e-12
+    )
     with pytest.raises(ValueError):
-        tv_lower_bound_series(0.1, 1.0)
+        tv_lower_bound_series(0.1, 1.5)
     with pytest.raises(ValueError):
         tv_lower_bound_series(0.1, 0.0)
     with pytest.raises(ValueError):
         tv_lower_bound_series(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        tv_lower_bound_series(0.1, 0.5, tail_tol=0.0)
+
+
+def test_bound_chain_holds_at_unit_lookahead():
+    # epsilon = 2^0 = 1 confines block 0 too: the datum's block sum 2 * sum 2^-k
+    assert tv_lower_bound_series(0.0, 1.0) == pytest.approx(4.0, abs=1e-14)
+    for tau in (0.0, 0.2, 1.0, 5.0):
+        report = evaluate_bounds(tau, j=0)
+        assert report.series_bound >= report.count_bound >= report.dyadic_bound
+        assert report.count_bound == count_oracle(tau, 1.0)
 
 
 def test_series_refuses_overflow_regime_and_names_alternatives():
@@ -265,19 +277,24 @@ def test_reconstruction_traced_during_the_march_equals_replay():
     cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=build_u0(6), t_final=0.2,
                        output_times=(0.1,))
     replayed = solve_nonlocal(cfg)
-    tracers = {tau: reconstruction_tracer(cfg, tau) for tau in (0.1, 0.2)}
-    live = solve_nonlocal(cfg, observers=list(tracers.values()))
+    tracer = reconstruction_tracer(cfg)
+    live = solve_nonlocal(cfg, observers=[tracer])
     assert live.w_fields.size == 0
-    for tau, tracer in tracers.items():
+    # one tracer of the whole run serves every tau; without a tracer the
+    # record's configuration is marched again
+    for tau in (0.0, 0.1, 0.2):
         assert reconstruct_tv_from_characteristics(live, tau, tracer) == (
             reconstruct_tv_from_characteristics(replayed, tau)
         )
-    with pytest.raises(ConfigurationError):
-        reconstruct_tv_from_characteristics(live, 0.2, tracers[0.1])
-    # without a tracer the record's configuration is marched again
-    assert reconstruct_tv_from_characteristics(live, 0.2) == (
-        reconstruct_tv_from_characteristics(live, 0.2, tracers[0.2])
+    short = PathTracer(cfg, tracer.starts, t_end=0.1)
+    solve_nonlocal(cfg, observers=[short])
+    assert reconstruct_tv_from_characteristics(live, 0.1, short) == (
+        reconstruct_tv_from_characteristics(live, 0.1, tracer)
     )
+    with pytest.raises(ConfigurationError):  # stops short of tau
+        reconstruct_tv_from_characteristics(live, 0.2, short)
+    with pytest.raises(ConfigurationError):  # other starts
+        reconstruct_tv_from_characteristics(live, 0.2, PathTracer(cfg, tracer.starts[1:]))
 
 
 def test_reconstruction_rejects_foreign_records_and_bad_times():

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nltraffic import characteristics
 from nltraffic import (
     ConfigurationError,
     ConvergenceError,
@@ -83,6 +84,8 @@ def test_logistic_validates_arguments():
         logistic_value(1.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         logistic_value(0.5, -1.0, 1.0)
+    with pytest.raises(ConfigurationError):
+        logistic_value(0.5, float("nan"), 0.1)
     with pytest.raises(ValueError):
         logistic_value(0.5, 1.0, 0.0)
 
@@ -212,7 +215,7 @@ def test_trace_to_a_landing_snapshot_stops_on_it(outputs):
 
 
 @pytest.mark.parametrize("t_end", [None, 0.1, 0.2, 0.0999])
-def test_live_tracing_equals_replay_of_the_history(t_end):
+def test_live_tracing_equals_trace_many(t_end):
     g = Grid1D(-1.5, 1.0, 320)
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3,
                        output_times=(0.1, 0.17))
@@ -327,13 +330,10 @@ def test_picard_tracks_the_marcher():
     assert sorted(pi.snapshots) == [0.0, 0.05, 0.1]
 
 
-def test_picard_reports_failure_with_history():
+def test_picard_reports_failure_with_history(monkeypatch):
     g = Grid1D(-1.5, 1.0, 320)
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.1)
+    monkeypatch.setattr(characteristics, "_PICARD_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as err:
-        solve_picard(cfg, tol=1e-8, max_iter=2)
+        solve_picard(cfg)
     assert len(err.value.residuals) == 2
-    with pytest.raises(ConfigurationError):
-        solve_picard(cfg, tol=-1.0)
-    with pytest.raises(ConfigurationError):
-        solve_picard(cfg, max_iter=0)

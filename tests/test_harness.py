@@ -1,7 +1,10 @@
 """Datum parsing, grid plumbing, experiment drivers, and the command line."""
 
 import hashlib
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,12 +20,14 @@ from nltraffic import (
     evaluate_bounds,
     make_grid,
     parse_datum,
+    reconstruct_tv_from_characteristics,
     run_characteristics,
     run_mechanism_demo,
     run_simulate,
     run_sweep,
     run_verify,
     save_piecewise,
+    solve_nonlocal,
     sweep_resolution,
     write_bounds,
 )
@@ -36,6 +41,18 @@ def test_package_exports_names_not_submodules():
     assert len(set(nltraffic.__all__)) == len(nltraffic.__all__)
     for name in nltraffic.__all__:
         assert getattr(nltraffic, name) is not None
+
+
+def test_benchmark_tracer_wraps_only_existing_functions():
+    # perfbench/tracer.py looks these up by name only under --trace 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.WRAPPED.items():
+        module = importlib.import_module(f"nltraffic.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"nltraffic.{layer}.{name}"
 
 
 # --- datum parsing ---------------------------------------------------------------
@@ -216,6 +233,24 @@ def test_run_sweep_smoke(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_traces_each_solve_once(monkeypatch):
+    solves = []
+
+    def spy(cfg, observers=()):
+        record = solve_nonlocal(cfg, observers)
+        solves.append((len(observers), record))
+        return record
+
+    monkeypatch.setattr(nltraffic.harness, "solve_nonlocal", spy)
+    rows, failures = run_sweep(SweepSpec(taus=(0.1, 0.2), js=(4,)))
+    assert failures == []
+    [(n_observers, record)] = solves
+    assert n_observers == 1
+    assert [r.tau for r in rows] == [0.1, 0.2]
+    for r in rows:
+        assert r.reconstructed_tv == reconstruct_tv_from_characteristics(record, r.tau).total
+
+
 def test_mechanism_demo_validation():
     with pytest.raises(ConfigurationError):
         run_mechanism_demo(h=0.5, epsilon=0.4)
@@ -317,6 +352,13 @@ def test_cli_bounds_and_verify(tmp_path, capsys):
     assert cli_main(["bounds", "--tau", "0.1,0.2", "--dyadic-j", "4"]) == 0
     out = capsys.readouterr().out
     assert "tau" in out and out.count("0.0625") >= 2
+    # a lookahead of 1 lies in the range of every bound
+    for argv in (["--dyadic-j", "0"], ["--epsilon", "1", "--tau", "0.2"]):
+        assert cli_main(["bounds", *argv]) == 0
+        fields = dict(f.split("=") for f in capsys.readouterr().out.split()[2:])
+        assert float(fields["series"]) >= int(fields["count"])
+        if fields["dyadic"] != "-":
+            assert int(fields["count"]) >= int(fields["dyadic"])
     assert cli_main(["verify", "bounds"]) == 0
     assert "PASS" in capsys.readouterr().out
 

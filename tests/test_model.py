@@ -15,7 +15,6 @@ from nltraffic import (
     PiecewiseConstant1D,
     build_bar_u,
     build_u0,
-    cell_average,
     cell_averages,
     load_piecewise,
     piecewise_from_text,
@@ -104,8 +103,6 @@ def test_platoon_datum_levels_and_jumps():
     assert f(-0.01) == 0.0
     assert f(0.0) == 1.0
     assert total_variation(f) == 2.0
-    # three value-changing jumps: up 1/2, down 1/2, up 1
-    assert f.jump_points().tolist() == [-0.1, -0.05, 0.0]
     assert f.levels.tolist() == [0.0, 0.5, 0.0, 1.0]  # tails included
 
 
@@ -131,13 +128,13 @@ def test_eval_array_and_scalar_agree():
 def test_cell_average_matches_rational_oracle():
     f = build_u0(2)
     for a, b in [(-1.0, 0.0), (-0.7, -0.1), (-0.26, -0.24), (-2.0, 1.0), (0.5, 2.0)]:
-        assert cell_average(f, a, b) == pytest.approx(
+        assert cell_averages(f, np.array([a, b]))[0] == pytest.approx(
             float(exact_mean(f, a, b)), abs=1e-15
         )
 
 
 def test_cell_average_unit_window_left_of_origin():
-    assert cell_average(build_u0(0), -1.0, 0.0) == 0.5
+    assert cell_averages(build_u0(0), np.array([-1.0, 0.0]))[0] == 0.5
 
 
 def test_cell_averages_match_oracle_on_misaligned_grid():
@@ -154,8 +151,10 @@ def test_cell_averages_exact_on_constant_pieces():
     vals = cell_averages(f, edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     inside = f(mids) == f(edges[:-1])  # cells that touch no jump
+    # every breakpoint of the oscillatory datum is a jump
+    assert np.all(np.diff(f.levels) != 0.0)
     whole = np.array(
-        [f.jump_points()[(f.jump_points() > a) & (f.jump_points() < b)].size == 0
+        [f.breakpoints[(f.breakpoints > a) & (f.breakpoints < b)].size == 0
          for a, b in zip(edges[:-1], edges[1:])]
     )
     # a cell fully inside one piece must carry that piece's value bit for bit

@@ -35,6 +35,7 @@ nl characteristics --dyadic-j 4 --start=$starts --t-end 0.2 \
     --out "$out/characteristics-t0.2" >/dev/null
 
 nl sweep --tau 0.1,0.2 --j 2,3,4,5,6,7 --out "$out/sweep" >"$out/sweep.txt"
+nl sweep --tau 0,0.05,0.1,0.2 --j 5,6 --out "$out/sweep-taus" >"$out/sweep-taus.txt"
 nl mechanism --out "$out/mechanism" >"$out/mechanism.txt"
 nl bounds --tau 0.1,0.2,0.4 --dyadic-j 4 --out "$out/bounds" >"$out/bounds.txt"
 nl verify >"$out/verify.txt"
