@@ -163,6 +163,7 @@ class PathTracer:
         self.starts = starts
         self.t_end = math.inf if t_end is None else t_end
         self._edges = grid.edges
+        self._row = np.empty(grid.n_cells + 1)
         self._X = starts.copy()
         self._V = None
         self._ahead = None
@@ -194,9 +195,13 @@ class PathTracer:
         edges = self._edges
         eps = self.config.epsilon
         ahead = self._ahead
+        # np.interp copies a read-only row on every call, and the march hands
+        # out a read-only one: one copy here serves all four stages
+        row = self._row
+        row[:] = w
 
         def speed(x):
-            return 1.0 - np.interp(x, edges, w)
+            return 1.0 - np.interp(x, edges, row)
 
         def growth(x, v):
             return material_rhs(v, self._sample(ahead, x + eps), eps)

@@ -196,12 +196,24 @@ def _whole_cells(length: float, dx: float, what: str) -> int:
     return m
 
 
-def compute_w(u, epsilon: float, dx: float, right_ghost_value: float = 1.0) -> np.ndarray:
+def _blocks(n: int, m: int) -> int:
+    """Blocks of ``m`` cells that :func:`compute_w` cuts ``n`` cells and the ghost into.
+
+    Enough whole blocks for the last window, which ends at cell ``n + m - 1``.
+    """
+    return -(-n // m) + 1
+
+
+def compute_w(u, epsilon: float, dx: float, right_ghost_value: float = 1.0, *,
+              out=None, work=None) -> np.ndarray:
     """Lookahead averages at every cell interface.
 
     For a field of ``n`` cells this returns ``n + 1`` values; entry ``i`` is
     the mean of the ``M = epsilon/dx`` cells starting at interface ``i``,
-    cells beyond the right edge counting as ``right_ghost_value``.
+    cells beyond the right edge counting as ``right_ghost_value``.  The
+    values go into ``out`` (``n + 1`` floats) when it is given, and the block
+    split below works in ``work`` (at least ``2 * M * (ceil(n/M) + 1)``
+    floats) when that is given; otherwise both are allocated.
 
     The window sums come from the block split of van Herk (*Pattern Recogn.
     Lett.* 13, 1992) and Gil & Werman (*IEEE TPAMI* 15, 1993), which costs
@@ -217,21 +229,28 @@ def compute_w(u, epsilon: float, dx: float, right_ghost_value: float = 1.0) -> n
     u = np.asarray(u, dtype=float)
     m = _whole_cells(epsilon, dx, f"epsilon={epsilon}")
     n = u.size
-    # Enough whole blocks for the last window, which ends at cell n + m - 1.
-    nb = -(-n // m) + 1
-    ext = np.empty(nb * m)
+    size = _blocks(n, m) * m
+    if out is None:
+        out = np.empty(n + 1)
+    elif out.shape != (n + 1,):
+        raise ConfigurationError(f"need {n + 1} interface slots, got {out.shape}")
+    if work is None:
+        work = np.empty(2 * size)
+    elif work.size < 2 * size:
+        raise ConfigurationError(f"need {2 * size} work slots, got {work.size}")
+    ext = work[:size]
     ext[:n] = u
     ext[n:] = right_ghost_value
-    blocks = ext.reshape(nb, m)
-    suffix = np.empty_like(blocks)
+    blocks = ext.reshape(-1, m)
+    suffix = work[size : 2 * size].reshape(-1, m)
     np.cumsum(blocks[:, ::-1], axis=1, out=suffix[:, ::-1])
     # Prefix sums in place; the last column would be a whole next block, but
     # a window starting on a block boundary takes nothing from the next one.
     np.cumsum(blocks, axis=1, out=blocks)
     blocks[:, -1] = 0.0
-    sums = suffix.ravel()[: n + 1] + ext[m - 1 : n + m]
-    sums /= m
-    return sums
+    np.add(suffix.ravel()[: n + 1], ext[m - 1 : n + m], out=out)
+    out /= m
+    return out
 
 
 def cfl_dt(w: np.ndarray, dx: float, cfl: float) -> float:
@@ -252,22 +271,42 @@ def step_upwind(
     dt: float,
     dx: float,
     left_ghost_value: float = 0.0,
+    *,
+    out=None,
+    work=None,
 ) -> np.ndarray:
     """One upwind step: interface flux ``u * (1 - w)`` with u taken from the left.
 
     The transport speed ``1 - w`` is nonnegative whenever the field stays in
-    [0, 1], so the left cell is always the upwind one.
+    [0, 1], so the left cell is always the upwind one.  The new state goes
+    into ``out`` when it is given (``out=u`` steps in place), and the fluxes
+    and their differences into ``work`` (at least ``2n + 1`` floats) when
+    that is given; otherwise both are allocated.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if w.shape != (u.size + 1,):
-        raise ConfigurationError(f"need {u.size + 1} interface values, got {w.shape}")
+    n = u.size
+    if w.shape != (n + 1,):
+        raise ConfigurationError(f"need {n + 1} interface values, got {w.shape}")
+    if out is None:
+        out = np.empty(n)
+    elif out.shape != (n,):
+        raise ConfigurationError(f"need {n} cell slots, got {out.shape}")
+    if work is None:
+        work = np.empty(2 * n + 1)
+    elif work.size < 2 * n + 1:
+        raise ConfigurationError(f"need {2 * n + 1} work slots, got {work.size}")
     lam = dt / dx
-    if lam * float(np.max(1.0 - w)) > 1.0 + 1e-12:
+    flux = work[: n + 1]
+    np.subtract(1.0, w, out=flux)
+    if lam * float(flux.max()) > 1.0 + 1e-12:
         raise ConfigurationError(f"time step dt={dt} violates the CFL limit")
-    u_left = np.concatenate(([left_ghost_value], u))
-    flux = u_left * (1.0 - w)
-    return u - lam * (flux[1:] - flux[:-1])
+    flux[0] *= left_ghost_value
+    flux[1:] *= u
+    jump = work[n + 1 : 2 * n + 1]
+    np.subtract(flux[1:], flux[:-1], out=jump)
+    jump *= lam
+    return np.subtract(u, jump, out=out)
 
 
 def step_lax_friedrichs(
@@ -320,20 +359,23 @@ def _lxf_factor(config: SolverConfig) -> float:
     return 2.0 * m / (2.0 * m + 1.0)
 
 
-def _march(config: SolverConfig, advance, dt_max: float, record: SolutionRecord, observers=()) -> None:
-    """Carry the datum to ``t_final`` with ``advance``, snapshotting on the way.
+def _march(config: SolverConfig, u: np.ndarray, advance, dt_max: float, record: SolutionRecord,
+           observers=()) -> None:
+    """Carry ``u``, the datum's cell averages, to ``t_final``, snapshotting on the way.
 
     This loop alone picks the step sizes: ``advance(u, dt)`` returns the
-    state one step of ``dt`` on and the lookahead row it used (None for the
-    local limit), and ``dt`` is ``dt_max`` or the time left to the next
-    target (the output times and ``t_final``), whichever is smaller.  A step
-    that reaches its target ends exactly on it, so the clock never misses a
-    target.  Each snapshot is stored with the number of steps taken before
-    it.  Every observer hears ``snapshot(step, t, u)`` for each stored
-    snapshot, ``step`` being the number of steps taken, and
-    ``step(step, t0, t1, w)`` after each step over ``[t0, t1]``.
+    state one step of ``dt`` on (``u`` itself if it stepped in place) and the
+    lookahead row it used (None for the local limit), and ``dt`` is
+    ``dt_max`` or the time left to the next target (the output times and
+    ``t_final``), whichever is smaller.  A step that reaches its target ends
+    exactly on it, so the clock never misses a target.  Each snapshot is
+    stored with the number of steps taken before it.  Every observer hears
+    ``snapshot(step, t, u)`` for each stored snapshot, ``step`` being the
+    number of steps taken, and ``step(step, t0, t1, w)`` after each step
+    over ``[t0, t1]``.  The row ``w`` may be a buffer the next step
+    overwrites: it is valid only during the call, and an observer that keeps
+    it must copy it.
     """
-    u = cell_averages(config.datum, config.grid.edges)
     step = 0
 
     def snapshot(t):
@@ -364,33 +406,84 @@ def _march(config: SolverConfig, advance, dt_max: float, record: SolutionRecord,
     record.info["steps"] = step
 
 
+def _moving_cells(u0: np.ndarray, datum: PiecewiseConstant1D, m: int) -> tuple:
+    """The cells ``[lo, hi)`` an upwind march from ``u0`` can change.
+
+    Both tails are exact properties of the scheme, so marching only these
+    cells gives the whole grid's states and lookahead rows bit for bit:
+
+    * vacuum tail: with vacuum on the left, a cell left of the first cell
+      with mass never receives flux, because the upwind flux takes the
+      density of the empty cell to its left; it stays exactly 0, and so does
+      every window that ends before that first cell.  ``lo`` is the first
+      cell with mass rounded down to a whole block of ``m`` cells, less one
+      block, so every interface below it has an empty window and the block
+      split of :func:`compute_w` starting at ``lo`` sums the same cells in
+      the same order as it does on the whole grid;
+    * jam tail: with a jam on the right, every window inside a trailing run
+      of exact 1.0 sums to exactly ``m``, so ``w = 1`` and no flux enters or
+      leaves the run.  ``hi`` is where that run starts.
+    """
+    lo, hi = 0, u0.size
+    if datum.left_extension == 0.0:
+        mass = np.flatnonzero(u0)
+        first = int(mass[0]) if mass.size else u0.size
+        lo = max(0, (first // m - 1) * m)
+    if datum.right_extension == 1.0:
+        free = np.flatnonzero(u0 != 1.0)
+        hi = int(free[-1]) + 1 if free.size else 0
+    return lo, hi
+
+
 def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     """March the lookahead model to ``t_final``, snapshotting on the way.
 
     Snapshots are taken at ``config.output_times`` and at ``t_final``, hitting
-    each time exactly by shortening the step.  The lookahead field of each
+    each time exactly by shortening the step.  The lookahead row of each
     step is handed to ``observers`` (see :func:`_march`; a
     :class:`~nltraffic.characteristics.PathTracer`, say) and not stored, so
-    the record keeps only the snapshots.
+    the record keeps only the snapshots.  The row is a read-only view of the
+    march's own buffer, valid only during the call: an observer that keeps
+    it must copy it.
 
     Every step is ``cfl * dx`` (shrunk for Lax-Friedrichs), or shorter to
     land on a target: the transport speed ``1 - w`` is at most 1 for fields
     in [0, 1], and :func:`step_upwind` refuses a step that breaks the limit.
+
+    The march owns one set of work buffers, sized to the cells it steps.
+    Upwind steps only the cells between the datum's frozen tails (see
+    :func:`_moving_cells`), in place; the lookahead row is 0 below them and
+    1 above them throughout.  Lax-Friedrichs steps the whole grid, because
+    its viscosity moves mass into both tails.
     """
     dx = config.grid.dx
     dt_max = config.cfl * dx * _lxf_factor(config)
     left = config.datum.left_extension
     right = config.datum.right_extension
+    m = config.lookahead_cells
+    u0 = cell_averages(config.datum, config.grid.edges)
+    upwind = config.scheme == "upwind"
+    lo, hi = _moving_cells(u0, config.datum, m) if upwind else (0, u0.size)
+    w = np.empty(u0.size + 1)
+    w[:lo] = 0.0
+    w[hi + 1 :] = 1.0
+    w_moving = w[lo : hi + 1]
+    # compute_w's block split needs more room than the upwind step
+    work = np.empty(2 * _blocks(hi - lo, m) * m)
+    row = w.view()
+    row.flags.writeable = False
 
     def advance(u, dt):
-        w = compute_w(u, config.epsilon, dx, right)
-        if config.scheme == "upwind":
-            return step_upwind(u, w, dt, dx, left), w
-        return step_lax_friedrichs(u, w, dt, dx, left, right), w
+        moving = u[lo:hi]
+        compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
+        if upwind:
+            step_upwind(moving, w_moving, dt, dx, left, out=moving, work=work)
+            return u, row
+        return step_lax_friedrichs(u, w, dt, dx, left, right), row
 
     record = SolutionRecord(config=config, epsilon=config.epsilon)
     record.info["scheme"] = config.scheme
-    _march(config, advance, dt_max, record, observers)
+    _march(config, u0, advance, dt_max, record, observers)
     return record
 
 
@@ -429,5 +522,5 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
 
     record = SolutionRecord(config=config, epsilon=0.0)
     record.info["scheme"] = "godunov-local"
-    _march(config, advance, dt_max, record)
+    _march(config, cell_averages(config.datum, config.grid.edges), advance, dt_max, record)
     return record

@@ -462,6 +462,13 @@ def run_mechanism_demo(
     n_left = math.ceil(max(1.0, 4.0 * h) / dx)
     n_right = math.ceil(max(1.0, epsilon + 0.25) / dx)
     grid = Grid1D(-n_left * dx, n_right * dx, n_left + n_right)
+    centers = grid.centers
+    vacuum_sel = (centers >= -h / 8.0) & (centers < 0.0)
+    if not vacuum_sel.any():
+        raise ConfigurationError(
+            f"dx={dx} puts no cell centre in the vacuum window [-h/8, 0) = "
+            f"[{-h / 8.0}, 0) for h={h}; a dx of at most h/4 puts one there"
+        )
 
     t_probe = tau / 5.0
     cfg = SolverConfig(
@@ -474,8 +481,6 @@ def run_mechanism_demo(
     tracer = PathTracer(cfg, [-0.75 * h], t_end=t_probe)
     record = solve_nonlocal(cfg, observers=[tracer])
 
-    centers = grid.centers
-    vacuum_sel = (centers >= -h / 8.0) & (centers < 0.0)
     vacuum = _worst_over_snapshots(
         "vacuum", 1e-6, record, lambda u: np.abs(u[vacuum_sel]), centers[vacuum_sel]
     )

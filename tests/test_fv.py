@@ -22,13 +22,17 @@ from nltraffic import (
     cell_averages,
     cfl_dt,
     compute_w,
+    default_truncation,
+    fv,
     godunov_flux_local,
+    make_grid,
     parse_datum,
     piecewise_to_text,
     solve_local,
     solve_nonlocal,
     step_lax_friedrichs,
     step_upwind,
+    sweep_resolution,
 )
 from nltraffic.fv import _march
 
@@ -226,6 +230,26 @@ def test_steppers_reject_wrong_interface_count():
         step_lax_friedrichs(np.zeros(8), np.zeros(10), 0.01, 0.1)
 
 
+def test_caller_buffers_give_the_allocated_results_bit_for_bit():
+    u = np.linspace(0.0, 1.0, 300)
+    eps, dx = 64 * 0.01, 0.01
+    w = compute_w(u, eps, dx)
+    out, work = np.empty(301), np.empty(2 * 64 * 6)  # 300 cells and the ghost: 6 blocks
+    assert compute_w(u, eps, dx, out=out, work=work) is out
+    assert out.tobytes() == w.tobytes()
+    stepped = step_upwind(u, w, 0.009, dx)
+    assert step_upwind(u, w, 0.009, dx, out=u, work=work[:601]) is u
+    assert u.tobytes() == stepped.tobytes()
+    with pytest.raises(ConfigurationError, match="interface slots"):
+        compute_w(u, eps, dx, out=np.empty(300))
+    with pytest.raises(ConfigurationError, match="work slots"):
+        compute_w(u, eps, dx, work=work[:-1])
+    with pytest.raises(ConfigurationError, match="cell slots"):
+        step_upwind(u, w, 0.009, dx, out=np.empty(301))
+    with pytest.raises(ConfigurationError, match="work slots"):
+        step_upwind(u, w, 0.009, dx, work=work[:600])
+
+
 # --- single-jump flux for the sharp-interaction law -------------------------------
 
 
@@ -328,7 +352,7 @@ def test_non_finite_datum_aborts_with_location():
         return u, None
 
     with pytest.raises(SolverError, match="cell 17"):
-        _march(cfg, advance, 0.9 * g.dx, SolutionRecord(cfg, cfg.epsilon))
+        _march(cfg, np.zeros(64), advance, 0.9 * g.dx, SolutionRecord(cfg, cfg.epsilon))
 
 
 # --- marching properties -------------------------------------------------------------
@@ -476,6 +500,88 @@ def test_a_short_clock_takes_a_landing_step():
     assert rec.info["steps"] == len(steps) == 401
     assert steps[-1][1] < 1.0 - 1e-14
     assert steps[-1][2] == 1.0
+
+
+def _whole_grid_march(cfg):
+    """Snapshots and rows of a march that steps every cell with fresh arrays."""
+    g, datum = cfg.grid, cfg.datum
+    left, right = datum.left_extension, datum.right_extension
+    m = cfg.lookahead_cells
+    factor = 1.0 if cfg.scheme == "upwind" else 2.0 * m / (2.0 * m + 1.0)
+    dt_max = cfg.cfl * g.dx * factor
+    u = cell_averages(datum, g.edges)
+    snaps, rows, t = {0.0: u.copy()}, [], 0.0
+    for target in sorted(set(cfg.output_times) | {cfg.t_final}):
+        while t < target:
+            room = target - t
+            dt = min(dt_max, room)
+            w = compute_w(u, cfg.epsilon, g.dx, right)
+            if cfg.scheme == "upwind":
+                u = step_upwind(u, w, dt, g.dx, left)
+            else:
+                u = step_lax_friedrichs(u, w, dt, g.dx, left, right)
+            rows.append(w)
+            t = target if dt == room else t + dt
+        snaps[target] = u.copy()
+    return snaps, rows
+
+
+@pytest.mark.parametrize("scheme, spec", [
+    *(("upwind", spec) for spec in (
+        "blowup", "bar_u:0.1", "step", "riemann:0,1", "riemann:1,1", "riemann:0,0.5",
+        "riemann:0.5,1", "riemann:0.2,0.8")),
+    ("lax-friedrichs", "blowup"),
+])
+def test_march_equals_the_whole_grid_march_bit_for_bit(scheme, spec):
+    # 32-cell windows, so the frozen tails span several blocks
+    g = Grid1D(-1.5, 1.0, 640)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=parse_datum(spec, g.dx), t_final=0.2,
+                       scheme=scheme, output_times=(0.1,))
+    log = _StepLog()
+    rec = solve_nonlocal(cfg, observers=[log])
+    snaps, rows = _whole_grid_march(cfg)
+    assert sorted(rec.snapshots) == sorted(snaps)
+    for t, u in snaps.items():
+        assert rec.snapshots[t].tobytes() == u.tobytes()
+    steps = log.steps()
+    assert len(steps) == len(rows)
+    for (_, _, _, w), row in zip(steps, rows):
+        assert w.tobytes() == row.tobytes()
+
+
+def test_upwind_steps_only_the_cells_between_the_frozen_tails(monkeypatch):
+    # The sweep grid of j = 4: vacuum up to the first block at -1 and the
+    # jam from 0 on hold still, so 1088 of the 2560 cells move.
+    _, _, dx = sweep_resolution(4)
+    g = make_grid((-1.5, 1.0), dx)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=build_u0(default_truncation(dx)),
+                       t_final=0.01)
+    stepped = []
+
+    def spy(u, *args, **kwargs):
+        stepped.append(len(u))
+        return step_upwind(u, *args, **kwargs)
+
+    monkeypatch.setattr(fv, "step_upwind", spy)
+    rec = solve_nonlocal(cfg)
+    assert g.n_cells == 2560
+    assert stepped and set(stepped) == {1088}
+    assert len(stepped) == rec.info["steps"]
+
+
+def test_an_observer_cannot_write_into_the_row():
+    g = Grid1D(-1.0, 1.0, 64)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx), t_final=0.1)
+
+    class Scribbler:
+        def snapshot(self, step, t, u):
+            pass
+
+        def step(self, step, t0, t1, w):
+            w[0] = 0.5
+
+    with pytest.raises(ValueError, match="read-only"):
+        solve_nonlocal(cfg, observers=[Scribbler()])
 
 
 # --- sharp-interaction limit ---------------------------------------------------------

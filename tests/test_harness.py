@@ -264,6 +264,13 @@ def test_mechanism_demo_validation():
         run_mechanism_demo(epsilon=math.inf)
 
 
+def test_mechanism_demo_refuses_a_grid_without_vacuum_cells():
+    # at dx = 0.4 the cell centres nearest 0 are -0.2 and 0.2, so none falls
+    # in the vacuum window [-h/8, 0) that the demo checks
+    with pytest.raises(ConfigurationError, match=r"dx=0\.4 .*vacuum window \[-h/8, 0\)"):
+        run_mechanism_demo(dx=0.4)
+
+
 def test_run_verify_suite_selection(capsys):
     with pytest.raises(ConfigurationError):
         run_verify(["bounds", "nonsense"])

@@ -26,6 +26,10 @@ nl simulate --datum step --scheme lax-friedrichs --dyadic-j 3 --tau 0.1,0.17 \
     --out "$out/simulate-step-lxf" >/dev/null
 nl simulate --datum riemann:1,0 --local --out "$out/simulate-riemann-local" >/dev/null
 nl simulate --datum riemann:0.2,0.8 --dyadic-j 4 --tau 0.1 --out "$out/simulate-riemann" >/dev/null
+# vacuum tail only, jam tail only, and tails that meet so nothing moves
+nl simulate --datum riemann:0,0.5 --dyadic-j 4 --tau 0.1 --out "$out/simulate-riemann-vacuum" >/dev/null
+nl simulate --datum riemann:0.5,1 --dyadic-j 4 --tau 0.1 --out "$out/simulate-riemann-jam" >/dev/null
+nl simulate --datum riemann:0,1 --dyadic-j 4 --tau 0.1 --out "$out/simulate-riemann-still" >/dev/null
 
 starts=-0.75,-0.5,-0.25,-0.1,-0.05
 nl characteristics --dyadic-j 4 --start=$starts --out "$out/characteristics" >/dev/null
