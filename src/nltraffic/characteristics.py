@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .fv import Grid1D, SolutionRecord, SolverConfig, compute_w, solve_nonlocal
+from .fv import Grid1D, SolutionRecord, SolverConfig, _clock, _dt_max, compute_w, solve_nonlocal
 from .model import cell_averages
 
 __all__ = [
@@ -98,14 +98,23 @@ def material_rhs(u_here, u_ahead, epsilon: float):
     return u_here * (u_ahead - u_here) / epsilon
 
 
-def _sample_cells(values: np.ndarray, grid: Grid1D, x, left: float, right: float):
-    """Piecewise-constant lookup of cell values, ``left``/``right`` outside the grid."""
-    x = np.asarray(x, dtype=float)
-    idx = np.floor((x - grid.x_left) / grid.dx).astype(int)
+def _pad(values: np.ndarray, left: float, right: float) -> np.ndarray:
+    """``values`` with ``left`` before and ``right`` after, for :func:`_sample_cells`."""
+    return np.concatenate(([left], values, [right]))
+
+
+def _sample_cells(padded: np.ndarray, grid: Grid1D, x):
+    """Piecewise-constant lookup of cell values padded by :func:`_pad`.
+
+    Points left of the grid read the left state and points right of it the
+    right state.  The cell index is clamped while still a float, so a NaN
+    position reads the left state and no position can index out of range.
+    """
+    pos = np.floor((np.asarray(x, dtype=float) - grid.x_left) / grid.dx)
+    pos += 1.0
     # Not np.clip: on these few-element arrays its per-call set-up costs
     # three times the clamp itself.
-    inner = values[np.minimum(np.maximum(idx, 0), grid.n_cells - 1)]
-    return np.where(idx < 0, left, np.where(idx >= grid.n_cells, right, inner))
+    return padded[np.fmin(np.fmax(pos, 0.0), grid.n_cells + 1.0).astype(int)]
 
 
 def _rk4(speed, rate, X, V, h):
@@ -145,9 +154,20 @@ class PathTracer:
     ``k`` steps; it samples the snapshot taken after ``k`` steps if that
     snapshot's time is at most ``t_end``.  ``t_end=None`` traces the whole
     run.
+
+    The tracer sizes its tables (rows by paths, for the times, positions,
+    transported and sampled values) once, when it is made: one row for the
+    start and one per step that starts before ``t_end``, the steps counted
+    on the clock of :func:`~nltraffic.fv.solve_nonlocal`, or on
+    ``step_starts``, the start times of the steps it will be handed, when
+    given.  Each step writes its row in place, and :meth:`paths` returns
+    read-only column views of the tables.  A step interpolates only the
+    slice of the lookahead row around the paths, and the growth law reads
+    the latest snapshot from one copy, padded with the states outside the
+    grid, that each snapshot overwrites.
     """
 
-    def __init__(self, config: SolverConfig, starts, t_end: float = None):
+    def __init__(self, config: SolverConfig, starts, t_end: float = None, step_starts=None):
         grid = config.grid
         starts = np.asarray(starts, dtype=float).reshape(-1)
         for y in starts:
@@ -162,73 +182,95 @@ class PathTracer:
         self.config = config
         self.starts = starts
         self.t_end = math.inf if t_end is None else t_end
+        if step_starts is None:
+            step_starts = (t0 for t0, _, _ in _clock(config, _dt_max(config)))
+        rows = 1 + sum(1 for t0 in step_starts if t0 < self.t_end)
+        self._times = np.zeros(rows)
+        self._positions = np.empty((rows, starts.size))
+        self._positions[0] = starts
+        self._transported = np.empty((rows, starts.size))
+        self._values = np.full((rows, starts.size), np.nan)
+        self._filled = 1
         self._edges = grid.edges
         self._row = np.empty(grid.n_cells + 1)
-        self._X = starts.copy()
-        self._V = None
         self._ahead = None
-        self._times = [0.0]
-        self._positions = [starts.copy()]
-        self._transported = []
-        self._values = {}
-
-    def _sample(self, field, x):
-        datum = self.config.datum
-        return _sample_cells(
-            field, self.config.grid, x, datum.left_extension, datum.right_extension
-        )
 
     def snapshot(self, step: int, t: float, u: np.ndarray) -> None:
         """Notice of the snapshot ``u`` at time ``t``, taken after ``step`` steps."""
         if t > self.t_end:
             return
-        self._ahead = u
+        if self._ahead is None:
+            datum = self.config.datum
+            self._ahead = _pad(u, datum.left_extension, datum.right_extension)
+        else:
+            self._ahead[1:-1] = u  # one padded copy serves every snapshot
+        sampled = _sample_cells(self._ahead, self.config.grid, self._positions[step])
         if step == 0:
-            self._V = self._sample(u, self._X)
-            self._transported = [self._V.copy()]
-        self._values[step] = self._sample(u, self._X)
+            self._transported[0] = sampled
+        self._values[step] = sampled
 
     def step(self, step: int, t0: float, t1: float, w: np.ndarray) -> None:
         """Notice of march step ``step`` over ``[t0, t1]`` with lookahead row ``w``."""
         if not t0 < self.t_end:
             return
-        edges = self._edges
+        reserved = self._times.size - 1
+        if step >= reserved:
+            raise ConfigurationError(
+                f"the tracer reserved rows for {reserved} steps and was handed step {step + 1}"
+            )
+        grid = self.config.grid
         eps = self.config.epsilon
         ahead = self._ahead
-        # np.interp copies a read-only row on every call, and the march hands
-        # out a read-only one: one copy here serves all four stages
-        row = self._row
-        row[:] = w
+        X = self._positions[step]
+        end = min(t1, self.t_end)
+        h = end - t0
+        # The speed 1 - w lies in [0, 1], so every stage stays in [X, X + h];
+        # np.interp reads only the two nodes around a point, so the nodes
+        # from two cells left of the paths to two cells right of X + h give
+        # the whole row's values.  It would copy the read-only row on every
+        # call: one copy of the slice serves all four stages.
+        lo, hi = 0, grid.n_cells + 1
+        if X.size:
+            lo = min(max(math.floor((X.min() - grid.x_left) / grid.dx) - 2, 0), grid.n_cells - 1)
+            hi = min(math.floor((X.max() + h - grid.x_left) / grid.dx) + 3, hi)
+        edges = self._edges[lo:hi]
+        row = self._row[: hi - lo]
+        row[:] = w[lo:hi]
 
         def speed(x):
             return 1.0 - np.interp(x, edges, row)
 
         def growth(x, v):
-            return material_rhs(v, self._sample(ahead, x + eps), eps)
+            return material_rhs(v, _sample_cells(ahead, grid, x + eps), eps)
 
-        end = min(t1, self.t_end)
-        self._X, self._V = _rk4(speed, growth, self._X, self._V, end - t0)
-        self._times.append(end)
-        self._positions.append(self._X.copy())
-        self._transported.append(self._V.copy())
+        k = step + 1
+        self._times[k] = end
+        self._positions[k], self._transported[k] = _rk4(
+            speed, growth, X, self._transported[step], h
+        )
+        self._filled = k + 1
 
     def paths(self) -> list:
-        """The traced paths, one per start, in the order of the starts."""
-        if self._V is None:
+        """The traced paths, one per start, in the order of the starts.
+
+        The arrays of a path are read-only views of the tracer's tables, so
+        calling this again copies nothing.
+        """
+        if self._ahead is None:
             raise ConfigurationError("the tracer has not observed a march")
-        times = np.asarray(self._times)
-        positions = np.asarray(self._positions)  # (n_points, n_paths)
-        transported = np.asarray(self._transported)
-        sampled = np.full_like(positions, np.nan)
-        for k, row in self._values.items():
-            sampled[k] = row
+        times, positions, values, transported = (
+            table[: self._filled] for table in
+            (self._times, self._positions, self._values, self._transported)
+        )
+        for view in (times, positions, values, transported):
+            view.flags.writeable = False
         return [
             CharacteristicPath(
                 start=float(y),
                 epsilon=self.config.epsilon,
                 times=times,
                 positions=positions[:, c],
-                values=sampled[:, c],
+                values=values[:, c],
                 transported=transported[:, c],
             )
             for c, y in enumerate(self.starts)
@@ -242,17 +284,18 @@ def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
     :class:`PathTracer` (marches are deterministic, so the paths equal those
     traced while the record's own run marched); a fixed-point record's
     stored snapshots and rows are replayed, in step order, through the same
-    observer.  Records of the sharp-interaction limit have no lookahead
-    field and are refused.
+    observer, its tables sized from the record's ``w_times``.  Records of
+    the sharp-interaction limit have no lookahead field and are refused.
     """
     if record.epsilon == 0.0:
         raise ConfigurationError(
             "record of the sharp-interaction limit has no lookahead field to trace"
         )
-    tracer = PathTracer(record.config, starts, t_end)
     if record.info.get("scheme") != "picard":
+        tracer = PathTracer(record.config, starts, t_end)
         solve_nonlocal(record.config, observers=[tracer])
         return tracer.paths()
+    tracer = PathTracer(record.config, starts, t_end, step_starts=record.w_times[:-1])
     at_step = {}
     for t in record.times:
         at_step.setdefault(record.snapshot_steps[t], []).append(t)
@@ -383,14 +426,14 @@ def _transport_on_frozen_field(
 
     for i in range(nodes.size - 1):
         w_row = w_rows[i]
-        slopes = np.diff(w_row) / dx
+        slopes = _pad(np.diff(w_row) / dx, 0.0, 0.0)
 
         def speed(x):
             return 1.0 - np.interp(x, edges, w_row)
 
         def value_rate(x_edges, vals):
             mid = 0.5 * (x_edges[:-1] + x_edges[1:])
-            return vals * _sample_cells(slopes, grid, mid, 0.0, 0.0)
+            return vals * _sample_cells(slopes, grid, mid)
 
         E, v = _rk4(speed, value_rate, edges, out[i], nodes[i + 1] - nodes[i])
         out[i + 1] = _resample_markers(

@@ -347,35 +347,54 @@ def _targets(config: SolverConfig) -> list:
     return [t for t in sorted(set(config.output_times) | {config.t_final}) if t > 0.0]
 
 
-def _lxf_factor(config: SolverConfig) -> float:
-    """Step shrink factor: 2M/(2M+1) for Lax-Friedrichs, 1 for upwind.
+def _dt_max(config: SolverConfig) -> float:
+    """The step of :func:`solve_nonlocal`: ``cfl * dx``, times 2M/(2M+1) for Lax-Friedrichs.
 
     The Lax-Friedrichs update is a convex combination of neighbours only up
     to lambda = 2M/(2M+1), with M the window width in cells.
     """
+    dt = config.cfl * config.grid.dx
     if config.scheme != "lax-friedrichs":
-        return 1.0
+        return dt
     m = config.lookahead_cells
-    return 2.0 * m / (2.0 * m + 1.0)
+    return dt * (2.0 * m / (2.0 * m + 1.0))
+
+
+def _clock(config: SolverConfig, dt_max: float):
+    """The steps of a march to ``t_final``: ``(t0, dt, t1)`` for each, in order.
+
+    This is the one place step sizes are picked: ``dt`` is ``dt_max`` or the
+    time left to the next target (the output times and ``t_final``),
+    whichever is smaller, and a step that reaches its target ends exactly on
+    it, so the clock never misses a target.
+    """
+    t = 0.0
+    for target in _targets(config):
+        while t < target:
+            room = target - t
+            dt = min(dt_max, room)
+            t1 = target if dt == room else t + dt
+            yield t, dt, t1
+            t = t1
 
 
 def _march(config: SolverConfig, u: np.ndarray, advance, dt_max: float, record: SolutionRecord,
-           observers=()) -> None:
+           observers=(), window: tuple = None) -> None:
     """Carry ``u``, the datum's cell averages, to ``t_final``, snapshotting on the way.
 
-    This loop alone picks the step sizes: ``advance(u, dt)`` returns the
+    The steps are those of :func:`_clock`: ``advance(u, dt)`` returns the
     state one step of ``dt`` on (``u`` itself if it stepped in place) and the
-    lookahead row it used (None for the local limit), and ``dt`` is
-    ``dt_max`` or the time left to the next target (the output times and
-    ``t_final``), whichever is smaller.  A step that reaches its target ends
-    exactly on it, so the clock never misses a target.  Each snapshot is
-    stored with the number of steps taken before it.  Every observer hears
-    ``snapshot(step, t, u)`` for each stored snapshot, ``step`` being the
-    number of steps taken, and ``step(step, t0, t1, w)`` after each step
-    over ``[t0, t1]``.  The row ``w`` may be a buffer the next step
-    overwrites: it is valid only during the call, and an observer that keeps
-    it must copy it.
+    lookahead row it used (None for the local limit), and a snapshot is taken
+    at each target once the clock reaches it.  ``window = (lo, hi)`` names
+    the cells a step can change (the whole grid when None); only those are
+    checked for non-finite values.  Each snapshot is stored with the number
+    of steps taken before it.  Every observer hears ``snapshot(step, t, u)``
+    for each stored snapshot, ``step`` being the number of steps taken, and
+    ``step(step, t0, t1, w)`` after each step over ``[t0, t1]``.  The row
+    ``w`` may be a buffer the next step overwrites: it is valid only during
+    the call, and an observer that keeps it must copy it.
     """
+    lo, hi = window or (0, u.size)
     step = 0
 
     def snapshot(t):
@@ -385,24 +404,20 @@ def _march(config: SolverConfig, u: np.ndarray, advance, dt_max: float, record: 
             obs.snapshot(step, t, record.snapshots[t])
 
     snapshot(0.0)
-    t = 0.0
-    for target in _targets(config):
-        while t < target:
-            room = target - t
-            dt = min(dt_max, room)
-            u, w = advance(u, dt)
-            t1 = target if dt == room else t + dt
-            if not np.all(np.isfinite(u)):
-                bad = int(np.flatnonzero(~np.isfinite(u))[0])
-                raise SolverError(
-                    f"non-finite value in cell {bad} (x={config.grid.centers[bad]:.6g}) "
-                    f"at t={t1:.6g} after {step + 1} steps"
-                )
-            for obs in observers:
-                obs.step(step, t, t1, w)
-            t = t1
-            step += 1
-        snapshot(target)
+    targets = _targets(config)
+    for t0, dt, t1 in _clock(config, dt_max):
+        u, w = advance(u, dt)
+        if not np.all(np.isfinite(u[lo:hi])):
+            bad = lo + int(np.flatnonzero(~np.isfinite(u[lo:hi]))[0])
+            raise SolverError(
+                f"non-finite value in cell {bad} (x={config.grid.centers[bad]:.6g}) "
+                f"at t={t1:.6g} after {step + 1} steps"
+            )
+        for obs in observers:
+            obs.step(step, t0, t1, w)
+        step += 1
+        while targets and targets[0] <= t1:
+            snapshot(targets.pop(0))
     record.info["steps"] = step
 
 
@@ -457,7 +472,6 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     its viscosity moves mass into both tails.
     """
     dx = config.grid.dx
-    dt_max = config.cfl * dx * _lxf_factor(config)
     left = config.datum.left_extension
     right = config.datum.right_extension
     m = config.lookahead_cells
@@ -483,7 +497,7 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
 
     record = SolutionRecord(config=config, epsilon=config.epsilon)
     record.info["scheme"] = config.scheme
-    _march(config, u0, advance, dt_max, record, observers)
+    _march(config, u0, advance, _dt_max(config), record, observers, (lo, hi))
     return record
 
 

@@ -288,6 +288,182 @@ def test_trace_rejects_bad_inputs():
         trace_many(local, [-0.3])  # the local limit has no lookahead field
 
 
+class ReferenceTracer:
+    """The path tracer as first written, kept as the oracle for its tables.
+
+    It interpolates each step's whole row, looks cells up with two
+    ``np.where`` passes for the outside states and appends one row per step
+    to lists; its Runge-Kutta step spells out the package's arithmetic.
+    """
+
+    def __init__(self, config, starts, t_end=None):
+        self.config = config
+        self.t_end = np.inf if t_end is None else t_end
+        self.X = np.asarray(starts, dtype=float).copy()
+        self.V = self.ahead = None
+        self.times, self.positions, self.transported, self.values = [0.0], [self.X.copy()], [], {}
+
+    def sample(self, u, x):
+        g, datum = self.config.grid, self.config.datum
+        idx = np.floor((x - g.x_left) / g.dx).astype(int)
+        inner = u[np.clip(idx, 0, g.n_cells - 1)]
+        return np.where(idx < 0, datum.left_extension,
+                        np.where(idx >= g.n_cells, datum.right_extension, inner))
+
+    def snapshot(self, step, t, u):
+        if t > self.t_end:
+            return
+        self.ahead = u
+        if step == 0:
+            self.V = self.sample(u, self.X)
+            self.transported.append(self.V.copy())
+        self.values[step] = self.sample(u, self.X)
+
+    def step(self, step, t0, t1, w):
+        if not t0 < self.t_end:
+            return
+        edges, eps, ahead, row = self.config.grid.edges, self.config.epsilon, self.ahead, np.array(w)
+        fx = lambda x: 1.0 - np.interp(x, edges, row)
+        fv = lambda x, v: material_rhs(v, self.sample(ahead, x + eps), eps)
+        end = min(t1, self.t_end)
+        h, X, V = end - t0, self.X, self.V
+        k1x, k1v = fx(X), fv(X, V)
+        X2, V2 = X + 0.5 * h * k1x, V + 0.5 * h * k1v
+        k2x, k2v = fx(X2), fv(X2, V2)
+        X3, V3 = X + 0.5 * h * k2x, V + 0.5 * h * k2v
+        k3x, k3v = fx(X3), fv(X3, V3)
+        X4, V4 = X + h * k3x, V + h * k3v
+        k4x, k4v = fx(X4), fv(X4, V4)
+        self.X = X + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        self.V = V + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        self.times.append(end)
+        self.positions.append(self.X.copy())
+        self.transported.append(self.V.copy())
+
+    def assert_same_paths(self, paths):
+        positions, transported = np.asarray(self.positions), np.asarray(self.transported)
+        values = np.full_like(positions, np.nan)
+        for k, row in self.values.items():
+            values[k] = row
+        assert len(paths) == positions.shape[1]
+        for c, path in enumerate(paths):
+            assert path.epsilon == self.config.epsilon
+            assert path.times.tobytes() == np.asarray(self.times).tobytes()
+            assert path.positions.tobytes() == positions[:, c].tobytes()
+            assert path.values.tobytes() == values[:, c].tobytes()
+            assert path.transported.tobytes() == transported[:, c].tobytes()
+
+
+def test_cell_lookup_reads_the_outside_states():
+    g = Grid1D(-1.0, 1.0, 8)
+    cfg = SolverConfig(grid=g, epsilon=g.dx, datum=parse_datum("riemann:0.2,0.8", g.dx),
+                       t_final=0.1)
+    values = np.linspace(0.3, 0.65, 8)
+    x = np.concatenate((g.edges, g.centers, [-1.0 - 1e-12, 1.0 + 1e-12, -7.0, 7.0]))
+    got = characteristics._sample_cells(characteristics._pad(values, 0.2, 0.8), g, x)
+    np.testing.assert_array_equal(got, ReferenceTracer(cfg, []).sample(values, x))
+    # a NaN position reads the left state, and no position indexes out of range
+    far = [np.nan, -np.inf, np.inf, -1e300, 1e300]
+    got = characteristics._sample_cells(characteristics._pad(values, 0.2, 0.8), g, far)
+    np.testing.assert_array_equal(got, [0.2, 0.2, 0.8, 0.2, 0.8])
+
+
+def _replay(record, observers):
+    """Hand a fixed-point record's snapshots and rows to ``observers`` in step order."""
+    n_steps = record.w_fields.shape[0]
+    for k in range(n_steps + 1):
+        for t in record.times:
+            if record.snapshot_steps[t] == k:
+                for obs in observers:
+                    obs.snapshot(k, t, record.snapshots[t])
+        if k < n_steps:
+            for obs in observers:
+                obs.step(k, record.w_times[k], record.w_times[k + 1], record.w_fields[k])
+
+
+_LANDING = dict(grid=Grid1D(-1.5, 1.0, 10), epsilon=0.25, datum=build_u0(0), t_final=0.5)
+
+
+@pytest.mark.parametrize("cfg, starts, t_end", [
+    *((SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3, datum=build_u0(3),
+                    t_final=0.3, output_times=(0.1, 0.17)), np.linspace(-1.2, 0.0, 9), t_end)
+      for t_end in (None, 0.0999)),
+    *((SolverConfig(**_LANDING, output_times=outputs), [-0.75, -0.3], outputs[1])
+      for outputs in ((0.08, 0.21), (0.104, 0.23))),
+    # paths from both ends and from near the right one, which leave the grid
+    *((SolverConfig(grid=Grid1D(-1.5, 1.0, 160), epsilon=2.0**-3,
+                    datum=parse_datum("riemann:0.2,0.8", 2.5 / 160), t_final=0.3,
+                    output_times=(0.1,)), starts, None)
+      for starts in ([-1.5, 0.99, 1.0], [0.99, 1.0])),
+    (SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3,
+                  datum=parse_datum("step", 2.5 / 320), t_final=0.33, scheme="lax-friedrichs",
+                  output_times=(0.1,)), [-1.5, -0.5, 0.0, 0.9], 0.2),
+])
+def test_tracer_equals_the_reference_tracer_bit_for_bit(cfg, starts, t_end):
+    tracer, reference = PathTracer(cfg, starts, t_end), ReferenceTracer(cfg, starts, t_end)
+    solve_nonlocal(cfg, observers=[tracer, reference])
+    reference.assert_same_paths(tracer.paths())
+
+
+def test_picard_replay_equals_the_reference_tracer_bit_for_bit():
+    g = Grid1D(-1.5, 1.0, 320)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
+                       output_times=(0.1, 0.17))
+    rec = solve_picard(cfg)
+    starts = np.linspace(-1.2, 0.0, 9)
+    reference = ReferenceTracer(cfg, starts, 0.15)
+    _replay(rec, [reference])
+    reference.assert_same_paths(trace_many(rec, starts, 0.15))
+
+
+@pytest.mark.parametrize("t_end", [None, 0.0999, 0.17])
+def test_tracer_reserves_one_row_per_step_before_t_end(t_end):
+    g = Grid1D(-1.5, 1.0, 320)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3,
+                       output_times=(0.1, 0.17))
+    step_starts = []
+    clock = SimpleNamespace(snapshot=lambda step, t, u: None,
+                            step=lambda step, t0, t1, w: step_starts.append(t0))
+    tracer = PathTracer(cfg, [-0.3, -0.1], t_end)
+    rec = solve_nonlocal(cfg, observers=[tracer, clock])
+    rows = rec.info["steps"] + 1 if t_end is None else sum(t0 < t_end for t0 in step_starts) + 1
+    for path in tracer.paths():
+        assert path.times.size == rows
+        for name in ("positions", "values", "transported"):
+            assert getattr(path, name).base.shape == (rows, 2)
+
+    picard = solve_picard(SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
+                                       output_times=(0.1, 0.17)))
+    (path,) = trace_many(picard, [-0.3], t_end)
+    want = picard.w_times.size if t_end is None else np.count_nonzero(picard.w_times[:-1] < t_end) + 1
+    assert path.positions.base.shape == (want, 1)
+
+
+def test_tracer_refuses_steps_beyond_its_tables():
+    g = Grid1D(-1.5, 1.0, 320)
+    short = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.1)
+    steps = solve_nonlocal(short).info["steps"]
+    longer = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2)
+    with pytest.raises(ConfigurationError, match=f"for {steps} steps .* step {steps + 1}$"):
+        solve_nonlocal(longer, observers=[PathTracer(short, [-0.3])])
+
+
+def test_paths_are_read_only_views_of_the_tables():
+    g = Grid1D(-1.5, 1.0, 320)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3,
+                       output_times=(0.1,))
+    tracer = PathTracer(cfg, [-0.6, -0.3])
+    solve_nonlocal(cfg, observers=[tracer])
+    first, again = tracer.paths(), tracer.paths()
+    for a, b in zip(first, again):
+        for name in ("times", "positions", "values", "transported"):
+            x, y = getattr(a, name), getattr(b, name)
+            np.testing.assert_array_equal(x, y)
+            assert np.shares_memory(x, y)
+            assert not x.flags.writeable
+    assert first[0].positions.base is first[1].positions.base is again[0].positions.base
+
+
 # --- fixed-point solver -----------------------------------------------------------
 
 

@@ -569,6 +569,28 @@ def test_upwind_steps_only_the_cells_between_the_frozen_tails(monkeypatch):
     assert len(stepped) == rec.info["steps"]
 
 
+def test_a_nan_inside_the_upwind_window_names_its_grid_cell(monkeypatch):
+    # The j = 4 sweep grid again: the window is cells [448, 1536), so cell
+    # 100 of the stepped slice is cell 548 of the grid.
+    _, _, dx = sweep_resolution(4)
+    g = make_grid((-1.5, 1.0), dx)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=build_u0(default_truncation(dx)),
+                       t_final=0.01)
+    stepped = []
+
+    def spoil(u, *args, **kwargs):
+        out = step_upwind(u, *args, **kwargs)
+        stepped.append(len(u))
+        if len(stepped) == 3:
+            out[100] = np.nan
+        return out
+
+    monkeypatch.setattr(fv, "step_upwind", spoil)
+    with pytest.raises(SolverError, match=rf"cell 548 \(x={g.centers[548]:.6g}\) .* after 3 steps"):
+        solve_nonlocal(cfg)
+    assert stepped == [1088] * 3
+
+
 def test_an_observer_cannot_write_into_the_row():
     g = Grid1D(-1.0, 1.0, 64)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx), t_final=0.1)

@@ -37,6 +37,11 @@ nl characteristics --dyadic-j 4 --start=$starts --t-end 0.3 \
     --out "$out/characteristics-t0.3" >/dev/null
 nl characteristics --dyadic-j 4 --start=$starts --t-end 0.2 \
     --out "$out/characteristics-t0.2" >/dev/null
+# paths that leave the grid at x = 1, and Lax-Friedrichs paths cut at t_end
+nl characteristics --datum riemann:0.2,0.8 --dyadic-j 4 --start=-1.5,0.5,0.99,1.0 \
+    --out "$out/characteristics-riemann" >/dev/null
+nl characteristics --datum step --scheme lax-friedrichs --dyadic-j 3 \
+    --start=-1.5,-0.5,0,0.9 --t-end 0.33 --out "$out/characteristics-step-lxf" >/dev/null
 
 nl sweep --tau 0.1,0.2 --j 2,3,4,5,6,7 --out "$out/sweep" >"$out/sweep.txt"
 nl sweep --tau 0,0.05,0.1,0.2 --j 5,6 --out "$out/sweep-taus" >"$out/sweep-taus.txt"
