@@ -213,7 +213,9 @@ def compute_w(u, epsilon: float, dx: float, right_ghost_value: float = 1.0, *,
     cells beyond the right edge counting as ``right_ghost_value``.  The
     values go into ``out`` (``n + 1`` floats) when it is given, and the block
     split below works in ``work`` (at least ``2 * M * (ceil(n/M) + 1)``
-    floats) when that is given; otherwise both are allocated.
+    floats) when that is given; otherwise both are allocated.  The upwind
+    march of :func:`solve_nonlocal` calls this only at its re-sum points and
+    carries the row by its fluxes in between.
 
     The window sums come from the block split of van Herk (*Pattern Recogn.
     Lett.* 13, 1992) and Gil & Werman (*IEEE TPAMI* 15, 1993), which costs
@@ -281,7 +283,10 @@ def step_upwind(
     [0, 1], so the left cell is always the upwind one.  The new state goes
     into ``out`` when it is given (``out=u`` steps in place), and the fluxes
     and their differences into ``work`` (at least ``2n + 1`` floats) when
-    that is given; otherwise both are allocated.
+    that is given; otherwise both are allocated.  On return ``work[:n + 1]``
+    holds the interface fluxes ``left_ghost_value * (1 - w[0])`` and
+    ``u * (1 - w[1:])``, not yet scaled by ``dt / dx``; the upwind march
+    carries its lookahead row by them.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -392,7 +397,9 @@ def _march(config: SolverConfig, u: np.ndarray, advance, dt_max: float, record: 
     for each stored snapshot, ``step`` being the number of steps taken, and
     ``step(step, t0, t1, w)`` after each step over ``[t0, t1]``.  The row
     ``w`` may be a buffer the next step overwrites: it is valid only during
-    the call, and an observer that keeps it must copy it.
+    the call, and an observer that keeps it must copy it.  Observers hear of
+    a snapshot before the step that leaves it, which is where the upwind
+    march of :func:`solve_nonlocal` re-sums its row.
     """
     lo, hi = window or (0, u.size)
     step = 0
@@ -450,6 +457,31 @@ def _moving_cells(u0: np.ndarray, datum: PiecewiseConstant1D, m: int) -> tuple:
     return lo, hi
 
 
+class _Resum:
+    """Observer that says which upwind steps re-sum the lookahead row.
+
+    A step re-sums the row with :func:`compute_w` when it leaves a snapshot
+    (the first step leaves the one at t = 0) and ``m`` steps after the last
+    re-sum; every other step carries the row by the previous step's fluxes.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.left = 0
+
+    def snapshot(self, step, t, u):
+        self.left = 0
+
+    def step(self, step, t0, t1, w):
+        pass
+
+    def due(self) -> bool:
+        """Whether the step about to be taken re-sums; counts the step either way."""
+        due = self.left == 0
+        self.left = (self.m if due else self.left) - 1
+        return due
+
+
 def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     """March the lookahead model to ``t_final``, snapshotting on the way.
 
@@ -469,7 +501,20 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     Upwind steps only the cells between the datum's frozen tails (see
     :func:`_moving_cells`), in place; the lookahead row is 0 below them and
     1 above them throughout.  Lax-Friedrichs steps the whole grid, because
-    its viscosity moves mass into both tails.
+    its viscosity moves mass into both tails, and sums its row with
+    :func:`compute_w` on every step.
+
+    Upwind sums the row with :func:`compute_w` only on the step that leaves
+    a snapshot (the first step leaves the one at t = 0) and on every
+    ``m``-th step after that, ``m`` being the window width in cells.  In
+    between it carries the row by the fluxes ``F`` of the step before,
+    ``w[i] -= dt / (m * dx) * (F[i + m] - F[i])``: a window's sum changes by
+    the flux into its left end less the flux out of its right end.  Past
+    the last interface the cells hold still, so ``F`` is held there at the
+    last interface's flux.  The carry is the step's own arithmetic, so it
+    differs from a fresh sum only by roundoff, a few ulps of 1 per carried
+    step, which each re-sum clears.  The frozen tails stay exact, because
+    their fluxes are exactly 0.
     """
     dx = config.grid.dx
     left = config.datum.left_extension
@@ -478,25 +523,43 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     u0 = cell_averages(config.datum, config.grid.edges)
     upwind = config.scheme == "upwind"
     lo, hi = _moving_cells(u0, config.datum, m) if upwind else (0, u0.size)
+    n = hi - lo
     w = np.empty(u0.size + 1)
     w[:lo] = 0.0
     w[hi + 1 :] = 1.0
     w_moving = w[lo : hi + 1]
-    # compute_w's block split needs more room than the upwind step
-    work = np.empty(2 * _blocks(hi - lo, m) * m)
+    # One buffer serves compute_w's block split and the upwind step, which
+    # leaves its fluxes in work[:n + 1]; the carry pads them with m copies
+    # of the edge flux and writes their window differences behind that.
+    work = np.empty(max(2 * _blocks(n, m) * m, 2 * n + 2 + m))
+    flux = work[: n + 1 + m]
+    drift = work[n + 1 + m : 2 * n + 2 + m]
     row = w.view()
     row.flags.writeable = False
+    resum = _Resum(m)
+    last_dt = 0.0
 
     def advance(u, dt):
+        nonlocal last_dt
         moving = u[lo:hi]
-        compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
-        if upwind:
-            step_upwind(moving, w_moving, dt, dx, left, out=moving, work=work)
-            return u, row
-        return step_lax_friedrichs(u, w, dt, dx, left, right), row
+        if not upwind:
+            compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
+            return step_lax_friedrichs(u, w, dt, dx, left, right), row
+        if resum.due():
+            compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
+        else:
+            flux[n + 1 :] = flux[n]
+            np.subtract(flux[m:], flux[: n + 1], out=drift)
+            np.multiply(drift, last_dt / (m * dx), out=drift)
+            np.subtract(w_moving, drift, out=w_moving)
+        step_upwind(moving, w_moving, dt, dx, left, out=moving, work=work)
+        last_dt = dt
+        return u, row
 
     record = SolutionRecord(config=config, epsilon=config.epsilon)
     record.info["scheme"] = config.scheme
+    if upwind:
+        observers = [resum, *observers]
     _march(config, u0, advance, _dt_max(config), record, observers, (lo, hi))
     return record
 

@@ -14,6 +14,7 @@ from nltraffic import (
     ConfigurationError,
     Grid1D,
     PiecewiseConstant1D,
+    RunConfig,
     SolutionRecord,
     SolverConfig,
     SolverError,
@@ -35,6 +36,7 @@ from nltraffic import (
     sweep_resolution,
 )
 from nltraffic.fv import _march
+from nltraffic.harness import build_solver_config
 
 
 def window_mean_oracle(u, m, right_ghost):
@@ -238,6 +240,9 @@ def test_caller_buffers_give_the_allocated_results_bit_for_bit():
     assert compute_w(u, eps, dx, out=out, work=work) is out
     assert out.tobytes() == w.tobytes()
     stepped = step_upwind(u, w, 0.009, dx)
+    # the step leaves its interface fluxes, not yet scaled by dt/dx, in work
+    step_upwind(u, w, 0.009, dx, 0.25, work=work[:601])
+    assert work[:301].tobytes() == (np.concatenate(([0.25], u)) * (1.0 - w)).tobytes()
     assert step_upwind(u, w, 0.009, dx, out=u, work=work[:601]) is u
     assert u.tobytes() == stepped.tobytes()
     with pytest.raises(ConfigurationError, match="interface slots"):
@@ -381,6 +386,21 @@ def test_range_preserved_on_oscillatory_datum(scheme, cfl):
         assert v.max() <= 1.0 + 1e-12
 
 
+def test_range_preserved_on_the_j7_sweep_grid():
+    # 40,960 cells and 128-cell windows: the carried row's roundoff must
+    # stay within the verify suite's 1e-12 over the sweep's longest march
+    _, _, dx = sweep_resolution(7)
+    g = make_grid((-1.5, 1.0), dx)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-7, datum=build_u0(default_truncation(dx)),
+                       t_final=0.2, output_times=(0.1,))
+    rec = solve_nonlocal(cfg)
+    assert g.n_cells == 40960 and rec.times == [0.0, 0.1, 0.2]
+    for t in rec.times:
+        v = rec.snapshots[t]
+        assert v.min() >= 0.0
+        assert v.max() <= 1.0 + 1e-12
+
+
 @pytest.mark.parametrize("scheme", ["upwind", "lax-friedrichs"])
 @pytest.mark.parametrize("datum_spec", ["step", "riemann:0.2,0.8", "riemann:0.9,0.1"])
 def test_monotone_data_stay_monotone(scheme, datum_spec):
@@ -503,7 +523,12 @@ def test_a_short_clock_takes_a_landing_step():
 
 
 def _whole_grid_march(cfg):
-    """Snapshots and rows of a march that steps every cell with fresh arrays."""
+    """Snapshots and rows of a march that steps every cell with fresh arrays.
+
+    Upwind sums the row on the step that leaves each snapshot and on every
+    m-th step after that, and in between carries it by the previous step's
+    interface fluxes, held past the last interface at the flux there.
+    """
     g, datum = cfg.grid, cfg.datum
     left, right = datum.left_extension, datum.right_extension
     m = cfg.lookahead_cells
@@ -512,16 +537,23 @@ def _whole_grid_march(cfg):
     u = cell_averages(datum, g.edges)
     snaps, rows, t = {0.0: u.copy()}, [], 0.0
     for target in sorted(set(cfg.output_times) | {cfg.t_final}):
+        k = 0
         while t < target:
             room = target - t
             dt = min(dt_max, room)
-            w = compute_w(u, cfg.epsilon, g.dx, right)
+            if cfg.scheme == "upwind" and k % m:
+                padded = np.concatenate((flux, np.full(m, flux[-1])))
+                w = w - dt_before / (m * g.dx) * (padded[m:] - flux)
+            else:
+                w = compute_w(u, cfg.epsilon, g.dx, right)
             if cfg.scheme == "upwind":
+                flux = np.concatenate(([left], u)) * (1.0 - w)
                 u = step_upwind(u, w, dt, g.dx, left)
             else:
                 u = step_lax_friedrichs(u, w, dt, g.dx, left, right)
             rows.append(w)
             t = target if dt == room else t + dt
+            k, dt_before = k + 1, dt
         snaps[target] = u.copy()
     return snaps, rows
 
@@ -547,6 +579,43 @@ def test_march_equals_the_whole_grid_march_bit_for_bit(scheme, spec):
     assert len(steps) == len(rows)
     for (_, _, _, w), row in zip(steps, rows):
         assert w.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("spec, taus", [("blowup", (0.1, 0.3)), ("riemann:0.2,0.8", (0.1,))])
+def test_upwind_row_is_summed_at_resums_and_carried_between(monkeypatch, spec, taus):
+    # The canned upwind marches (dx = 4^-4, 16-cell windows, t_final 0.5);
+    # riemann:0.2,0.8 has no jam, so its fluxes leave the grid.
+    cfg = build_solver_config(RunConfig(datum=spec, dyadic_j=4, output_times=taus))
+    g, m, right = cfg.grid, cfg.lookahead_cells, cfg.datum.right_extension
+    states, sums = [], []
+
+    def spy_step(u, *args, **kwargs):
+        states.append(u.copy())
+        return step_upwind(u, *args, **kwargs)
+
+    def spy_sum(*args, **kwargs):
+        sums.append(len(states))
+        return compute_w(*args, **kwargs)
+
+    monkeypatch.setattr(fv, "step_upwind", spy_step)
+    monkeypatch.setattr(fv, "compute_w", spy_sum)
+    log = _StepLog()
+    rec = solve_nonlocal(cfg, observers=[log])
+    # re-sums on the step leaving each snapshot (t = 0 included) and every
+    # m-th step after it; every other step carries the row
+    marks = [rec.snapshot_steps[t] for t in rec.times]
+    resums = [k for a, b in zip(marks, marks[1:]) for k in range(a, b, m)]
+    assert sums == resums and len(resums) < len(states) // 4
+    u = rec.snapshots[0.0].copy()
+    lo, hi = fv._moving_cells(u, cfg.datum, m)
+    worst = 0.0
+    for k, ((_, _, _, w), moving) in enumerate(zip(log.steps(), states, strict=True)):
+        u[lo:hi] = moving
+        summed = compute_w(u, cfg.epsilon, g.dx, right)
+        if k in resums:
+            assert w.tobytes() == summed.tobytes()
+        worst = max(worst, float(np.max(np.abs(w - summed))))
+    assert worst <= 4 * m * 2.0**-52
 
 
 def test_upwind_steps_only_the_cells_between_the_frozen_tails(monkeypatch):

@@ -192,6 +192,19 @@ def test_run_characteristics_writes_paths_and_rejects_local(tmp_path):
         run_characteristics(_small_run(tmp_path, local=True), [-0.5])
 
 
+def test_characteristics_manifest_records_how_far_it_traced(tmp_path):
+    run_characteristics(_small_run(tmp_path / "whole", datum="blowup:4"), [-0.5])
+    run_characteristics(_small_run(tmp_path / "cut", datum="blowup:4"), [-0.5], t_end=0.1)
+
+    def params(name):
+        lines = (tmp_path / name / "manifest.txt").read_text().splitlines()
+        return [ln for ln in lines if " = " in ln and not ln.startswith("wall_time_s")]
+
+    whole, cut = params("whole"), params("cut")
+    assert "t_end = None" in whole and "t_end = 0.1" in cut
+    assert [ln for ln in whole if ln not in cut] == ["t_end = None"]
+
+
 def test_write_bounds_creates_table(tmp_path):
     rows = [evaluate_bounds(t, j=3) for t in (0.1, 0.2)]
     files = write_bounds(rows, str(tmp_path))

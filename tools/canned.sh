@@ -6,6 +6,9 @@
 #     tools/canned.sh A; (other checkout)/tools/canned.sh B
 #     diff -r -I '^wall_time_s' A B
 #
+# Where results move by roundoff, tools/cmpcanned.py A B prints the largest
+# deviation of each CSV and exits 1 only on a structural difference.
+#
 # Usage: tools/canned.sh OUT
 set -eu
 
