@@ -38,6 +38,12 @@ __all__ = [
 _PICARD_TOL = 1e-8
 _PICARD_MAX_ITER = 50
 
+# Batches of at most this many paths are traced one path at a time in Python
+# floats, larger ones in arrays.  On the j = 7 sweep grid a step costs about
+# 7-10 us per path in floats and 70-120 us for the whole batch in arrays,
+# nearly all of it numpy's cost per call, so the two cross near 10 paths.
+_SCALAR_PATHS = 10
+
 
 def _check_tau(tau: float) -> None:
     """Refuse a time that is not a finite nonnegative number (NaN included)."""
@@ -117,6 +123,56 @@ def _sample_cells(padded: np.ndarray, grid: Grid1D, x):
     return padded[np.fmin(np.fmax(pos, 0.0), grid.n_cells + 1.0).astype(int)]
 
 
+def _scalar_lookups(grid: Grid1D, edges, row, cells):
+    """One-point forms of the array step's lookups, for floats.
+
+    Returns ``speed(x)``, equal to ``1 - np.interp(x, edges, row)`` on the
+    grid's ``edges``, and ``cell(x)``, equal to ``_sample_cells(cells, grid,
+    x)`` on padded cell values, both computed with the same floating-point
+    operations as numpy's, so a path traced through them is bit-identical to
+    one traced in arrays.  The three sequences are read one entry at a time
+    and never copied; memoryviews of the arrays read fastest.
+    """
+    x_left, dx, n = float(grid.x_left), float(grid.dx), int(grid.n_cells)
+    first, last = edges[0], edges[n]
+
+    def speed(x):
+        if x != x:
+            return 1.0 - x  # np.interp passes NaN through
+        if x >= last:
+            return 1.0 - row[n]
+        if x < first:
+            return 1.0 - row[0]
+        # the cell estimate can be off by one at an edge; np.interp brackets
+        # edges[j] <= x < edges[j + 1] on the stored edges
+        j = min(int((x - x_left) / dx), n - 1)
+        while x < edges[j]:
+            j -= 1
+        while x >= edges[j + 1]:
+            j += 1
+        e0, w0 = edges[j], row[j]
+        if x == e0:
+            return 1.0 - w0
+        e1, w1 = edges[j + 1], row[j + 1]
+        slope = (w1 - w0) / (e1 - e0)
+        v = slope * (x - e0) + w0
+        if v != v:  # as np.interp: try from the right node, then a flat pair
+            v = slope * (x - e1) + w1
+            if v != v and w0 == w1:
+                v = w0
+        return 1.0 - v
+
+    def cell(x):
+        # the clamp of _sample_cells, with math.floor only on finite values
+        # inside the grid; NaN fails the first test and reads the left state
+        pos = (x - x_left) / dx
+        if pos >= 0.0:
+            return cells[n + 1] if pos >= n else cells[math.floor(pos) + 1]
+        return cells[0]
+
+    return speed, cell
+
+
 def _rk4(speed, rate, X, V, h):
     """One classical Runge-Kutta step of dX/dt = speed(X), dV/dt = rate(X, V)."""
     k1x = speed(X)
@@ -161,10 +217,17 @@ class PathTracer:
     on the clock of :func:`~nltraffic.fv.solve_nonlocal`, or on
     ``step_starts``, the start times of the steps it will be handed, when
     given.  Each step writes its row in place, and :meth:`paths` returns
-    read-only column views of the tables.  A step interpolates only the
-    slice of the lookahead row around the paths, and the growth law reads
-    the latest snapshot from one copy, padded with the states outside the
-    grid, that each snapshot overwrites.
+    read-only column views of the tables.  The growth law reads the latest
+    snapshot from one copy, padded with the states outside the grid, that
+    each snapshot overwrites.
+
+    A batch of at most ``_SCALAR_PATHS`` paths (the one to three plateau
+    paths of a sweep solve, say) is stepped one path at a time in Python
+    floats, reading single entries of the row and the snapshot: at that size
+    numpy's cost per call, not the arithmetic, would set the time.  A larger
+    batch is stepped in arrays, interpolating only the slice of the row
+    around the paths.  Both do the same floating-point operations in the
+    same order, so the paths do not depend on the batch size.
     """
 
     def __init__(self, config: SolverConfig, starts, t_end: float = None, step_starts=None):
@@ -192,8 +255,9 @@ class PathTracer:
         self._values = np.full((rows, starts.size), np.nan)
         self._filled = 1
         self._edges = grid.edges
+        self._edge_view = memoryview(self._edges)
         self._row = np.empty(grid.n_cells + 1)
-        self._ahead = None
+        self._ahead = self._ahead_view = None
 
     def snapshot(self, step: int, t: float, u: np.ndarray) -> None:
         """Notice of the snapshot ``u`` at time ``t``, taken after ``step`` steps."""
@@ -202,6 +266,7 @@ class PathTracer:
         if self._ahead is None:
             datum = self.config.datum
             self._ahead = _pad(u, datum.left_extension, datum.right_extension)
+            self._ahead_view = memoryview(self._ahead)
         else:
             self._ahead[1:-1] = u  # one padded copy serves every snapshot
         sampled = _sample_cells(self._ahead, self.config.grid, self._positions[step])
@@ -218,21 +283,44 @@ class PathTracer:
             raise ConfigurationError(
                 f"the tracer reserved rows for {reserved} steps and was handed step {step + 1}"
             )
+        end = min(t1, self.t_end)
+        h = end - t0
+        k = step + 1
+        self._times[k] = end
+        if self.starts.size <= _SCALAR_PATHS:
+            self._step_each(step, h, w)
+        else:
+            self._step_batch(step, h, w)
+        self._filled = k + 1
+
+    def _step_each(self, step: int, h: float, w: np.ndarray) -> None:
+        """Advance each path over ``h`` in Python floats."""
+        eps = self.config.epsilon
+        speed, cell = _scalar_lookups(self.config.grid, self._edge_view, memoryview(w),
+                                      self._ahead_view)
+
+        def growth(x, v):
+            return material_rhs(v, cell(x + eps), eps)
+
+        X, V = self._positions, self._transported
+        for c in range(self.starts.size):
+            X[step + 1, c], V[step + 1, c] = _rk4(
+                speed, growth, X.item(step, c), V.item(step, c), h
+            )
+
+    def _step_batch(self, step: int, h: float, w: np.ndarray) -> None:
+        """Advance all paths over ``h`` at once in arrays."""
         grid = self.config.grid
         eps = self.config.epsilon
         ahead = self._ahead
         X = self._positions[step]
-        end = min(t1, self.t_end)
-        h = end - t0
         # The speed 1 - w lies in [0, 1], so every stage stays in [X, X + h];
         # np.interp reads only the two nodes around a point, so the nodes
         # from two cells left of the paths to two cells right of X + h give
         # the whole row's values.  It would copy the read-only row on every
         # call: one copy of the slice serves all four stages.
-        lo, hi = 0, grid.n_cells + 1
-        if X.size:
-            lo = min(max(math.floor((X.min() - grid.x_left) / grid.dx) - 2, 0), grid.n_cells - 1)
-            hi = min(math.floor((X.max() + h - grid.x_left) / grid.dx) + 3, hi)
+        lo = min(max(math.floor((X.min() - grid.x_left) / grid.dx) - 2, 0), grid.n_cells - 1)
+        hi = min(math.floor((X.max() + h - grid.x_left) / grid.dx) + 3, grid.n_cells + 1)
         edges = self._edges[lo:hi]
         row = self._row[: hi - lo]
         row[:] = w[lo:hi]
@@ -243,12 +331,9 @@ class PathTracer:
         def growth(x, v):
             return material_rhs(v, _sample_cells(ahead, grid, x + eps), eps)
 
-        k = step + 1
-        self._times[k] = end
-        self._positions[k], self._transported[k] = _rk4(
+        self._positions[step + 1], self._transported[step + 1] = _rk4(
             speed, growth, X, self._transported[step], h
         )
-        self._filled = k + 1
 
     def paths(self) -> list:
         """The traced paths, one per start, in the order of the starts.

@@ -153,6 +153,24 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _refuse_shared_names(values, what: str) -> None:
+    """Refuse two of ``values`` that print alike under ``:g``.
+
+    File names carry a time or a start in that format, six significant
+    digits, so two such values would write one file, the later overwriting
+    the earlier.
+    """
+    seen = {}
+    for v in values:
+        key = f"{v:g}"
+        if key in seen:
+            raise ConfigurationError(
+                f"{what} {seen[key]!r} and {v!r} would share the file named for {key}; "
+                "give values that differ in their first six significant digits"
+            )
+        seen[key] = v
+
+
 def _write_lines(path: Path, lines) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -237,6 +255,7 @@ def run_simulate(run: RunConfig) -> list:
     """Solve one configuration and write a snapshot CSV per output time."""
     t0 = time.perf_counter()
     cfg = build_solver_config(run)
+    _refuse_shared_names(sorted({0.0, *cfg.output_times, cfg.t_final}), "snapshot times")
     record = solve_local(cfg) if run.local else solve_nonlocal(cfg, observers=())
     out_dir = Path(run.out or "out")
     files = _write_snapshots(out_dir, record)
@@ -255,6 +274,7 @@ def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
         raise ConfigurationError("paths need the lookahead field; local runs have none")
     t0 = time.perf_counter()
     cfg = build_solver_config(run)
+    _refuse_shared_names([float(y) for y in starts], "starts")
     tracer = PathTracer(cfg, starts, t_end)
     solve_nonlocal(cfg, observers=[tracer])
     out_dir = Path(run.out or "out")

@@ -367,6 +367,35 @@ def test_cell_lookup_reads_the_outside_states():
     got = characteristics._sample_cells(characteristics._pad(values, 0.2, 0.8), g, far)
     np.testing.assert_array_equal(got, [0.2, 0.2, 0.8, 0.2, 0.8])
 
+    # the one-point lookups of small batches read what the array lookups read,
+    # also one ulp either side of every edge; on 13 cells the cell estimate of
+    # two edges falls one cell short
+    for g in (g, Grid1D(-1.5, 1.0, 13)):
+        cfg = SolverConfig(grid=g, epsilon=g.dx, datum=parse_datum("riemann:0.2,0.8", g.dx),
+                           t_final=0.1)
+        values = np.sin(np.arange(g.n_cells) + 0.5) ** 2
+        padded = characteristics._pad(values, 0.2, 0.8)
+        e = g.edges
+        x = np.concatenate((e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), g.centers,
+                            [e[0] - 1e-12, e[-1] + 1e-12, -7.0, 7.0], far))
+        # interpolating these rows up to the far edge of a cell rounds off
+        # its value at the edges the estimate misses; the last row steers
+        # np.interp into its fallbacks for a NaN
+        k = np.arange(e.size)
+        rows = (np.cos(1.7 * k) ** 2, np.sin(0.7 * k) ** 2,
+                np.resize([0.0, np.inf, np.inf, -np.inf, 0.5, np.nan, 0.25], e.size))
+        for w in rows:
+            speed, cell = characteristics._scalar_lookups(g, memoryview(e), memoryview(w),
+                                                          memoryview(padded))
+            got = np.array([speed(float(v)) for v in x])
+            assert got.tobytes() == (1.0 - np.interp(x, e, w)).tobytes()
+            got = np.array([cell(float(v)) for v in x])
+            assert got.tobytes() == characteristics._sample_cells(padded, g, x).tobytes()
+            inside = np.isfinite(x) & (np.abs(x) < 1e300)
+            np.testing.assert_array_equal(
+                got[inside], ReferenceTracer(cfg, []).sample(values, x[inside])
+            )
+
 
 def _replay(record, observers):
     """Hand a fixed-point record's snapshots and rows to ``observers`` in step order."""
@@ -398,6 +427,10 @@ _LANDING = dict(grid=Grid1D(-1.5, 1.0, 10), epsilon=0.25, datum=build_u0(0), t_f
     (SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3,
                   datum=parse_datum("step", 2.5 / 320), t_final=0.33, scheme="lax-friedrichs",
                   output_times=(0.1,)), [-1.5, -0.5, 0.0, 0.9], 0.2),
+    # the largest batch traced one path at a time, and the smallest traced in arrays
+    *((SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3, datum=build_u0(3),
+                    t_final=0.3, output_times=(0.1, 0.17)), np.linspace(-1.2, 0.0, n), None)
+      for n in (characteristics._SCALAR_PATHS, characteristics._SCALAR_PATHS + 1)),
 ])
 def test_tracer_equals_the_reference_tracer_bit_for_bit(cfg, starts, t_end):
     tracer, reference = PathTracer(cfg, starts, t_end), ReferenceTracer(cfg, starts, t_end)
@@ -410,10 +443,12 @@ def test_picard_replay_equals_the_reference_tracer_bit_for_bit():
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
                        output_times=(0.1, 0.17))
     rec = solve_picard(cfg)
-    starts = np.linspace(-1.2, 0.0, 9)
-    reference = ReferenceTracer(cfg, starts, 0.15)
-    _replay(rec, [reference])
-    reference.assert_same_paths(trace_many(rec, starts, 0.15))
+    # batches traced one path at a time, up to the largest, and in arrays
+    for n in (2, characteristics._SCALAR_PATHS, characteristics._SCALAR_PATHS + 1):
+        starts = np.linspace(-1.2, 0.0, n)
+        reference = ReferenceTracer(cfg, starts, 0.15)
+        _replay(rec, [reference])
+        reference.assert_same_paths(trace_many(rec, starts, 0.15))
 
 
 @pytest.mark.parametrize("t_end", [None, 0.0999, 0.17])

@@ -192,6 +192,27 @@ def test_run_characteristics_writes_paths_and_rejects_local(tmp_path):
         run_characteristics(_small_run(tmp_path, local=True), [-0.5])
 
 
+def test_runs_refuse_values_that_would_share_a_file(tmp_path):
+    # file names carry six significant digits: a second value of the same
+    # name would overwrite the first file, so the run is refused up front
+    paths = _small_run(tmp_path / "paths", datum="blowup:4")
+    for starts, named in (([-0.1234567, -0.5, -0.1234568], "-0.1234567 and -0.1234568"),
+                          ([-0.5, -0.25, -0.5], "-0.5 and -0.5")):
+        with pytest.raises(ConfigurationError, match=f"^starts {named} would share"):
+            run_characteristics(paths, starts)
+    for outputs, named in (((0.1000001, 0.1000002), "0.1000001 and 0.1000002"),
+                           ((0.1249999999,), "0.1249999999 and 0.125")):  # t_final is one
+        with pytest.raises(ConfigurationError, match=f"^snapshot times {named} would share"):
+            run_simulate(_small_run(tmp_path / "snapshots", output_times=outputs))
+    assert not (tmp_path / "paths").exists() and not (tmp_path / "snapshots").exists()
+    out = str(tmp_path / "cli")
+    assert cli_main(["characteristics", "--dyadic-j", "4", "--start=-0.1234567,-0.1234568",
+                     "--out", out]) == 2
+    assert cli_main(["simulate", "--dyadic-j", "4", "--tau", "0.1000001,0.1000002",
+                     "--out", out]) == 2
+    assert not (tmp_path / "cli").exists()
+
+
 def test_characteristics_manifest_records_how_far_it_traced(tmp_path):
     run_characteristics(_small_run(tmp_path / "whole", datum="blowup:4"), [-0.5])
     run_characteristics(_small_run(tmp_path / "cut", datum="blowup:4"), [-0.5], t_end=0.1)

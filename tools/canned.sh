@@ -45,6 +45,10 @@ nl characteristics --datum riemann:0.2,0.8 --dyadic-j 4 --start=-1.5,0.5,0.99,1.
     --out "$out/characteristics-riemann" >/dev/null
 nl characteristics --datum step --scheme lax-friedrichs --dyadic-j 3 \
     --start=-1.5,-0.5,0,0.9 --t-end 0.33 --out "$out/characteristics-step-lxf" >/dev/null
+# a batch large enough to be traced in arrays rather than one path at a time
+many=-1.5,-1.4,-1.3,-1.2,-1.1,-1,-0.9,-0.8,-0.7,-0.6,-0.5,-0.4,-0.3,-0.2,-0.1,0
+nl characteristics --dyadic-j 4 --start=$many --t-end 0.25 \
+    --out "$out/characteristics-16" >/dev/null
 
 nl sweep --tau 0.1,0.2 --j 2,3,4,5,6,7 --out "$out/sweep" >"$out/sweep.txt"
 nl sweep --tau 0,0.05,0.1,0.2 --j 5,6 --out "$out/sweep-taus" >"$out/sweep-taus.txt"
