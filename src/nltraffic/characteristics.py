@@ -8,9 +8,12 @@ solver's snapshots, and the solution of the growth law along the path (the
 material derivative of the model, du/dt = u * (u(x + epsilon) - u) /
 epsilon).  The closed form of that growth law for a constant state ahead is
 the logistic curve, exposed separately.  Finally, a fixed-point solver
-rebuilds the solution by repeatedly freezing the lookahead field and
-transporting the datum along its characteristics, which gives an
-independent cross-check on the finite-volume marcher.
+rebuilds the solution interval by interval: it freezes each interval's
+lookahead field, computed from the state at the interval's start, transports
+that state along the field's characteristics and remaps it to the grid.  One
+pass in time order reaches the fixed point and a second confirms it.  The
+remap is algebraically the upwind update, so the solver tracks the
+finite-volume marcher by construction rather than checking it independently.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ __all__ = [
     "solve_picard",
 ]
 
-# Fixed-point stopping rule: the sup-norm change of the lookahead field that
-# counts as converged, and the rounds allowed before giving up.
+# Fixed-point stopping rule: the sup-norm change of the lookahead rows over a
+# pass that counts as converged, and the passes allowed before giving up.
 _PICARD_TOL = 1e-8
 _PICARD_MAX_ITER = 50
 
@@ -393,17 +396,21 @@ def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
     return tracer.paths()
 
 
-def _resample_markers(E: np.ndarray, v: np.ndarray, grid: Grid1D, left: float, right: float) -> np.ndarray:
+def _resample_markers(
+    E: np.ndarray, v: np.ndarray, edges: np.ndarray, dx: float, left: float, right: float
+) -> np.ndarray:
     """Cell averages of the transported piecewise-constant representation.
 
     ``E`` holds the transported cell edges (piece i carries value ``v[i]``),
     with the ``left`` value filling whatever the first edge has vacated and
-    the ``right`` value continuing past the last edge.  Goes through the
-    cumulative mass function, which is exact for piecewise-constant data.
+    the ``right`` value continuing past the last edge; the averages are taken
+    over the cells of width ``dx`` between the grid's ``edges``.  Goes
+    through the cumulative mass function, which is exact for
+    piecewise-constant data.
     """
     E = np.maximum.accumulate(E)  # guard against last-ulp edge inversions
     cum = np.concatenate(([0.0], np.cumsum(v * np.diff(E))))
-    x = grid.edges
+    x = edges
     out = np.interp(x, E, cum)
     below = x < E[0]
     if np.any(below):
@@ -411,31 +418,38 @@ def _resample_markers(E: np.ndarray, v: np.ndarray, grid: Grid1D, left: float, r
     above = x > E[-1]
     if np.any(above):
         out[above] = cum[-1] + (x[above] - E[-1]) * right
-    return np.diff(out) / grid.dx
+    return np.diff(out) / dx
 
 
 def solve_picard(config: SolverConfig) -> SolutionRecord:
     """Fixed-point construction of the solution, as a cross-check solver.
 
-    Starting from the lookahead field of the datum held constant in time, the
-    iteration repeatedly (a) transports the datum along the frozen field's
+    The unknowns are the lookahead rows, one per node interval, and the
+    equations are ``w_i = W(u_i)``: each row is the lookahead field of the
+    solution at its interval's start.  A pass takes the intervals in time
+    order and, on each, (a) recomputes the row from the state at the
+    interval's start, (b) transports that state along the row's
     characteristics, evolving each cell's value by dv/dt = v * s with s the
-    field's one-sided slope at the cell's current position, (b) resamples the
-    transported representation to the grid at every node time, and (c)
-    recomputes the lookahead field from the resampled solution.  It stops
-    when the field changes by at most ``_PICARD_TOL`` in the sup norm.  The
-    node times are an even grid with steps of at most ``cfl * dx`` plus
+    field's one-sided slope at the cell's current position, and (c)
+    resamples the transported representation to the grid at the next node.
+    The state at node i depends only on rows 0..i-1, so the equations are
+    lower-triangular and one pass solves them by forward substitution; the
+    second pass recomputes every row from the same inputs and confirms the
+    fixed point with a residual (the sup-norm change of the rows) of
+    exactly 0.  The stopping rule is the residual at most ``_PICARD_TOL``.
+    The node times are an even grid with steps of at most ``cfl * dx`` plus
     every output time, each a node of its own however close it falls to a
     grid node, so every snapshot sits at exactly its time.
 
     Raises :class:`ConvergenceError` (carrying the residual history) if
-    ``_PICARD_MAX_ITER`` rounds do not reach ``_PICARD_TOL``.
+    ``_PICARD_MAX_ITER`` passes do not reach ``_PICARD_TOL``.
     """
     grid = config.grid
     dx = grid.dx
     eps = config.epsilon
     right = config.datum.right_extension
-    u0 = cell_averages(config.datum, grid.edges)
+    edges = grid.edges
+    u0 = cell_averages(config.datum, edges)
 
     n_sub = max(1, math.ceil(config.t_final / (config.cfl * dx)))
     nodes = np.unique(
@@ -455,13 +469,7 @@ def solve_picard(config: SolverConfig) -> SolutionRecord:
     u_rows = None
     for _ in range(_PICARD_MAX_ITER):
         u_rows = None  # release the previous transport before the next one
-        u_rows = _transport_on_frozen_field(u0, nodes, w_rows, grid, config)
-        res = 0.0
-        for i in range(n_int):
-            row = compute_w(u_rows[i], eps, dx, right)
-            res = np.maximum(res, np.max(np.abs(row - w_rows[i])))  # NaN sticks
-            w_rows[i] = row
-        res = float(res)
+        u_rows, res = _transport_on_frozen_field(u0, nodes, w_rows, edges, config)
         residuals.append(res)
         if res <= _PICARD_TOL:
             break
@@ -490,27 +498,36 @@ def _transport_on_frozen_field(
     u0: np.ndarray,
     nodes: np.ndarray,
     w_rows: np.ndarray,
-    grid: Grid1D,
+    edges: np.ndarray,
     config: SolverConfig,
-) -> np.ndarray:
-    """Transport the datum through the frozen field, sampled at every node.
+) -> tuple[np.ndarray, float]:
+    """One pass: transport the datum interval by interval, refreshing the rows.
 
-    The datum's cell edges move with dX/dt = 1 - w(t, X) and each cell's
-    value obeys dv/dt = v * s(t, X_mid), where s is the per-cell slope of the
-    piecewise-linear field.  After each node interval the moved representation
-    is averaged back onto the grid and the next interval starts fresh from
-    cell edges.  For a front moving at constant speed this remap step is
-    algebraically the upwind update, so the converged fixed point stays within
-    a few cells of the marcher it cross-validates instead of drifting apart
-    by each method's own truncation error.
+    Before interval i is transported, its row is recomputed from the state
+    at node i and stored in ``w_rows[i]``; the pass returns the state at
+    every node and the largest change of a row (NaN if any change is NaN).
+    Within the interval the field is frozen: the cell edges (the grid's
+    ``edges``) move with dX/dt = 1 - w(t, X) and each cell's value obeys
+    dv/dt = v * s(t, X_mid), where s is the per-cell slope of the
+    piecewise-linear field.  After each node interval the moved
+    representation is averaged back onto the grid and the next interval
+    starts fresh from cell edges.  For a front moving at constant speed this
+    remap step is algebraically the upwind update, so the fixed point stays
+    within a few cells of the marcher it cross-validates instead of drifting
+    apart by each method's own truncation error.
     """
-    edges = grid.edges
+    grid = config.grid
     dx = grid.dx
+    eps = config.epsilon
+    left, right = config.datum.left_extension, config.datum.right_extension
     out = np.empty((nodes.size, grid.n_cells))
     out[0] = u0
+    res = 0.0
 
     for i in range(nodes.size - 1):
-        w_row = w_rows[i]
+        w_row = compute_w(out[i], eps, dx, right)
+        res = np.maximum(res, np.max(np.abs(w_row - w_rows[i])))  # NaN sticks
+        w_rows[i] = w_row
         slopes = _pad(np.diff(w_row) / dx, 0.0, 0.0)
 
         def speed(x):
@@ -521,7 +538,5 @@ def _transport_on_frozen_field(
             return vals * _sample_cells(slopes, grid, mid)
 
         E, v = _rk4(speed, value_rate, edges, out[i], nodes[i + 1] - nodes[i])
-        out[i + 1] = _resample_markers(
-            E, v, grid, config.datum.left_extension, config.datum.right_extension
-        )
-    return out
+        out[i + 1] = _resample_markers(E, v, edges, dx, left, right)
+    return out, float(res)

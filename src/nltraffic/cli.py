@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import harness
-from .errors import ConvergenceError, SolverError
+from .errors import SolverError
 
 
 def _floats(text: str) -> tuple:
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(_settle(args))
-    except (SolverError, ConvergenceError) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # includes ConfigurationError

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigurationError, ConvergenceError, SolverError
+from .errors import ConfigurationError, SolverError
 from .model import PiecewiseConstant1D, build_bar_u, build_u0, load_piecewise
 from .fv import Grid1D, SolverConfig, _whole_cells, solve_local, solve_nonlocal
 from .characteristics import PathTracer, _check_tau
@@ -376,7 +376,7 @@ def run_sweep(spec: SweepSpec, out: str = None):
         error = None
         try:
             record = solve_nonlocal(cfg, observers=[tracer])
-        except (SolverError, ConvergenceError) as exc:
+        except SolverError as exc:
             error = f"j={j}: {exc}"
             failures.append(error)
         for tau in spec.taus:

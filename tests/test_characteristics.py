@@ -19,6 +19,8 @@ from nltraffic import (
     PiecewiseConstant1D,
     SolverConfig,
     build_u0,
+    cell_averages,
+    compute_w,
     logistic_value,
     material_rhs,
     parse_datum,
@@ -544,7 +546,69 @@ def test_picard_tracks_the_marcher():
 def test_picard_reports_failure_with_history(monkeypatch):
     g = Grid1D(-1.5, 1.0, 320)
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.1)
+    monkeypatch.setattr(characteristics, "_PICARD_TOL", -1.0)  # no residual meets it
     monkeypatch.setattr(characteristics, "_PICARD_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as err:
         solve_picard(cfg)
     assert len(err.value.residuals) == 2
+
+
+def jacobi_picard(config, tol=1e-14, max_passes=60):
+    """The fixed point by the Jacobi order: every row held for a whole pass.
+
+    Each pass transports every node interval on the rows of the previous
+    pass, then recomputes all rows from the transported states, until the
+    rows change by at most ``tol``.  Returns the states at the nodes.
+    """
+    g, eps, datum = config.grid, config.epsilon, config.datum
+    edges = g.edges
+    u0 = cell_averages(datum, edges)
+    n_sub = max(1, int(np.ceil(config.t_final / (config.cfl * g.dx))))
+    nodes = np.unique(np.concatenate((np.linspace(0.0, config.t_final, n_sub + 1),
+                                      np.asarray(config.output_times, dtype=float))))
+    w_rows = np.tile(compute_w(u0, eps, g.dx, datum.right_extension), (nodes.size - 1, 1))
+    for _ in range(max_passes):
+        u = np.empty((nodes.size, g.n_cells))
+        u[0] = u0
+        for i, row in enumerate(w_rows):
+            slopes = characteristics._pad(np.diff(row) / g.dx, 0.0, 0.0)
+            E, v = characteristics._rk4(
+                lambda x: 1.0 - np.interp(x, edges, row),
+                lambda x, v: v * characteristics._sample_cells(slopes, g, 0.5 * (x[:-1] + x[1:])),
+                edges, u[i], nodes[i + 1] - nodes[i],
+            )
+            u[i + 1] = characteristics._resample_markers(
+                E, v, edges, g.dx, datum.left_extension, datum.right_extension)
+        fresh = np.array([compute_w(u[i], eps, g.dx, datum.right_extension) for i in range(len(w_rows))])
+        res = np.abs(fresh - w_rows).max()
+        w_rows = fresh
+        if res <= tol:
+            return nodes, u
+    raise AssertionError(f"Jacobi reference stalled at residual {res:.3e}")
+
+
+def test_picard_in_time_order_reaches_the_jacobi_fixed_point():
+    # one pass solves the lower-triangular equations w_i = W(u_i); the second
+    # recomputes the same rows from the same states and changes nothing
+    g = Grid1D(-1.5, 1.0, 320)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
+                       output_times=(0.1, 0.17))
+    rec = solve_picard(cfg)
+    assert rec.info["iterations"] == 2
+    assert rec.info["residuals"][-1] == 0.0
+    nodes, u = jacobi_picard(cfg)
+    np.testing.assert_array_equal(rec.w_times, nodes)
+    for t, values in rec.snapshots.items():
+        assert np.abs(values - u[rec.snapshot_steps[t]]).max() <= 1e-13
+
+
+def test_picard_rows_are_the_lookahead_of_their_snapshots():
+    g = Grid1D(-1.5, 1.0, 320)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
+                       output_times=(0.1, 0.17))
+    rec = solve_picard(cfg)
+    before_end = [t for t in rec.snapshots if t < cfg.t_final]
+    assert before_end == [0.0, 0.1, 0.17]
+    for t in before_end:
+        row = compute_w(rec.snapshots[t], cfg.epsilon, g.dx, cfg.datum.right_extension)
+        np.testing.assert_array_equal(rec.w_fields[rec.snapshot_steps[t]], row)
