@@ -2,18 +2,18 @@
 
 Three pieces live here.  Path tracing integrates dX/dt = 1 - w(t, X) through
 the lookahead fields of a solver run, either while the run marches or by
-marching it again (a fixed-point run is replayed from the field history it
-stores), carrying two kinds of values along each path: direct samples of the
-solver's snapshots, and the solution of the growth law along the path (the
-material derivative of the model, du/dt = u * (u(x + epsilon) - u) /
-epsilon).  The closed form of that growth law for a constant state ahead is
-the logistic curve, exposed separately.  Finally, a fixed-point solver
-rebuilds the solution interval by interval: it freezes each interval's
-lookahead field, computed from the state at the interval's start, transports
-that state along the field's characteristics and remaps it to the grid.  One
-pass in time order reaches the fixed point and a second confirms it.  The
-remap is algebraically the upwind update, so the solver tracks the
-finite-volume marcher by construction rather than checking it independently.
+marching it again, carrying two kinds of values along each path: direct
+samples of the solver's snapshots, and the solution of the growth law along
+the path (the material derivative of the model, du/dt = u * (u(x + epsilon)
+- u) / epsilon).  The closed form of that growth law for a constant state
+ahead is the logistic curve, exposed separately.  Finally, a fixed-point
+solver rebuilds the solution interval by interval on the marchers' own
+march loop: it freezes each interval's lookahead field, computed from the
+state at the interval's start, transports that state along the field's
+characteristics and remaps it to the grid.  One pass in time order reaches
+the fixed point.  The remap is algebraically the upwind update, so the
+solver tracks the finite-volume marcher by construction rather than
+checking it independently.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError
-from .fv import Grid1D, SolutionRecord, SolverConfig, _clock, _dt_max, compute_w, solve_nonlocal
+from .errors import ConfigurationError
+from .fv import (Grid1D, SolutionRecord, SolverConfig, _clock, _dt_max, _march, compute_w,
+                 solve_nonlocal)
 from .model import cell_averages
 
 __all__ = [
@@ -35,11 +36,6 @@ __all__ = [
     "trace_many",
     "solve_picard",
 ]
-
-# Fixed-point stopping rule: the sup-norm change of the lookahead rows over a
-# pass that counts as converged, and the passes allowed before giving up.
-_PICARD_TOL = 1e-8
-_PICARD_MAX_ITER = 50
 
 # Batches of at most this many paths are traced one path at a time in Python
 # floats, larger ones in arrays.  On the j = 7 sweep grid a step costs about
@@ -201,9 +197,10 @@ def _rk4(speed, rate, X, V, h):
 class PathTracer:
     """March observer that traces a batch of characteristics step by step.
 
-    Pass it to :func:`~nltraffic.fv.solve_nonlocal` (``observers=[tracer]``)
-    to trace while the run marches, then read :meth:`paths`;
-    :func:`trace_many` drives the same observer from a finished record.
+    Pass it to :func:`~nltraffic.fv.solve_nonlocal` (``observers=[tracer]``),
+    or with ``step_starts`` (below) to :func:`solve_picard`, to trace while
+    the run marches, then read :meth:`paths`; :func:`trace_many` marches a
+    finished record again with it.
     Each march step gets one Runge-Kutta step (fourth order), with the
     step's field linearly interpolated in space and frozen in time, matching
     how the marcher used it; steps that start at or after ``t_end`` are not
@@ -219,10 +216,12 @@ class PathTracer:
     start and one per step that starts before ``t_end``, the steps counted
     on the clock of :func:`~nltraffic.fv.solve_nonlocal`, or on
     ``step_starts``, the start times of the steps it will be handed, when
-    given.  Each step writes its row in place, and :meth:`paths` returns
-    read-only column views of the tables.  The growth law reads the latest
-    snapshot from one copy, padded with the states outside the grid, that
-    each snapshot overwrites.
+    given: ``_picard_nodes(config)[:-1]`` for :func:`solve_picard`, whose
+    node grid can hold more steps than the marcher's clock.  Each step
+    writes its row in place, and :meth:`paths` returns read-only column
+    views of the tables.  The growth law reads the latest snapshot from one
+    copy, padded with the states outside the grid, that each snapshot
+    overwrites.
 
     A batch of at most ``_SCALAR_PATHS`` paths (the one to three plateau
     paths of a sweep solve, say) is stepped one path at a time in Python
@@ -368,31 +367,24 @@ class PathTracer:
 def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
     """Trace a batch of characteristics through one record's lookahead fields.
 
-    A marcher record's configuration is marched again with a
-    :class:`PathTracer` (marches are deterministic, so the paths equal those
-    traced while the record's own run marched); a fixed-point record's
-    stored snapshots and rows are replayed, in step order, through the same
-    observer, its tables sized from the record's ``w_times``.  Records of
+    The record's configuration is marched again by its own solver,
+    :func:`solve_picard` for a fixed-point record and
+    :func:`~nltraffic.fv.solve_nonlocal` otherwise, with a
+    :class:`PathTracer` observing; the solvers are deterministic, so the
+    paths equal those traced while the record's own run marched.  Records of
     the sharp-interaction limit have no lookahead field and are refused.
     """
     if record.epsilon == 0.0:
         raise ConfigurationError(
             "record of the sharp-interaction limit has no lookahead field to trace"
         )
-    if record.info.get("scheme") != "picard":
-        tracer = PathTracer(record.config, starts, t_end)
-        solve_nonlocal(record.config, observers=[tracer])
-        return tracer.paths()
-    tracer = PathTracer(record.config, starts, t_end, step_starts=record.w_times[:-1])
-    at_step = {}
-    for t in record.times:
-        at_step.setdefault(record.snapshot_steps[t], []).append(t)
-    n_steps = record.w_fields.shape[0]
-    for k in range(n_steps + 1):
-        for t in at_step.get(k, ()):
-            tracer.snapshot(k, t, record.snapshots[t])
-        if k < n_steps:
-            tracer.step(k, record.w_times[k], record.w_times[k + 1], record.w_fields[k])
+    config = record.config
+    if record.info.get("scheme") == "picard":
+        tracer = PathTracer(config, starts, t_end, step_starts=_picard_nodes(config)[:-1])
+        solve_picard(config, observers=[tracer])
+    else:
+        tracer = PathTracer(config, starts, t_end)
+        solve_nonlocal(config, observers=[tracer])
     return tracer.paths()
 
 
@@ -421,113 +413,56 @@ def _resample_markers(
     return np.diff(out) / dx
 
 
-def solve_picard(config: SolverConfig) -> SolutionRecord:
+def _picard_nodes(config: SolverConfig) -> np.ndarray:
+    """The node times of :func:`solve_picard`, ``0`` and ``t_final`` included.
+
+    An even grid with steps of at most ``cfl * dx``, plus every output time,
+    each a node of its own however close it falls to a grid node.
+    """
+    n_sub = max(1, math.ceil(config.t_final / (config.cfl * config.grid.dx)))
+    grid_nodes = np.linspace(0.0, config.t_final, n_sub + 1)
+    return np.unique(np.concatenate((grid_nodes, np.asarray(config.output_times, dtype=float))))
+
+
+def solve_picard(config: SolverConfig, observers=()) -> SolutionRecord:
     """Fixed-point construction of the solution, as a cross-check solver.
 
-    The unknowns are the lookahead rows, one per node interval, and the
-    equations are ``w_i = W(u_i)``: each row is the lookahead field of the
-    solution at its interval's start.  A pass takes the intervals in time
-    order and, on each, (a) recomputes the row from the state at the
-    interval's start, (b) transports that state along the row's
-    characteristics, evolving each cell's value by dv/dt = v * s with s the
-    field's one-sided slope at the cell's current position, and (c)
-    resamples the transported representation to the grid at the next node.
-    The state at node i depends only on rows 0..i-1, so the equations are
-    lower-triangular and one pass solves them by forward substitution; the
-    second pass recomputes every row from the same inputs and confirms the
-    fixed point with a residual (the sup-norm change of the rows) of
-    exactly 0.  The stopping rule is the residual at most ``_PICARD_TOL``.
-    The node times are an even grid with steps of at most ``cfl * dx`` plus
-    every output time, each a node of its own however close it falls to a
-    grid node, so every snapshot sits at exactly its time.
+    The unknowns are the lookahead rows, one per interval between the nodes
+    of :func:`_picard_nodes`, and the equations are ``w_i = W(u_i)``: each
+    row is the lookahead field of the solution at its interval's start.  The
+    state at node i depends only on rows 0..i-1, so the equations are
+    lower-triangular and one pass in time order solves them by forward
+    substitution.  The pass runs on the march loop of the finite-volume
+    solvers, one step per node interval, which
 
-    Raises :class:`ConvergenceError` (carrying the residual history) if
-    ``_PICARD_MAX_ITER`` passes do not reach ``_PICARD_TOL``.
-    """
-    grid = config.grid
-    dx = grid.dx
-    eps = config.epsilon
-    right = config.datum.right_extension
-    edges = grid.edges
-    u0 = cell_averages(config.datum, edges)
+    (a) computes the row from the state at the interval's start and hands
+        it to ``observers`` as the marchers hand theirs (see
+        :func:`~nltraffic.fv.solve_nonlocal`);
+    (b) freezes the row over the interval: the grid's cell edges move with
+        dX/dt = 1 - w(t, X) and each cell's value obeys
+        dv/dt = v * s(t, X_mid), where s is the per-cell slope of the
+        piecewise-linear field;
+    (c) averages the moved representation back onto the grid at the next
+        node, where the next interval starts fresh from cell edges.
 
-    n_sub = max(1, math.ceil(config.t_final / (config.cfl * dx)))
-    nodes = np.unique(
-        np.concatenate(
-            (
-                np.linspace(0.0, config.t_final, n_sub + 1),
-                np.asarray(config.output_times, dtype=float),
-            )
-        )
-    )
-    n_int = nodes.size - 1
-
-    w0 = compute_w(u0, eps, dx, right)
-    w_rows = np.tile(w0, (n_int, 1))
-
-    residuals = []
-    u_rows = None
-    for _ in range(_PICARD_MAX_ITER):
-        u_rows = None  # release the previous transport before the next one
-        u_rows, res = _transport_on_frozen_field(u0, nodes, w_rows, edges, config)
-        residuals.append(res)
-        if res <= _PICARD_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"fixed-point iteration stalled at residual {residuals[-1]:.3e} "
-            f"after {_PICARD_MAX_ITER} rounds (tol {_PICARD_TOL:.1e})",
-            residuals,
-        )
-
-    record = SolutionRecord(config=config, epsilon=eps)
-    wanted = sorted(set(config.output_times) | {0.0, config.t_final})
-    for t in wanted:
-        i = int(np.searchsorted(nodes, t))
-        record.snapshots[t] = u_rows[i].copy()
-        record.snapshot_steps[t] = i
-    record.w_times = nodes.copy()
-    record.w_fields = w_rows
-    record.info.update(
-        scheme="picard", iterations=len(residuals), residuals=list(residuals)
-    )
-    return record
-
-
-def _transport_on_frozen_field(
-    u0: np.ndarray,
-    nodes: np.ndarray,
-    w_rows: np.ndarray,
-    edges: np.ndarray,
-    config: SolverConfig,
-) -> tuple[np.ndarray, float]:
-    """One pass: transport the datum interval by interval, refreshing the rows.
-
-    Before interval i is transported, its row is recomputed from the state
-    at node i and stored in ``w_rows[i]``; the pass returns the state at
-    every node and the largest change of a row (NaN if any change is NaN).
-    Within the interval the field is frozen: the cell edges (the grid's
-    ``edges``) move with dX/dt = 1 - w(t, X) and each cell's value obeys
-    dv/dt = v * s(t, X_mid), where s is the per-cell slope of the
-    piecewise-linear field.  After each node interval the moved
-    representation is averaged back onto the grid and the next interval
-    starts fresh from cell edges.  For a front moving at constant speed this
-    remap step is algebraically the upwind update, so the fixed point stays
-    within a few cells of the marcher it cross-validates instead of drifting
-    apart by each method's own truncation error.
+    Every snapshot sits at exactly its time, which is a node, and a step
+    that leaves a non-finite value raises :class:`~nltraffic.errors.SolverError`
+    naming the cell, as in the marchers.  ``info`` reports one iteration with a residual (the sup-norm change of the rows)
+    of exactly 0, because each row is ``W`` of its own interval's start
+    state.  For a front moving at constant speed the remap (c) is
+    algebraically the upwind update, so the fixed point stays within a few
+    cells of the marcher it cross-validates instead of drifting apart by
+    each method's own truncation error: it tracks the marcher by
+    construction rather than checking it independently.
     """
     grid = config.grid
     dx = grid.dx
     eps = config.epsilon
     left, right = config.datum.left_extension, config.datum.right_extension
-    out = np.empty((nodes.size, grid.n_cells))
-    out[0] = u0
-    res = 0.0
+    edges = grid.edges
 
-    for i in range(nodes.size - 1):
-        w_row = compute_w(out[i], eps, dx, right)
-        res = np.maximum(res, np.max(np.abs(w_row - w_rows[i])))  # NaN sticks
-        w_rows[i] = w_row
+    def advance(u, dt):
+        w_row = compute_w(u, eps, dx, right)
         slopes = _pad(np.diff(w_row) / dx, 0.0, 0.0)
 
         def speed(x):
@@ -537,6 +472,12 @@ def _transport_on_frozen_field(
             mid = 0.5 * (x_edges[:-1] + x_edges[1:])
             return vals * _sample_cells(slopes, grid, mid)
 
-        E, v = _rk4(speed, value_rate, edges, out[i], nodes[i + 1] - nodes[i])
-        out[i + 1] = _resample_markers(E, v, edges, dx, left, right)
-    return out, float(res)
+        E, v = _rk4(speed, value_rate, edges, u, dt)
+        return _resample_markers(E, v, edges, dx, left, right), w_row
+
+    nodes = _picard_nodes(config).tolist()
+    clock = ((t0, t1 - t0, t1) for t0, t1 in zip(nodes, nodes[1:]))
+    record = SolutionRecord(config=config, epsilon=eps)
+    record.info.update(scheme="picard", iterations=1, residuals=[0.0])  # perfbench reads both
+    _march(config, cell_averages(config.datum, edges), advance, clock, record, observers)
+    return record

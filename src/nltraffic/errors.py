@@ -12,12 +12,4 @@ class SolverError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance.
-
-    Carries the full residual history so the failure can be reported instead
-    of silently returning a half-converged field.
-    """
-
-    def __init__(self, message: str, residuals: list[float]):
-        super().__init__(message)
-        self.residuals = list(residuals)
+    """Raised by no solver; the name stays because ``perfbench/workloads.py`` catches it."""

@@ -154,22 +154,20 @@ class SolverConfig:
 
 @dataclass
 class SolutionRecord:
-    """Everything a run produces: snapshots and, for Picard runs, the field history.
+    """Everything a run produces: its snapshots.
 
     ``snapshots`` maps times to cell-average arrays, and ``snapshot_steps``
     maps the same times to the number of steps taken before each snapshot.
-    The marchers store no field history; the fixed-point solver fills
-    ``w_times`` with N+1 interval boundaries and ``w_fields`` with the N
-    interface rows, each valid on ``[w_times[i], w_times[i+1])``; every
-    snapshot time is one of the boundaries, ``w_times[snapshot_steps[t]] ==
-    t``.  Runs of the sharp-interaction limit set ``epsilon`` to 0.
+    No solver stores a field history: each hands its lookahead rows to its
+    observers as it marches (see :func:`_march`), so ``w_fields`` stays
+    empty; it stays because ``perfbench/tracer.py`` reads its size.  Runs
+    of the sharp-interaction limit set ``epsilon`` to 0.
     """
 
     config: SolverConfig
     epsilon: float
     snapshots: dict = field(default_factory=dict)
     snapshot_steps: dict = field(default_factory=dict)
-    w_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
     w_fields: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     info: dict = field(default_factory=dict)
 
@@ -368,10 +366,10 @@ def _dt_max(config: SolverConfig) -> float:
 def _clock(config: SolverConfig, dt_max: float):
     """The steps of a march to ``t_final``: ``(t0, dt, t1)`` for each, in order.
 
-    This is the one place step sizes are picked: ``dt`` is ``dt_max`` or the
-    time left to the next target (the output times and ``t_final``),
-    whichever is smaller, and a step that reaches its target ends exactly on
-    it, so the clock never misses a target.
+    This is the one place the marchers pick their steps: ``dt`` is
+    ``dt_max`` or the time left to the next target (the output times and
+    ``t_final``), whichever is smaller, and a step that reaches its target
+    ends exactly on it, so the clock never misses a target.
     """
     t = 0.0
     for target in _targets(config):
@@ -383,11 +381,13 @@ def _clock(config: SolverConfig, dt_max: float):
             t = t1
 
 
-def _march(config: SolverConfig, u: np.ndarray, advance, dt_max: float, record: SolutionRecord,
+def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: SolutionRecord,
            observers=(), window: tuple = None) -> None:
     """Carry ``u``, the datum's cell averages, to ``t_final``, snapshotting on the way.
 
-    The steps are those of :func:`_clock`: ``advance(u, dt)`` returns the
+    The steps are those of ``clock``, ``(t0, dt, t1)`` for each in order
+    (:func:`_clock` for the marchers, the node intervals for the fixed-point
+    solver), and must land on every target: ``advance(u, dt)`` returns the
     state one step of ``dt`` on (``u`` itself if it stepped in place) and the
     lookahead row it used (None for the local limit), and a snapshot is taken
     at each target once the clock reaches it.  ``window = (lo, hi)`` names
@@ -412,7 +412,7 @@ def _march(config: SolverConfig, u: np.ndarray, advance, dt_max: float, record: 
 
     snapshot(0.0)
     targets = _targets(config)
-    for t0, dt, t1 in _clock(config, dt_max):
+    for t0, dt, t1 in clock:
         u, w = advance(u, dt)
         if not np.all(np.isfinite(u[lo:hi])):
             bad = lo + int(np.flatnonzero(~np.isfinite(u[lo:hi]))[0])
@@ -560,7 +560,7 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     record.info["scheme"] = config.scheme
     if upwind:
         observers = [resum, *observers]
-    _march(config, u0, advance, _dt_max(config), record, observers, (lo, hi))
+    _march(config, u0, advance, _clock(config, _dt_max(config)), record, observers, (lo, hi))
     return record
 
 
@@ -599,5 +599,6 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
 
     record = SolutionRecord(config=config, epsilon=0.0)
     record.info["scheme"] = "godunov-local"
-    _march(config, cell_averages(config.datum, config.grid.edges), advance, dt_max, record)
+    u0 = cell_averages(config.datum, config.grid.edges)
+    _march(config, u0, advance, _clock(config, dt_max), record)
     return record
