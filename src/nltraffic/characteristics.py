@@ -1,15 +1,16 @@
 """Characteristic-line machinery on top of solver runs.
 
 Three pieces live here.  Path tracing integrates dX/dt = 1 - w(t, X) through
-the lookahead fields of a solver run, either while the run marches or by
-marching it again, carrying two kinds of values along each path: direct
-samples of the solver's snapshots, and the solution of the growth law along
-the path (the material derivative of the model, du/dt = u * (u(x + epsilon)
-- u) / epsilon).  The closed form of that growth law for a constant state
-ahead is the logistic curve, exposed separately.  Finally, a fixed-point
-solver rebuilds the solution interval by interval on the marchers' own
-march loop: it freezes each interval's lookahead field, computed from the
-state at the interval's start, transports that state along the field's
+the lookahead fields of a finite-volume march, on the marcher's own clock,
+either while the run marches or by marching it again, carrying two kinds of
+values along each path: direct samples of the march's snapshots, and the
+solution of the growth law along the path (the material derivative of the
+model, du/dt = u * (u(x + epsilon) - u) / epsilon).  The closed form of
+that growth law for a constant state ahead is the logistic curve, exposed
+separately.  Finally, a fixed-point solver, which nothing traces through,
+rebuilds the solution interval by interval on the marchers' own march
+loop: it freezes each interval's lookahead field, computed from the state
+at the interval's start, transports that state along the field's
 characteristics and remaps it to the grid.  One pass in time order reaches
 the fixed point.  The remap is algebraically the upwind update, so the
 solver tracks the finite-volume marcher by construction rather than
@@ -197,10 +198,9 @@ def _rk4(speed, rate, X, V, h):
 class PathTracer:
     """March observer that traces a batch of characteristics step by step.
 
-    Pass it to :func:`~nltraffic.fv.solve_nonlocal` (``observers=[tracer]``),
-    or with ``step_starts`` (below) to :func:`solve_picard`, to trace while
-    the run marches, then read :meth:`paths`; :func:`trace_many` marches a
-    finished record again with it.
+    Pass it to :func:`~nltraffic.fv.solve_nonlocal` (``observers=[tracer]``)
+    to trace while the run marches, then read :meth:`paths`;
+    :func:`trace_many` marches a finished record again with it.
     Each march step gets one Runge-Kutta step (fourth order), with the
     step's field linearly interpolated in space and frozen in time, matching
     how the marcher used it; steps that start at or after ``t_end`` are not
@@ -214,14 +214,11 @@ class PathTracer:
     The tracer sizes its tables (rows by paths, for the times, positions,
     transported and sampled values) once, when it is made: one row for the
     start and one per step that starts before ``t_end``, the steps counted
-    on the clock of :func:`~nltraffic.fv.solve_nonlocal`, or on
-    ``step_starts``, the start times of the steps it will be handed, when
-    given: ``_picard_nodes(config)[:-1]`` for :func:`solve_picard`, whose
-    node grid can hold more steps than the marcher's clock.  Each step
-    writes its row in place, and :meth:`paths` returns read-only column
-    views of the tables.  The growth law reads the latest snapshot from one
-    copy, padded with the states outside the grid, that each snapshot
-    overwrites.
+    on the clock of :func:`~nltraffic.fv.solve_nonlocal`, the only march it
+    observes.  Each step writes its row in place, and :meth:`paths` returns
+    read-only column views of the tables.  The growth law reads the latest
+    snapshot from one copy, padded with the states outside the grid, that
+    each snapshot overwrites.
 
     A batch of at most ``_SCALAR_PATHS`` paths (the one to three plateau
     paths of a sweep solve, say) is stepped one path at a time in Python
@@ -232,7 +229,7 @@ class PathTracer:
     same order, so the paths do not depend on the batch size.
     """
 
-    def __init__(self, config: SolverConfig, starts, t_end: float = None, step_starts=None):
+    def __init__(self, config: SolverConfig, starts, t_end: float = None):
         grid = config.grid
         starts = np.asarray(starts, dtype=float).reshape(-1)
         for y in starts:
@@ -247,9 +244,7 @@ class PathTracer:
         self.config = config
         self.starts = starts
         self.t_end = math.inf if t_end is None else t_end
-        if step_starts is None:
-            step_starts = (t0 for t0, _, _ in _clock(config, _dt_max(config)))
-        rows = 1 + sum(1 for t0 in step_starts if t0 < self.t_end)
+        rows = 1 + sum(1 for t0, _, _ in _clock(config, _dt_max(config)) if t0 < self.t_end)
         self._times = np.zeros(rows)
         self._positions = np.empty((rows, starts.size))
         self._positions[0] = starts
@@ -365,26 +360,21 @@ class PathTracer:
 
 
 def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
-    """Trace a batch of characteristics through one record's lookahead fields.
+    """Trace a batch of characteristics through one marcher record's lookahead fields.
 
-    The record's configuration is marched again by its own solver,
-    :func:`solve_picard` for a fixed-point record and
-    :func:`~nltraffic.fv.solve_nonlocal` otherwise, with a
-    :class:`PathTracer` observing; the solvers are deterministic, so the
-    paths equal those traced while the record's own run marched.  Records of
-    the sharp-interaction limit have no lookahead field and are refused.
+    The record's configuration is marched again by
+    :func:`~nltraffic.fv.solve_nonlocal` with a :class:`PathTracer`
+    observing; the march is deterministic, so the paths equal those traced
+    while the record's own run marched.  Records of any other solver (the
+    sharp-interaction limit, the fixed-point solver) are refused.
     """
-    if record.epsilon == 0.0:
+    scheme = record.info.get("scheme")
+    if scheme not in ("upwind", "lax-friedrichs"):
         raise ConfigurationError(
-            "record of the sharp-interaction limit has no lookahead field to trace"
+            f"only upwind and lax-friedrichs marches can be traced, not a {scheme!r} record"
         )
-    config = record.config
-    if record.info.get("scheme") == "picard":
-        tracer = PathTracer(config, starts, t_end, step_starts=_picard_nodes(config)[:-1])
-        solve_picard(config, observers=[tracer])
-    else:
-        tracer = PathTracer(config, starts, t_end)
-        solve_nonlocal(config, observers=[tracer])
+    tracer = PathTracer(record.config, starts, t_end)
+    solve_nonlocal(record.config, observers=[tracer])
     return tracer.paths()
 
 
@@ -424,7 +414,7 @@ def _picard_nodes(config: SolverConfig) -> np.ndarray:
     return np.unique(np.concatenate((grid_nodes, np.asarray(config.output_times, dtype=float))))
 
 
-def solve_picard(config: SolverConfig, observers=()) -> SolutionRecord:
+def solve_picard(config: SolverConfig) -> SolutionRecord:
     """Fixed-point construction of the solution, as a cross-check solver.
 
     The unknowns are the lookahead rows, one per interval between the nodes
@@ -435,9 +425,7 @@ def solve_picard(config: SolverConfig, observers=()) -> SolutionRecord:
     substitution.  The pass runs on the march loop of the finite-volume
     solvers, one step per node interval, which
 
-    (a) computes the row from the state at the interval's start and hands
-        it to ``observers`` as the marchers hand theirs (see
-        :func:`~nltraffic.fv.solve_nonlocal`);
+    (a) computes the row from the state at the interval's start;
     (b) freezes the row over the interval: the grid's cell edges move with
         dX/dt = 1 - w(t, X) and each cell's value obeys
         dv/dt = v * s(t, X_mid), where s is the per-cell slope of the
@@ -461,7 +449,7 @@ def solve_picard(config: SolverConfig, observers=()) -> SolutionRecord:
     left, right = config.datum.left_extension, config.datum.right_extension
     edges = grid.edges
 
-    def advance(u, dt):
+    def advance(u, t0, dt):
         w_row = compute_w(u, eps, dx, right)
         slopes = _pad(np.diff(w_row) / dx, 0.0, 0.0)
 
@@ -473,11 +461,11 @@ def solve_picard(config: SolverConfig, observers=()) -> SolutionRecord:
             return vals * _sample_cells(slopes, grid, mid)
 
         E, v = _rk4(speed, value_rate, edges, u, dt)
-        return _resample_markers(E, v, edges, dx, left, right), w_row
+        return _resample_markers(E, v, edges, dx, left, right), None
 
     nodes = _picard_nodes(config).tolist()
     clock = ((t0, t1 - t0, t1) for t0, t1 in zip(nodes, nodes[1:]))
     record = SolutionRecord(config=config, epsilon=eps)
     record.info.update(scheme="picard", iterations=1, residuals=[0.0])  # perfbench reads both
-    _march(config, cell_averages(config.datum, edges), advance, clock, record, observers)
+    _march(config, cell_averages(config.datum, edges), advance, clock, record)
     return record

@@ -158,10 +158,10 @@ class SolutionRecord:
 
     ``snapshots`` maps times to cell-average arrays, and ``snapshot_steps``
     maps the same times to the number of steps taken before each snapshot.
-    No solver stores a field history: each hands its lookahead rows to its
-    observers as it marches (see :func:`_march`), so ``w_fields`` stays
-    empty; it stays because ``perfbench/tracer.py`` reads its size.  Runs
-    of the sharp-interaction limit set ``epsilon`` to 0.
+    No solver stores a field history (only :func:`solve_nonlocal` hands
+    its lookahead rows on, to its observers), so ``w_fields`` stays empty;
+    it stays because ``perfbench/tracer.py`` reads its size.  Runs of the
+    sharp-interaction limit set ``epsilon`` to 0.
     """
 
     config: SolverConfig
@@ -187,8 +187,10 @@ class SolutionRecord:
 
 def _whole_cells(length: float, dx: float, what: str) -> int:
     """Number of cells of size ``dx`` in ``length``, which must be whole."""
+    if not (math.isfinite(dx) and dx > 0.0):
+        raise ConfigurationError(f"dx must be finite and positive, got {dx}")
     ratio = length / dx
-    m = round(ratio)
+    m = round(ratio) if math.isfinite(ratio) else 0
     if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, m):
         raise ConfigurationError(f"{what} is not a whole number of cells (dx={dx})")
     return m
@@ -387,19 +389,18 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: Solution
 
     The steps are those of ``clock``, ``(t0, dt, t1)`` for each in order
     (:func:`_clock` for the marchers, the node intervals for the fixed-point
-    solver), and must land on every target: ``advance(u, dt)`` returns the
-    state one step of ``dt`` on (``u`` itself if it stepped in place) and the
-    lookahead row it used (None for the local limit), and a snapshot is taken
-    at each target once the clock reaches it.  ``window = (lo, hi)`` names
-    the cells a step can change (the whole grid when None); only those are
-    checked for non-finite values.  Each snapshot is stored with the number
-    of steps taken before it.  Every observer hears ``snapshot(step, t, u)``
-    for each stored snapshot, ``step`` being the number of steps taken, and
-    ``step(step, t0, t1, w)`` after each step over ``[t0, t1]``.  The row
-    ``w`` may be a buffer the next step overwrites: it is valid only during
-    the call, and an observer that keeps it must copy it.  Observers hear of
-    a snapshot before the step that leaves it, which is where the upwind
-    march of :func:`solve_nonlocal` re-sums its row.
+    solver), and must land on every target: ``advance(u, t0, dt)`` returns
+    the state one step of ``dt`` from ``t0`` on (``u`` itself if it stepped
+    in place) and the lookahead row it used (None where no observer hears
+    it), and a snapshot is taken at each target once the clock reaches it.
+    ``window = (lo, hi)`` names the cells a step can change (the whole grid
+    when None); only those are checked for non-finite values.  Each
+    snapshot is stored with the number of steps taken before it.  Every
+    observer hears ``snapshot(step, t, u)`` for each stored snapshot,
+    ``step`` being the number of steps taken, and ``step(step, t0, t1, w)``
+    after each step over ``[t0, t1]``.  The row ``w`` may be a buffer the
+    next step overwrites: it is valid only during the call, and an observer
+    that keeps it must copy it.
     """
     lo, hi = window or (0, u.size)
     step = 0
@@ -413,7 +414,7 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: Solution
     snapshot(0.0)
     targets = _targets(config)
     for t0, dt, t1 in clock:
-        u, w = advance(u, dt)
+        u, w = advance(u, t0, dt)
         if not np.all(np.isfinite(u[lo:hi])):
             bad = lo + int(np.flatnonzero(~np.isfinite(u[lo:hi]))[0])
             raise SolverError(
@@ -457,31 +458,6 @@ def _moving_cells(u0: np.ndarray, datum: PiecewiseConstant1D, m: int) -> tuple:
     return lo, hi
 
 
-class _Resum:
-    """Observer that says which upwind steps re-sum the lookahead row.
-
-    A step re-sums the row with :func:`compute_w` when it leaves a snapshot
-    (the first step leaves the one at t = 0) and ``m`` steps after the last
-    re-sum; every other step carries the row by the previous step's fluxes.
-    """
-
-    def __init__(self, m: int):
-        self.m = m
-        self.left = 0
-
-    def snapshot(self, step, t, u):
-        self.left = 0
-
-    def step(self, step, t0, t1, w):
-        pass
-
-    def due(self) -> bool:
-        """Whether the step about to be taken re-sums; counts the step either way."""
-        due = self.left == 0
-        self.left = (self.m if due else self.left) - 1
-        return due
-
-
 def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     """March the lookahead model to ``t_final``, snapshotting on the way.
 
@@ -505,7 +481,7 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     :func:`compute_w` on every step.
 
     Upwind sums the row with :func:`compute_w` only on the step that leaves
-    a snapshot (the first step leaves the one at t = 0) and on every
+    a snapshot, one that starts at t = 0 or at an output time, and on every
     ``m``-th step after that, ``m`` being the window width in cells.  In
     between it carries the row by the fluxes ``F`` of the step before,
     ``w[i] -= dt / (m * dx) * (F[i + m] - F[i])``: a window's sum changes by
@@ -536,17 +512,18 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     drift = work[n + 1 + m : 2 * n + 2 + m]
     row = w.view()
     row.flags.writeable = False
-    resum = _Resum(m)
     last_dt = 0.0
+    carried = 0  # steps since the row was last summed
 
-    def advance(u, dt):
-        nonlocal last_dt
+    def advance(u, t0, dt):
+        nonlocal last_dt, carried
         moving = u[lo:hi]
         if not upwind:
             compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
             return step_lax_friedrichs(u, w, dt, dx, left, right), row
-        if resum.due():
+        if t0 == 0.0 or t0 in config.output_times or carried == m:
             compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
+            carried = 0
         else:
             flux[n + 1 :] = flux[n]
             np.subtract(flux[m:], flux[: n + 1], out=drift)
@@ -554,12 +531,11 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
             np.subtract(w_moving, drift, out=w_moving)
         step_upwind(moving, w_moving, dt, dx, left, out=moving, work=work)
         last_dt = dt
+        carried += 1
         return u, row
 
     record = SolutionRecord(config=config, epsilon=config.epsilon)
     record.info["scheme"] = config.scheme
-    if upwind:
-        observers = [resum, *observers]
     _march(config, u0, advance, _clock(config, _dt_max(config)), record, observers, (lo, hi))
     return record
 
@@ -592,7 +568,7 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     left = config.datum.left_extension
     right = config.datum.right_extension
 
-    def advance(u, dt):
+    def advance(u, t0, dt):
         u_ext = np.concatenate(([left], u, [right]))
         flux = godunov_flux_local(u_ext[:-1], u_ext[1:])
         return u - dt / dx * (flux[1:] - flux[:-1]), None

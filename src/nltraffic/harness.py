@@ -100,8 +100,6 @@ def parse_datum(spec: str, dx: float) -> PiecewiseConstant1D:
 
 def make_grid(domain, dx: float) -> Grid1D:
     a, b = (float(v) for v in domain)
-    if not (math.isfinite(dx) and dx > 0.0):
-        raise ConfigurationError(f"dx must be positive, got {dx}")
     return Grid1D(a, b, _whole_cells(b - a, dx, f"domain [{a}, {b}]"))
 
 

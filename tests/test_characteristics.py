@@ -249,21 +249,21 @@ def test_path_tracer_validates_before_the_march():
         PathTracer(cfg, [-0.3]).paths()  # nothing observed yet
 
 
-def test_trace_samples_picard_snapshots_at_their_nodes():
+def test_picard_snapshots_sit_at_their_nodes():
     g = Grid1D(-1.5, 1.0, 320)
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
                        output_times=(0.1, 0.17))
     rec = solve_picard(cfg)
-    steps = rec.snapshot_steps
-    assert _sampled_rows(trace_many(rec, [-0.3])[0]) == sorted(steps.values())
-    at_snapshot = trace_many(rec, [-0.3], t_end=0.17)[0]
-    assert _sampled_rows(at_snapshot) == [0, steps[0.1], steps[0.17]]
-    assert at_snapshot.values.size == steps[0.17] + 1
+    nodes = characteristics._picard_nodes(cfg)
+    assert rec.times == [0.0, 0.1, 0.17, 0.2]
+    for t, step in rec.snapshot_steps.items():
+        assert nodes[step] == t
+    assert rec.info["steps"] == nodes.size - 1
 
 
 def test_picard_keeps_an_output_time_next_to_a_node():
     # 1e-13 past a node of the Picard time grid: the output time is a node of
-    # its own, its snapshot sits there, and a trace to it ends on it
+    # its own, and its snapshot sits there
     g = Grid1D(-1.5, 1.0, 320)
     n_sub = 29  # ceil(t_final / (cfl * dx))
     t = np.linspace(0.0, 0.2, n_sub + 1)[10] + 1e-13
@@ -273,9 +273,6 @@ def test_picard_keeps_an_output_time_next_to_a_node():
     nodes = characteristics._picard_nodes(cfg)
     assert nodes.size == n_sub + 2
     assert nodes[rec.snapshot_steps[t]] == t
-    path = trace_many(rec, [-0.3], t_end=t)[0]
-    assert path.times[-1] == t
-    assert _sampled_rows(path) == [0, rec.snapshot_steps[t]]
 
 
 def test_trace_rejects_bad_inputs():
@@ -290,6 +287,10 @@ def test_trace_rejects_bad_inputs():
     )
     with pytest.raises(ConfigurationError):
         trace_many(local, [-0.3])  # the local limit has no lookahead field
+    picard = solve_picard(SolverConfig(grid=g, epsilon=4 * g.dx, datum=build_u0(3),
+                                       t_final=0.1))
+    with pytest.raises(ConfigurationError, match="'picard'"):
+        trace_many(picard, [-0.3])  # tracing follows the marcher's clock only
 
 
 class ReferenceTracer:
@@ -429,19 +430,6 @@ def test_tracer_equals_the_reference_tracer_bit_for_bit(cfg, starts, t_end):
     reference.assert_same_paths(tracer.paths())
 
 
-def test_picard_replay_equals_the_reference_tracer_bit_for_bit():
-    g = Grid1D(-1.5, 1.0, 320)
-    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
-                       output_times=(0.1, 0.17))
-    rec = solve_picard(cfg)
-    # batches traced one path at a time, up to the largest, and in arrays
-    for n in (2, characteristics._SCALAR_PATHS, characteristics._SCALAR_PATHS + 1):
-        starts = np.linspace(-1.2, 0.0, n)
-        reference = ReferenceTracer(cfg, starts, 0.15)
-        solve_picard(cfg, observers=[reference])
-        reference.assert_same_paths(trace_many(rec, starts, 0.15))
-
-
 @pytest.mark.parametrize("t_end", [None, 0.0999, 0.17])
 def test_tracer_reserves_one_row_per_step_before_t_end(t_end):
     g = Grid1D(-1.5, 1.0, 320)
@@ -457,13 +445,6 @@ def test_tracer_reserves_one_row_per_step_before_t_end(t_end):
         assert path.times.size == rows
         for name in ("positions", "values", "transported"):
             assert getattr(path, name).base.shape == (rows, 2)
-
-    picard_cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
-                              output_times=(0.1, 0.17))
-    (path,) = trace_many(solve_picard(picard_cfg), [-0.3], t_end)
-    nodes = characteristics._picard_nodes(picard_cfg)
-    want = nodes.size if t_end is None else np.count_nonzero(nodes[:-1] < t_end) + 1
-    assert path.positions.base.shape == (want, 1)
 
 
 def test_tracer_refuses_steps_beyond_its_tables():
@@ -612,16 +593,25 @@ def test_picard_in_time_order_reaches_the_jacobi_fixed_point():
         assert np.abs(values - u[rec.snapshot_steps[t]]).max() <= 1e-13
 
 
-def test_picard_rows_are_the_lookahead_of_their_snapshots():
+def test_picard_rows_are_the_lookahead_of_their_snapshots(monkeypatch):
     g = Grid1D(-1.5, 1.0, 320)
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
                        output_times=(0.1, 0.17))
-    rows = {}
-    log = SimpleNamespace(snapshot=lambda step, t, u: None,
-                          step=lambda step, t0, t1, w: rows.setdefault(step, w.copy()))
-    rec = solve_picard(cfg, observers=[log])
+    states, rows = [], []
+
+    def spy(u, *args, **kwargs):
+        states.append(np.array(u, copy=True))
+        rows.append(compute_w(u, *args, **kwargs))
+        return rows[-1]
+
+    monkeypatch.setattr(characteristics, "compute_w", spy)
+    rec = solve_picard(cfg)
+    # one row per node interval, each summed from the state at its start
+    assert len(rows) == rec.info["steps"]
     before_end = [t for t in rec.snapshots if t < cfg.t_final]
     assert before_end == [0.0, 0.1, 0.17]
     for t in before_end:
+        k = rec.snapshot_steps[t]
+        np.testing.assert_array_equal(states[k], rec.snapshots[t])
         row = compute_w(rec.snapshots[t], cfg.epsilon, g.dx, cfg.datum.right_extension)
-        np.testing.assert_array_equal(rows[rec.snapshot_steps[t]], row)
+        np.testing.assert_array_equal(rows[k], row)

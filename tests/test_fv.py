@@ -351,7 +351,7 @@ def test_non_finite_datum_aborts_with_location():
     g = Grid1D(-1.0, 1.0, 64)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.0), t_final=0.1)
 
-    def advance(u, dt):
+    def advance(u, t0, dt):
         u = u.copy()
         u[17] = np.nan
         return u, None

@@ -354,6 +354,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(cfg)]) == 2
     assert cli_main(["verify", "nonsense"]) == 2
     assert cli_main(["mechanism", "--epsilon", "inf"]) == 2
+    # a cell width or a domain that is not finite is refused before any division
+    assert cli_main(["mechanism", "--dx", "0"]) == 2
+    assert cli_main(["mechanism", "--dx", "nan"]) == 2
+    assert cli_main(["simulate", "--domain=-inf,1", "--dyadic-j", "4"]) == 2
     # a density outside [0, 1] is refused by the solver configuration
     assert cli_main(["simulate", "--datum", "riemann:0.2,1.5", "--dyadic-j", "4"]) == 2
     # a time that is not a finite nonnegative number is refused at once
