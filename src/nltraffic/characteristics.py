@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .fv import (Grid1D, SolutionRecord, SolverConfig, _clock, _dt_max, _march, compute_w,
-                 solve_nonlocal)
+from .fv import (Grid1D, SolutionRecord, SolverConfig, _clock, _dt_max, _march,
+                 _moving_cells, _refuse_unless_it_fits, compute_w, solve_nonlocal)
 from .model import cell_averages
 
 __all__ = [
@@ -215,7 +215,9 @@ class PathTracer:
     transported and sampled values) once, when it is made: one row for the
     start and one per step that starts before ``t_end``, the steps counted
     on the clock of :func:`~nltraffic.fv.solve_nonlocal`, the only march it
-    observes.  Each step writes its row in place, and :meth:`paths` returns
+    observes.  Tables that cannot fit in physical memory are refused with
+    :class:`~nltraffic.errors.ConfigurationError` before the steps are
+    counted.  Each step writes its row in place, and :meth:`paths` returns
     read-only column views of the tables.  The growth law reads the latest
     snapshot from one copy, padded with the states outside the grid, that
     each snapshot overwrites.
@@ -244,7 +246,13 @@ class PathTracer:
         self.config = config
         self.starts = starts
         self.t_end = math.inf if t_end is None else t_end
-        rows = 1 + sum(1 for t0, _, _ in _clock(config, _dt_max(config)) if t0 < self.t_end)
+        dt_max = _dt_max(config)
+        # steps of at most dt_max cover [0, t_end]: a floor on the rows, known
+        # before the clock is counted step by step
+        floor = 1 + math.ceil(min(self.t_end, config.t_final) / dt_max)
+        _refuse_unless_it_fits(8.0 * floor * (1 + 3 * starts.size),
+                               f"tracing {starts.size} paths over {floor - 1} steps")
+        rows = 1 + sum(1 for t0, _, _ in _clock(config, dt_max) if t0 < self.t_end)
         self._times = np.zeros(rows)
         self._positions = np.empty((rows, starts.size))
         self._positions[0] = starts
@@ -435,23 +443,40 @@ def solve_picard(config: SolverConfig) -> SolutionRecord:
 
     Every snapshot sits at exactly its time, which is a node, and a step
     that leaves a non-finite value raises :class:`~nltraffic.errors.SolverError`
-    naming the cell, as in the marchers.  ``info`` reports one iteration with a residual (the sup-norm change of the rows)
-    of exactly 0, because each row is ``W`` of its own interval's start
-    state.  For a front moving at constant speed the remap (c) is
-    algebraically the upwind update, so the fixed point stays within a few
-    cells of the marcher it cross-validates instead of drifting apart by
-    each method's own truncation error: it tracks the marcher by
-    construction rather than checking it independently.
+    naming the cell, as in the marchers.  ``info`` reports one iteration
+    with a residual (the sup-norm change of the rows) of exactly 0, because
+    each row is ``W`` of its own interval's start state.  For a front moving
+    at constant speed the remap (c) is algebraically the upwind update, so
+    the fixed point stays within a few cells of the marcher it
+    cross-validates instead of drifting apart by each method's own
+    truncation error: it tracks the marcher by construction rather than
+    checking it independently.
+
+    The pass steps only the cells between the datum's frozen tails
+    (:func:`~nltraffic.fv._moving_cells`): no edge moves leftward, so the
+    vacuum tail stays empty, and the jam tail's row is exactly 1, so its
+    edges stand still and its values keep 1.  The window starts on a block
+    of the :func:`~nltraffic.fv.compute_w` split, so its rows are the whole
+    grid's rows bit for bit; it moves the grid's own edges and samples the
+    slopes with the whole grid's cells.  Holding the jam outside the remap
+    keeps it at exactly 1, where remapping the whole grid would let its
+    cells drift by roundoff wherever the running mass is not exact.
     """
     grid = config.grid
     dx = grid.dx
     eps = config.epsilon
     left, right = config.datum.left_extension, config.datum.right_extension
-    edges = grid.edges
+    u0 = cell_averages(config.datum, grid.edges)
+    lo, hi = _moving_cells(u0, config.datum, config.lookahead_cells)
+    edges = grid.edges[lo : hi + 1]
 
     def advance(u, t0, dt):
-        w_row = compute_w(u, eps, dx, right)
-        slopes = _pad(np.diff(w_row) / dx, 0.0, 0.0)
+        moving = u[lo:hi]
+        w_row = compute_w(moving, eps, dx, right)
+        # Per-cell slopes of the row, padded for _sample_cells on the whole
+        # grid; outside the window the whole grid's rows are flat.
+        slopes = np.zeros(grid.n_cells + 2)
+        slopes[lo + 1 : hi + 1] = np.diff(w_row) / dx
 
         def speed(x):
             return 1.0 - np.interp(x, edges, w_row)
@@ -460,12 +485,13 @@ def solve_picard(config: SolverConfig) -> SolutionRecord:
             mid = 0.5 * (x_edges[:-1] + x_edges[1:])
             return vals * _sample_cells(slopes, grid, mid)
 
-        E, v = _rk4(speed, value_rate, edges, u, dt)
-        return _resample_markers(E, v, edges, dx, left, right), None
+        E, v = _rk4(speed, value_rate, edges, moving, dt)
+        u[lo:hi] = _resample_markers(E, v, edges, dx, left, right)
+        return u, None
 
     nodes = _picard_nodes(config).tolist()
     clock = ((t0, t1 - t0, t1) for t0, t1 in zip(nodes, nodes[1:]))
     record = SolutionRecord(config=config, epsilon=eps)
     record.info.update(scheme="picard", iterations=1, residuals=[0.0])  # perfbench reads both
-    _march(config, cell_averages(config.datum, edges), advance, clock, record)
+    _march(config, u0, advance, clock, record, window=(lo, hi))
     return record

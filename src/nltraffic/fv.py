@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import os
 
 import numpy as np
 
@@ -145,6 +146,10 @@ class SolverConfig:
             raise ConfigurationError("output times must be strictly increasing")
         if any(t > self.t_final for t in times):
             raise ConfigurationError("output times must not exceed t_final")
+        # the state, the lookahead row, the work buffer (two more rows) and
+        # the grid's edges, plus one copy of the state per snapshot
+        _refuse_unless_it_fits(8.0 * self.grid.n_cells * (7 + len(times)),
+                               f"a march on {self.grid.n_cells} cells")
         object.__setattr__(self, "output_times", times)
 
     @property
@@ -183,6 +188,27 @@ class SolutionRecord:
         if t not in self.snapshots:
             raise KeyError(f"no snapshot at t={t}; stored times: {self.times}")
         return GridFunction(self.grid, self.snapshots[t])
+
+
+# Bytes of physical memory, or None where the platform does not tell.
+try:
+    _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):
+    _PHYSICAL_MEMORY = None
+
+
+def _refuse_unless_it_fits(nbytes: float, what: str) -> None:
+    """Refuse with :class:`ConfigurationError` what needs more than physical memory.
+
+    ``nbytes`` is a floor on what ``what`` will allocate, so a refusal is
+    certain to be right; a run that passes may still fail for want of the
+    memory other processes hold.
+    """
+    if _PHYSICAL_MEMORY is not None and nbytes > _PHYSICAL_MEMORY:
+        raise ConfigurationError(
+            f"{what} needs at least {nbytes / 2**30:.3g} GiB, more than the "
+            f"{_PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _whole_cells(length: float, dx: float, what: str) -> int:
@@ -394,7 +420,9 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: Solution
     in place) and the lookahead row it used (None where no observer hears
     it), and a snapshot is taken at each target once the clock reaches it.
     ``window = (lo, hi)`` names the cells a step can change (the whole grid
-    when None); only those are checked for non-finite values.  Each
+    when None); only those are checked for non-finite values, by one sum
+    over them that any NaN or infinity makes non-finite, and only a
+    non-finite sum is scanned for the first bad cell.  Each
     snapshot is stored with the number of steps taken before it.  Every
     observer hears ``snapshot(step, t, u)`` for each stored snapshot,
     ``step`` being the number of steps taken, and ``step(step, t0, t1, w)``
@@ -415,12 +443,14 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: Solution
     targets = _targets(config)
     for t0, dt, t1 in clock:
         u, w = advance(u, t0, dt)
-        if not np.all(np.isfinite(u[lo:hi])):
-            bad = lo + int(np.flatnonzero(~np.isfinite(u[lo:hi]))[0])
-            raise SolverError(
-                f"non-finite value in cell {bad} (x={config.grid.centers[bad]:.6g}) "
-                f"at t={t1:.6g} after {step + 1} steps"
-            )
+        if not math.isfinite(np.add.reduce(u[lo:hi])):
+            bad = np.flatnonzero(~np.isfinite(u[lo:hi]))
+            if bad.size:  # else finite values whose sum overflowed
+                cell = lo + int(bad[0])
+                raise SolverError(
+                    f"non-finite value in cell {cell} (x={config.grid.centers[cell]:.6g}) "
+                    f"at t={t1:.6g} after {step + 1} steps"
+                )
         for obs in observers:
             obs.step(step, t0, t1, w)
         step += 1
@@ -430,22 +460,31 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: Solution
 
 
 def _moving_cells(u0: np.ndarray, datum: PiecewiseConstant1D, m: int) -> tuple:
-    """The cells ``[lo, hi)`` an upwind march from ``u0`` can change.
+    """The cells ``[lo, hi)`` a march from ``u0`` can change, for windows of ``m`` cells.
 
-    Both tails are exact properties of the scheme, so marching only these
-    cells gives the whole grid's states and lookahead rows bit for bit:
+    The upwind march (window width ``m``), the Godunov march of the local
+    limit (``m = 1``) and the fixed-point solver (``m`` again) step only
+    these cells, with the datum's tails as the states beyond them.  Both
+    tails are exact properties of the schemes while the states stay in
+    [0, 1], so marching only these cells gives the whole grid's lookahead
+    rows bit for bit, and its states too for the two marchers (the
+    fixed-point solver's whole-grid remap lets a jam drift by roundoff,
+    which the window does not):
 
     * vacuum tail: with vacuum on the left, a cell left of the first cell
-      with mass never receives flux, because the upwind flux takes the
-      density of the empty cell to its left; it stays exactly 0, and so does
-      every window that ends before that first cell.  ``lo`` is the first
-      cell with mass rounded down to a whole block of ``m`` cells, less one
-      block, so every interface below it has an empty window and the block
-      split of :func:`compute_w` starting at ``lo`` sums the same cells in
-      the same order as it does on the whole grid;
+      with mass never receives flux: the upwind flux takes the density of
+      the empty cell to its left, the Godunov flux ``min(f(0), f(u))`` is
+      exactly 0, and the fixed-point solver moves no mass leftward.  It
+      stays exactly 0, and so does every window that ends before that first
+      cell.  ``lo`` is the first cell with mass rounded down to a whole
+      block of ``m`` cells, less one block, so every interface below it has
+      an empty window and the block split of :func:`compute_w` starting at
+      ``lo`` sums the same cells in the same order as it does on the whole
+      grid;
     * jam tail: with a jam on the right, every window inside a trailing run
       of exact 1.0 sums to exactly ``m``, so ``w = 1`` and no flux enters or
-      leaves the run.  ``hi`` is where that run starts.
+      leaves the run; the Godunov flux ``min(f(u), f(1))`` into it is
+      exactly 0 as well.  ``hi`` is where that run starts.
     """
     lo, hi = 0, u0.size
     if datum.left_extension == 0.0:
@@ -540,17 +579,40 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     return record
 
 
-def godunov_flux_local(ul, ur):
+def godunov_flux_local(ul, ur, *, out=None, work=None):
     """Godunov flux for the sharp-interaction law ``f(u) = u (1 - u)``.
 
     The flux is concave with its maximum at 1/2, so the exact single-jump
     flux is ``min(f(ul), f(ur))`` when ``ul <= ur``, and ``f`` at the point of
-    ``[ur, ul]`` closest to 1/2 otherwise.
+    ``[ur, ul]`` closest to 1/2 otherwise.  Both cases are one formula: with
+    ``c = min(max(ur, 1/2), ul)``, which is ``ul`` when ``ul <= ur`` and the
+    point closest to 1/2 otherwise, the flux is ``min(f(c), f(max(ur, c)))``.
+    For arrays the values go into ``out`` when it is given, and the formula
+    works in ``work`` (at least twice the size) when that is given;
+    otherwise both are allocated.  Two floats give a float.
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
-    f = lambda v: v * (1.0 - v)
-    out = np.where(ul <= ur, np.minimum(f(ul), f(ur)), f(np.clip(0.5, ur, ul)))
+    shape = np.broadcast_shapes(ul.shape, ur.shape)
+    size = math.prod(shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ConfigurationError(f"need {shape} flux slots, got {out.shape}")
+    if work is None:
+        work = np.empty(2 * size)
+    elif work.size < 2 * size:
+        raise ConfigurationError(f"need {2 * size} work slots, got {work.size}")
+    c = work[:size].reshape(shape)
+    fc = work[size : 2 * size].reshape(shape)
+    np.maximum(ur, 0.5, out=c)
+    np.minimum(c, ul, out=c)
+    np.subtract(1.0, c, out=fc)
+    fc *= c
+    np.maximum(ur, c, out=out)
+    np.subtract(1.0, out, out=c)
+    out *= c
+    np.minimum(fc, out, out=out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -562,19 +624,36 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     ``config.epsilon`` is ignored (pass ``grid.dx`` to satisfy validation);
     the returned record carries ``epsilon = 0``, which is what marks it as
     untraceable.
+
+    The march steps only the cells between the datum's frozen tails
+    (:func:`_moving_cells` with windows of one cell), in place and in
+    buffers allocated once, with the datum's tails as the states beside
+    them: the Godunov flux into a vacuum tail or a jam tail is exactly 0, so
+    the snapshots equal the whole grid's bit for bit.
     """
     dx = config.grid.dx
     dt_max = config.cfl * dx  # |f'(u)| = |1 - 2u| <= 1 on [0, 1]
-    left = config.datum.left_extension
-    right = config.datum.right_extension
+    u0 = cell_averages(config.datum, config.grid.edges)
+    lo, hi = _moving_cells(u0, config.datum, 1)
+    n = hi - lo
+    # The cells padded with the datum's tails, so that the moving cells and
+    # the states on either side of them are one slice of it.
+    padded = np.concatenate(([config.datum.left_extension], u0,
+                             [config.datum.right_extension]))
+    framed = padded[lo : hi + 2]
+    moving = framed[1:-1]
+    flux = np.empty(n + 1)
+    work = np.empty(2 * n + 2)
+    jump = work[:n]
 
     def advance(u, t0, dt):
-        u_ext = np.concatenate(([left], u, [right]))
-        flux = godunov_flux_local(u_ext[:-1], u_ext[1:])
-        return u - dt / dx * (flux[1:] - flux[:-1]), None
+        godunov_flux_local(framed[:-1], framed[1:], out=flux, work=work)
+        np.subtract(flux[1:], flux[:-1], out=jump)
+        np.multiply(jump, dt / dx, out=jump)
+        np.subtract(moving, jump, out=moving)
+        return u, None
 
     record = SolutionRecord(config=config, epsilon=0.0)
     record.info["scheme"] = "godunov-local"
-    u0 = cell_averages(config.datum, config.grid.edges)
-    _march(config, u0, advance, _clock(config, dt_max), record)
+    _march(config, padded[1:-1], advance, _clock(config, dt_max), record, window=(lo, hi))
     return record

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nltraffic import characteristics
+from nltraffic import characteristics, fv
 from nltraffic import (
     ConfigurationError,
     Grid1D,
@@ -505,10 +505,13 @@ def test_picard_tracks_the_marcher():
 
 
 def test_picard_stops_at_the_first_non_finite_cell(monkeypatch):
-    # the remap of the fourth interval plants a NaN in cell 100; the march
-    # refuses that step instead of transporting the NaN on
+    # the remap of the fourth interval plants a NaN in cell 100 of the grid,
+    # cell 100 - lo of the window it remaps; the march refuses that step
+    # instead of transporting the NaN on
     g = Grid1D(-1.5, 1.0, 320)
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.1)
+    lo, _ = fv._moving_cells(cell_averages(cfg.datum, g.edges), cfg.datum, cfg.lookahead_cells)
+    assert 0 < lo < 100
     resample = characteristics._resample_markers
     calls = []
 
@@ -516,7 +519,7 @@ def test_picard_stops_at_the_first_non_finite_cell(monkeypatch):
         out = resample(*args)
         calls.append(None)
         if len(calls) == 4:
-            out[100] = np.nan
+            out[100 - lo] = np.nan
         return out
 
     monkeypatch.setattr(characteristics, "_resample_markers", planting)
@@ -606,12 +609,54 @@ def test_picard_rows_are_the_lookahead_of_their_snapshots(monkeypatch):
 
     monkeypatch.setattr(characteristics, "compute_w", spy)
     rec = solve_picard(cfg)
-    # one row per node interval, each summed from the state at its start
+    # one row per node interval, each summed from the state at its start;
+    # the pass steps the window between the frozen tails, whose rows are
+    # those of the whole grid
+    lo, hi = fv._moving_cells(rec.snapshots[0.0], cfg.datum, cfg.lookahead_cells)
+    assert 0 < lo < hi < g.n_cells
     assert len(rows) == rec.info["steps"]
     before_end = [t for t in rec.snapshots if t < cfg.t_final]
     assert before_end == [0.0, 0.1, 0.17]
     for t in before_end:
         k = rec.snapshot_steps[t]
-        np.testing.assert_array_equal(states[k], rec.snapshots[t])
+        np.testing.assert_array_equal(states[k], rec.snapshots[t][lo:hi])
         row = compute_w(rec.snapshots[t], cfg.epsilon, g.dx, cfg.datum.right_extension)
-        np.testing.assert_array_equal(rows[k], row)
+        np.testing.assert_array_equal(rows[k], row[lo : hi + 1])
+
+
+def test_picard_keeps_the_jam_exact_off_dyadic_grids():
+    # dx = 0.0025 is not dyadic, so remapping the jam would move its cells
+    # by roundoff; the pass holds them outside its window at exactly 1
+    g = Grid1D(-1.5, 1.0, 1000)
+    cfg = SolverConfig(grid=g, epsilon=0.1, datum=build_u0(4), t_final=0.3,
+                       output_times=(0.1, 0.2))
+    assert cfg.lookahead_cells == 40
+    rec = solve_picard(cfg)
+    jam = g.cell_of(0.0)
+    assert np.all(rec.snapshots[0.0][jam:] == 1.0)
+    for t in (0.1, 0.2, 0.3):
+        assert np.all(rec.snapshot(t).values[jam:] == 1.0)
+
+
+def test_tracer_refuses_tables_that_cannot_fit(monkeypatch):
+    # 100 paths over 37 steps need 37 * 301 * 8 bytes of tables, about 89 kB,
+    # where the grid's march needs under 5 kB
+    g = Grid1D(-1.0, 1.0, 64)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.3), t_final=1.0)
+    monkeypatch.setattr(fv, "_PHYSICAL_MEMORY", 50_000)
+    PathTracer(cfg, np.linspace(-1.0, 0.0, 10))
+    with pytest.raises(ConfigurationError, match="tracing 100 paths over 36 steps"):
+        PathTracer(cfg, np.linspace(-1.0, 0.0, 100))
+
+
+def test_tracer_refuses_a_run_too_long_to_count(monkeypatch):
+    # about 1e14 steps: refused at once, before the clock counts them one by one
+    g = Grid1D(-1.0, 1.0, 64)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.3), t_final=3e12)
+
+    def no_clock(*args):
+        raise AssertionError("the tracer counted the clock")
+
+    monkeypatch.setattr(characteristics, "_clock", no_clock)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        PathTracer(cfg, [0.0])

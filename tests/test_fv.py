@@ -253,6 +253,14 @@ def test_caller_buffers_give_the_allocated_results_bit_for_bit():
         step_upwind(u, w, 0.009, dx, out=np.empty(301))
     with pytest.raises(ConfigurationError, match="work slots"):
         step_upwind(u, w, 0.009, dx, work=work[:600])
+    flux = godunov_flux_local(u[:-1], u[1:])
+    out = np.empty(299)
+    assert godunov_flux_local(u[:-1], u[1:], out=out, work=work[:598]) is out
+    assert out.tobytes() == flux.tobytes()
+    with pytest.raises(ConfigurationError, match="flux slots"):
+        godunov_flux_local(u[:-1], u[1:], out=np.empty(300))
+    with pytest.raises(ConfigurationError, match="work slots"):
+        godunov_flux_local(u[:-1], u[1:], work=work[:597])
 
 
 # --- single-jump flux for the sharp-interaction law -------------------------------
@@ -272,6 +280,17 @@ def test_godunov_flux_matches_dense_oracle():
             assert godunov_flux_local(ul, ur) == pytest.approx(
                 godunov_oracle(ul, ur), abs=1e-9
             )
+
+
+def test_godunov_flux_is_the_two_case_formula_bit_for_bit():
+    # min(f(ul), f(ur)) for ul <= ur and f at the point of [ur, ul] nearest
+    # 1/2 otherwise, each case as its own arithmetic; states outside [0, 1]
+    # and NaN included
+    f = lambda v: v * (1.0 - v)
+    states = np.concatenate((np.linspace(-0.5, 1.5, 41), [0.5 - 2**-53, 0.5 + 2**-53, np.nan]))
+    ul, ur = (a.ravel() for a in np.meshgrid(states, states))
+    two_cases = np.where(ul <= ur, np.minimum(f(ul), f(ur)), f(np.clip(0.5, ur, ul)))
+    assert godunov_flux_local(ul, ur).tobytes() == two_cases.tobytes()
 
 
 def test_godunov_flux_vectorizes():
@@ -358,6 +377,38 @@ def test_non_finite_datum_aborts_with_location():
 
     with pytest.raises(SolverError, match="cell 17"):
         _march(cfg, np.zeros(64), advance, _clock(cfg, 0.9 * g.dx), SolutionRecord(cfg, cfg.epsilon))
+
+
+def test_march_checks_finiteness_by_one_sum():
+    # Two cells of 1e308 overflow the sum to inf yet are finite: the scan
+    # finds no bad cell and the march goes on.  +inf and -inf sum to NaN, and
+    # the scan names the first of them.  The sum takes in the last cell.
+    g = Grid1D(-1.0, 1.0, 64)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.0), t_final=0.1)
+
+    def planting(cells):
+        def advance(u, t0, dt):
+            u = np.zeros(64)
+            for i, v in cells.items():
+                u[i] = v
+            return u, None
+        return advance
+
+    def march(cells):
+        rec = SolutionRecord(cfg, cfg.epsilon)
+        _march(cfg, np.zeros(64), planting(cells), _clock(cfg, 0.9 * g.dx), rec)
+        return rec
+
+    with np.errstate(over="ignore"):
+        rec = march({20: 1e308, 30: 1e308})
+    assert rec.snapshots[0.1][20] == 1e308
+    with np.errstate(invalid="ignore"), pytest.raises(
+        SolverError,
+        match=rf"^non-finite value in cell 23 \(x={g.centers[23]:.6g}\) at t=0.028125 after 1 steps$",
+    ):
+        march({23: np.inf, 40: -np.inf})
+    with pytest.raises(SolverError, match="^non-finite value in cell 63 "):
+        march({63: np.nan})
 
 
 # --- marching properties -------------------------------------------------------------
@@ -676,6 +727,64 @@ def test_an_observer_cannot_write_into_the_row():
 
 
 # --- sharp-interaction limit ---------------------------------------------------------
+
+
+def _whole_grid_godunov(cfg):
+    """Snapshots of a Godunov march that steps every cell with fresh arrays."""
+    g, datum = cfg.grid, cfg.datum
+    dt_max = cfg.cfl * g.dx
+    u = cell_averages(datum, g.edges)
+    snaps, t = {0.0: u.copy()}, 0.0
+    for target in sorted(set(cfg.output_times) | {cfg.t_final}):
+        while t < target:
+            room = target - t
+            dt = min(dt_max, room)
+            u_ext = np.concatenate(([datum.left_extension], u, [datum.right_extension]))
+            flux = godunov_flux_local(u_ext[:-1], u_ext[1:])
+            u = u - dt / g.dx * (flux[1:] - flux[:-1])
+            t = target if dt == room else t + dt
+        snaps[target] = u.copy()
+    return snaps
+
+
+@pytest.mark.parametrize("n, spec", [
+    (640, "blowup"), (300, "blowup"),
+    (640, "riemann:0,0.5"), (640, "riemann:0.5,1"), (640, "riemann:0,1"),
+])
+def test_local_march_equals_the_whole_grid_march_bit_for_bit(monkeypatch, n, spec):
+    # dx = 2^-8 and the non-dyadic dx = 1/120; the Riemann data have a
+    # vacuum tail only, a jam tail only, and tails that meet
+    g = Grid1D(-1.5, 1.0, n)
+    cfg = SolverConfig(grid=g, epsilon=g.dx, datum=parse_datum(spec, g.dx), t_final=0.3,
+                       output_times=(0.1,))
+    u0 = cell_averages(cfg.datum, g.edges)
+    lo, hi = fv._moving_cells(u0, cfg.datum, 1)
+    assert hi - lo < n
+    stepped = []
+
+    def spy(ul, ur, **kwargs):
+        stepped.append(ul.size)
+        return godunov_flux_local(ul, ur, **kwargs)
+
+    monkeypatch.setattr(fv, "godunov_flux_local", spy)
+    rec = solve_local(cfg)
+    assert set(stepped) == {hi - lo + 1}
+    monkeypatch.undo()
+    snaps = _whole_grid_godunov(cfg)
+    assert sorted(rec.snapshots) == sorted(snaps)
+    for t, u in snaps.items():
+        assert rec.snapshots[t].tobytes() == u.tobytes()
+
+
+def test_solver_config_refuses_a_grid_that_cannot_fit(monkeypatch):
+    g = Grid1D(-1.0, 1.0, 64)
+    ok = dict(grid=g, epsilon=4 * g.dx, datum=constant(0.0), t_final=0.1)
+    # seven rows of 64 floats (the state, its row, two rows of work, the
+    # edges, and the snapshots at 0 and t_final), and one per output time
+    monkeypatch.setattr(fv, "_PHYSICAL_MEMORY", 8 * 64 * 7)
+    SolverConfig(**ok)
+    with pytest.raises(ConfigurationError, match="a march on 64 cells needs at least"):
+        SolverConfig(**ok, output_times=(0.05,))
 
 
 def test_local_solver_keeps_constants_and_marks_record():

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import math
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -358,6 +359,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli_main(["mechanism", "--dx", "0"]) == 2
     assert cli_main(["mechanism", "--dx", "nan"]) == 2
     assert cli_main(["simulate", "--domain=-inf,1", "--dyadic-j", "4"]) == 2
+    # a sweep grid of 1.7e11 cells is refused at once, not counted or allocated
+    started = time.perf_counter()
+    assert cli_main(["sweep", "--j", "30"]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "physical memory" in capsys.readouterr().err
     # a density outside [0, 1] is refused by the solver configuration
     assert cli_main(["simulate", "--datum", "riemann:0.2,1.5", "--dyadic-j", "4"]) == 2
     # a time that is not a finite nonnegative number is refused at once
