@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .characteristics import PathTracer, _check_tau, trace_many
+from .characteristics import PathTracer, _check_tau
 from .fv import GridFunction, SolutionRecord, SolverConfig
-from .model import PiecewiseConstant1D, build_u0
+from .model import PiecewiseConstant1D, _check_nonnegative_integer, build_u0
 
 __all__ = [
     "BoundReport",
@@ -130,8 +130,7 @@ def tv_lower_bound_dyadic(tau: float, j: int) -> int:
     desk-scale face of the unbounded-variation statement.
     """
     _check_tau(tau)
-    if not isinstance(j, (int, np.integer)) or j < 0:
-        raise ValueError(f"j must be a nonnegative integer, got {j!r}")
+    _check_nonnegative_integer(j, "j")
     hi = (tau * 2.0 ** j) / _LN2
     k_min = _first_confined_block(2.0 ** -j)
     k_max = math.floor(hi)
@@ -144,8 +143,7 @@ def term_threshold_check(k: int, tau: float, epsilon: float) -> bool:
     Equivalent to k <= -log2(e^(-tau/eps) / (1 + e^(-tau/eps))); the test
     suite checks that equivalence over a large parameter lattice.
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    _check_nonnegative_integer(k, "k")
     _check_epsilon(epsilon)
     _check_tau(tau)
     decay = math.exp(-tau / epsilon)
@@ -176,6 +174,7 @@ def evaluate_bounds(tau: float, epsilon: float = None, j: int = None) -> BoundRe
     if (epsilon is None) == (j is None):
         raise ConfigurationError("give exactly one of epsilon and j")
     if j is not None:
+        _check_nonnegative_integer(j, "j")
         epsilon = 2.0 ** -j
     return BoundReport(
         tau=tau,
@@ -213,99 +212,83 @@ class TVReconstruction:
     skipped: tuple
     total: float
 
-    def __float__(self) -> float:
-        return self.total
 
+def _plateau_blocks(config: SolverConfig):
+    """The confined blocks of the oscillatory datum that the grid resolves, and the rest.
 
-def _match_stock_datum(datum) -> int:
-    """Return the truncation index K if ``datum`` is the oscillatory datum."""
-    n_bp = datum.breakpoints.size
-    if n_bp < 3 or (n_bp - 3) % 2:
-        raise ConfigurationError("record datum does not look like the oscillatory datum")
-    K = (n_bp - 3) // 2
-    expected = build_u0(K)
-    if (
-        not np.array_equal(datum.breakpoints, expected.breakpoints)
-        or not np.array_equal(datum.values, expected.values)
-        or datum.left_extension != 0.0
-        or datum.right_extension != 1.0
-    ):
-        raise ConfigurationError("record datum does not match the oscillatory datum")
-    return K
-
-
-def _reconstruction_starts(datum, epsilon: float, dx: float):
-    """Resolved and skipped blocks, and the plateau path starts."""
-    K = _match_stock_datum(datum)
-    k_min = _first_confined_block(epsilon)
-    resolved = [
-        k for k in range(k_min, K + 1) if 2.0 ** (-2 * k - 2) >= dx  # gap >= one cell
-    ]
-    skipped = tuple(k for k in range(k_min, K + 1) if k not in resolved)
-    starts = [-0.75 * 4.0 ** -k for k in resolved]
-    return resolved, skipped, starts
+    The truncation K comes from the count of breakpoints, two per block and
+    one at the origin; :func:`reconstruction_tracer` checks that the datum is
+    ``build_u0(K)``.  A block is resolved when the gap beside it spans at
+    least one cell.
+    """
+    K = (config.datum.breakpoints.size - 3) // 2
+    confined = range(_first_confined_block(config.epsilon), K + 1)
+    resolved = [k for k in confined if 2.0 ** (-2 * k - 2) >= config.grid.dx]
+    return resolved, tuple(k for k in confined if k not in resolved)
 
 
 def reconstruction_tracer(config: SolverConfig) -> PathTracer:
     """A path tracer for the reconstruction, to march with ``config``.
 
-    It traces the whole run.  Pass it to ``solve_nonlocal(config,
+    The datum must be the oscillatory datum ``build_u0(K)``; anything else
+    is refused with :class:`~nltraffic.errors.ConfigurationError`.  The
+    tracer starts one path at the plateau midpoint of each resolved block
+    and traces the whole run.  Pass it to ``solve_nonlocal(config,
     observers=[...])`` and then, for each snapshot time tau, to
     :func:`reconstruct_tv_from_characteristics` with the returned record, so
     the paths are traced once, during the march, and no history is stored.
     """
-    _, _, starts = _reconstruction_starts(config.datum, config.epsilon, config.grid.dx)
-    return PathTracer(config, starts)
+    datum = config.datum
+    stock = build_u0(max(0, (datum.breakpoints.size - 3) // 2))
+    if not (np.array_equal(datum.breakpoints, stock.breakpoints)
+            and np.array_equal(datum.levels, stock.levels)):
+        raise ConfigurationError("the datum is not the oscillatory datum build_u0(K)")
+    resolved, _ = _plateau_blocks(config)
+    return PathTracer(config, [-0.75 * 4.0 ** -k for k in resolved])
 
 
 def reconstruct_tv_from_characteristics(
-    record: SolutionRecord, tau: float, tracer: PathTracer = None
+    record: SolutionRecord, tau: float, tracer: PathTracer
 ) -> TVReconstruction:
     """Rebuild the oscillation sum at time tau from characteristic traces.
 
-    For each confined, grid-resolved block this traces one path from the
+    For each confined, grid-resolved block this takes the path from the
     plateau midpoint, reads off the grown value carried along it, and sums
     2 * plateau value.  (The gaps between plateaus need no path: vacuum never
     grows, since the growth law vanishes at u = 0.)  The
     carried values integrate the material growth law, so the sum stays
     faithful even after a block has been squeezed below the cell size (where
     snapshot cell averages would only show a smeared remnant).  The paths
-    come from ``tracer`` (made by :func:`reconstruction_tracer` and marched
-    with the run) or, without one, from :func:`trace_many`; either way the
-    grown value is the one in the path's row ``record.snapshot_steps[tau]``,
-    the state after the steps that end on tau.
+    come from ``tracer``, made by :func:`reconstruction_tracer` for the
+    record's configuration and marched with the record's run up to tau at
+    least; the grown value is the one in the path's row
+    ``record.snapshot_steps[tau]``, the state after the steps that end on
+    tau.
     """
-    resolved, skipped, starts = _reconstruction_starts(
-        record.config.datum, record.epsilon, record.grid.dx
-    )
     if tau not in record.snapshots:
         raise ConfigurationError(
             f"tau={tau} is not among the record's snapshot times {record.times}"
         )
-    if tracer is not None and (tracer.t_end < tau or tracer.starts.tolist() != starts):
-        raise ConfigurationError(
-            "tracer must start on the plateau paths of reconstruction_tracer and reach tau"
-        )
+    paths = tracer.paths()  # refuses a tracer that observed no march
+    # a tracer observes only the solve_nonlocal march of its own configuration
+    if (tracer.config is not record.config or record.info["scheme"] != record.config.scheme
+            or tracer.t_end < tau):
+        raise ConfigurationError("the tracer must have observed this record's march up to tau")
     row = record.snapshot_steps[tau]
-
+    resolved, skipped = _plateau_blocks(record.config)
     blocks = []
     total = 0.0
-    if resolved:
-        if tracer is None:
-            paths = trace_many(record, starts, t_end=tau)
-        else:
-            paths = tracer.paths()
-        for k, path in zip(resolved, paths):
-            grown = float(path.transported[row])
-            blocks.append(
-                BlockTrace(
-                    k=k,
-                    plateau_start=path.start,
-                    plateau_value=grown,
-                    contribution=2.0 * grown,
-                )
+    for k, path in zip(resolved, paths, strict=True):
+        grown = float(path.transported[row])
+        blocks.append(
+            BlockTrace(
+                k=k,
+                plateau_start=path.start,
+                plateau_value=grown,
+                contribution=2.0 * grown,
             )
-            total += 2.0 * grown
+        )
+        total += 2.0 * grown
     return TVReconstruction(
         tau=tau, epsilon=record.epsilon, blocks=tuple(blocks), skipped=skipped, total=total
     )

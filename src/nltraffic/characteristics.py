@@ -491,7 +491,6 @@ def solve_picard(config: SolverConfig) -> SolutionRecord:
 
     nodes = _picard_nodes(config).tolist()
     clock = ((t0, t1 - t0, t1) for t0, t1 in zip(nodes, nodes[1:]))
-    record = SolutionRecord(config=config, epsilon=eps)
-    record.info.update(scheme="picard", iterations=1, residuals=[0.0])  # perfbench reads both
-    _march(config, u0, advance, clock, record, window=(lo, hi))
+    record = _march(config, u0, advance, clock, scheme="picard", epsilon=eps, window=(lo, hi))
+    record.info.update(iterations=1, residuals=[0.0])  # perfbench reads both
     return record

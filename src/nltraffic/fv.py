@@ -409,20 +409,23 @@ def _clock(config: SolverConfig, dt_max: float):
             t = t1
 
 
-def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: SolutionRecord,
-           observers=(), window: tuple = None) -> None:
+def _march(config: SolverConfig, u: np.ndarray, advance, clock, *, scheme: str,
+           epsilon: float, window: tuple, observers=()) -> SolutionRecord:
     """Carry ``u``, the datum's cell averages, to ``t_final``, snapshotting on the way.
 
-    The steps are those of ``clock``, ``(t0, dt, t1)`` for each in order
+    This is the one place a solver's record is made: the returned
+    :class:`SolutionRecord` carries ``epsilon`` and ``info["scheme"]``, the
+    snapshots and ``info["steps"]``.  The steps are those of ``clock``,
+    ``(t0, dt, t1)`` for each in order
     (:func:`_clock` for the marchers, the node intervals for the fixed-point
     solver), and must land on every target: ``advance(u, t0, dt)`` returns
     the state one step of ``dt`` from ``t0`` on (``u`` itself if it stepped
     in place) and the lookahead row it used (None where no observer hears
     it), and a snapshot is taken at each target once the clock reaches it.
-    ``window = (lo, hi)`` names the cells a step can change (the whole grid
-    when None); only those are checked for non-finite values, by one sum
-    over them that any NaN or infinity makes non-finite, and only a
-    non-finite sum is scanned for the first bad cell.  Each
+    ``window = (lo, hi)`` names the cells a step can change; only those are
+    checked for non-finite values, by one sum over them that any NaN or
+    infinity makes non-finite (numpy's warnings on that sum are silenced),
+    and only a non-finite sum is scanned for the first bad cell.  Each
     snapshot is stored with the number of steps taken before it.  Every
     observer hears ``snapshot(step, t, u)`` for each stored snapshot,
     ``step`` being the number of steps taken, and ``step(step, t0, t1, w)``
@@ -430,7 +433,8 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: Solution
     next step overwrites: it is valid only during the call, and an observer
     that keeps it must copy it.
     """
-    lo, hi = window or (0, u.size)
+    record = SolutionRecord(config=config, epsilon=epsilon, info={"scheme": scheme})
+    lo, hi = window
     step = 0
 
     def snapshot(t):
@@ -443,7 +447,9 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: Solution
     targets = _targets(config)
     for t0, dt, t1 in clock:
         u, w = advance(u, t0, dt)
-        if not math.isfinite(np.add.reduce(u[lo:hi])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(u[lo:hi])
+        if not math.isfinite(total):
             bad = np.flatnonzero(~np.isfinite(u[lo:hi]))
             if bad.size:  # else finite values whose sum overflowed
                 cell = lo + int(bad[0])
@@ -457,6 +463,7 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, record: Solution
         while targets and targets[0] <= t1:
             snapshot(targets.pop(0))
     record.info["steps"] = step
+    return record
 
 
 def _moving_cells(u0: np.ndarray, datum: PiecewiseConstant1D, m: int) -> tuple:
@@ -573,10 +580,8 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
         carried += 1
         return u, row
 
-    record = SolutionRecord(config=config, epsilon=config.epsilon)
-    record.info["scheme"] = config.scheme
-    _march(config, u0, advance, _clock(config, _dt_max(config)), record, observers, (lo, hi))
-    return record
+    return _march(config, u0, advance, _clock(config, _dt_max(config)), scheme=config.scheme,
+                  epsilon=config.epsilon, window=(lo, hi), observers=observers)
 
 
 def godunov_flux_local(ul, ur, *, out=None, work=None):
@@ -622,8 +627,9 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     """Godunov marcher for the sharp-interaction limit ``u_t + (u(1-u))_x = 0``.
 
     ``config.epsilon`` is ignored (pass ``grid.dx`` to satisfy validation);
-    the returned record carries ``epsilon = 0``, which is what marks it as
-    untraceable.
+    the returned record carries ``epsilon = 0`` and the scheme
+    ``"godunov-local"``, by which :func:`~nltraffic.characteristics.trace_many`
+    refuses it.
 
     The march steps only the cells between the datum's frozen tails
     (:func:`_moving_cells` with windows of one cell), in place and in
@@ -653,7 +659,5 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
         np.subtract(moving, jump, out=moving)
         return u, None
 
-    record = SolutionRecord(config=config, epsilon=0.0)
-    record.info["scheme"] = "godunov-local"
-    _march(config, padded[1:-1], advance, _clock(config, dt_max), record, window=(lo, hi))
-    return record
+    return _march(config, padded[1:-1], advance, _clock(config, dt_max),
+                  scheme="godunov-local", epsilon=0.0, window=(lo, hi))

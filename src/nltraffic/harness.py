@@ -72,6 +72,8 @@ def parse_datum(spec: str, dx: float) -> PiecewiseConstant1D:
     ``file:path`` (serialized profile).
     """
     name, _, arg = spec.partition(":")
+    if name == "step":
+        name, arg = "riemann", "0,1"
     try:
         if name == "blowup":
             K = int(arg) if arg else default_truncation(dx)
@@ -80,11 +82,6 @@ def parse_datum(spec: str, dx: float) -> PiecewiseConstant1D:
             if not arg:
                 raise ConfigurationError("bar_u needs a width, e.g. bar_u:0.1")
             return build_bar_u(float(arg))
-        if name == "step":
-            return PiecewiseConstant1D(
-                breakpoints=np.array([0.0]), values=np.array([]),
-                left_extension=0.0, right_extension=1.0,
-            )
         if name == "riemann":
             ul, ur = (float(v) for v in arg.split(","))
             return PiecewiseConstant1D(
@@ -577,13 +574,11 @@ def _suite_plateau():
 def _suite_characteristics():
     cfg = _canned_blowup(2.0 ** -4, 2.0 ** -8, 0.3, ())
     eps = cfg.epsilon
-    tracers = [
-        PathTracer(cfg, [0.0]),
-        PathTracer(cfg, np.linspace(-eps, 0.0, 20)),
-        PathTracer(cfg, np.linspace(-1.2, -0.01, 20)),
-    ]
-    solve_nonlocal(cfg, observers=tracers)
-    (origin,), confined, ordered = (tracer.paths() for tracer in tracers)
+    tracer = PathTracer(cfg, np.concatenate(
+        ([0.0], np.linspace(-eps, 0.0, 20), np.linspace(-1.2, -0.01, 20))))
+    solve_nonlocal(cfg, observers=[tracer])
+    paths = tracer.paths()
+    origin, confined, ordered = paths[0], paths[1:21], paths[21:]
     reports = []
 
     reports.append(

@@ -127,6 +127,12 @@ def build_bar_u(h: float) -> PiecewiseConstant1D:
     )
 
 
+def _check_nonnegative_integer(value, name: str) -> None:
+    """Refuse ``value`` with ``ValueError`` unless it is a nonnegative integer."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 # The last block's right edge -2^-(2K+1) rounds to zero past this truncation.
 _MAX_TRUNCATION = 536
 
@@ -139,8 +145,7 @@ def build_u0(K: int) -> PiecewiseConstant1D:
     is 0.  All edges and heights are dyadic, so the construction is exact and
     the total variation equals ``1 + 2 * sum_{k=0}^{K} 2^-k``.
     """
-    if not isinstance(K, (int, np.integer)) or K < 0:
-        raise ValueError(f"K must be a nonnegative integer, got {K!r}")
+    _check_nonnegative_integer(K, "K")
     if K > _MAX_TRUNCATION:
         raise ValueError(
             f"K must be at most {_MAX_TRUNCATION}, beyond which the last block's "

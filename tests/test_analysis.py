@@ -26,7 +26,9 @@ from nltraffic import (
     reconstruct_tv_from_characteristics,
     reconstruction_tracer,
     solve_nonlocal,
+    solve_picard,
     term_threshold_check,
+    trace_many,
     total_variation,
     tv_lower_bound_count,
     tv_lower_bound_dyadic,
@@ -243,49 +245,65 @@ def test_total_variation_of_profiles_arrays_and_grid_functions():
 # --- reconstruction from traces --------------------------------------------------
 
 
-def _blowup_record(K=6, eps=2.0**-4, dx=2.0**-8, t_final=0.2, taus=(), **kw):
+def _blowup_config(K=6, eps=2.0**-4, dx=2.0**-8, t_final=0.2, taus=(), **kw):
     g = Grid1D(-1.5, 1.0, round(2.5 / dx))
-    cfg = SolverConfig(
+    return SolverConfig(
         grid=g, epsilon=eps, datum=build_u0(K), t_final=t_final, output_times=taus, **kw
     )
-    return solve_nonlocal(cfg)
+
+
+def _blowup_record(**kw):
+    return solve_nonlocal(_blowup_config(**kw))
+
+
+def _traced_blowup(**kw):
+    """A march of the oscillatory datum and the reconstruction tracer it carried."""
+    cfg = _blowup_config(**kw)
+    tracer = reconstruction_tracer(cfg)
+    return solve_nonlocal(cfg, observers=[tracer]), tracer
 
 
 def test_reconstruction_at_time_zero_returns_resolved_block_sum():
-    rec = _blowup_record()
-    out = reconstruct_tv_from_characteristics(rec, 0.0)
+    rec, tracer = _traced_blowup()
+    out = reconstruct_tv_from_characteristics(rec, 0.0, tracer)
     # confined blocks are k >= 2; the grid resolves gaps down to k = 3
     assert [b.k for b in out.blocks] == [2, 3]
     assert out.skipped == (4, 5, 6)
     want = 2.0 * (2.0**-2 + 2.0**-3)
     assert out.total == pytest.approx(want, abs=1e-14)
-    assert float(out) == out.total
 
 
 def test_reconstruction_grows_with_time():
-    rec = _blowup_record(taus=(0.1,))
-    early = reconstruct_tv_from_characteristics(rec, 0.1)
-    late = reconstruct_tv_from_characteristics(rec, 0.2)
+    rec, tracer = _traced_blowup(taus=(0.1,))
+    early = reconstruct_tv_from_characteristics(rec, 0.1, tracer)
+    late = reconstruct_tv_from_characteristics(rec, 0.2, tracer)
     assert late.total > early.total > 2.0 * (2.0**-2 + 2.0**-3)
     for b in late.blocks:
         assert b.contribution == pytest.approx(2.0 * b.plateau_value, abs=0)
         assert b.plateau_value > 2.0**-b.k  # grew above its initial height
 
 
+def _replayed_total(record, tracer, tau):
+    """The reconstruction's sum from a replay of the record's march by trace_many."""
+    paths = trace_many(record, tracer.starts)
+    total = 0.0
+    for path in paths:
+        total += 2.0 * float(path.transported[record.snapshot_steps[tau]])
+    return total
+
+
 def test_reconstruction_traced_during_the_march_equals_replay():
     g = Grid1D(-1.5, 1.0, 640)
     cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=build_u0(6), t_final=0.2,
                        output_times=(0.1,))
-    replayed = solve_nonlocal(cfg)
     tracer = reconstruction_tracer(cfg)
     live = solve_nonlocal(cfg, observers=[tracer])
     assert live.w_fields.size == 0
-    # one tracer of the whole run serves every tau; without a tracer the
-    # record's configuration is marched again
+    # one tracer of the whole run serves every tau, and equals a replay
     for tau in (0.0, 0.1, 0.2):
-        assert reconstruct_tv_from_characteristics(live, tau, tracer) == (
-            reconstruct_tv_from_characteristics(replayed, tau)
-        )
+        recon = reconstruct_tv_from_characteristics(live, tau, tracer)
+        assert len(recon.blocks) == 2
+        assert recon.total == _replayed_total(live, tracer, tau)
     short = PathTracer(cfg, tracer.starts, t_end=0.1)
     solve_nonlocal(cfg, observers=[short])
     assert reconstruct_tv_from_characteristics(live, 0.1, short) == (
@@ -293,8 +311,15 @@ def test_reconstruction_traced_during_the_march_equals_replay():
     )
     with pytest.raises(ConfigurationError):  # stops short of tau
         reconstruct_tv_from_characteristics(live, 0.2, short)
-    with pytest.raises(ConfigurationError):  # other starts
-        reconstruct_tv_from_characteristics(live, 0.2, PathTracer(cfg, tracer.starts[1:]))
+    with pytest.raises(ConfigurationError):  # has observed no march
+        reconstruct_tv_from_characteristics(live, 0.2, reconstruction_tracer(cfg))
+    other = SolverConfig(grid=g, epsilon=2.0**-4, datum=build_u0(6), t_final=0.2)
+    foreign = reconstruction_tracer(other)
+    solve_nonlocal(other, observers=[foreign])
+    with pytest.raises(ConfigurationError):  # of another march
+        reconstruct_tv_from_characteristics(live, 0.2, foreign)
+    with pytest.raises(ConfigurationError):  # a record of another solver
+        reconstruct_tv_from_characteristics(solve_picard(cfg), 0.2, tracer)
 
 
 def test_reconstruction_rejects_foreign_records_and_bad_times():
@@ -302,12 +327,16 @@ def test_reconstruction_rejects_foreign_records_and_bad_times():
     cfg = SolverConfig(
         grid=g, epsilon=2.0**-4, datum=parse_datum("step", g.dx), t_final=0.1
     )
-    rec = solve_nonlocal(cfg)
+    with pytest.raises(ConfigurationError, match="not the oscillatory datum"):
+        reconstruction_tracer(cfg)
+    for K in (3, 6):  # breakpoints of the right count, values of another datum
+        datum = build_u0(K)
+        odd = PiecewiseConstant1D(datum.breakpoints, datum.values * 0.5, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="not the oscillatory datum"):
+            reconstruction_tracer(SolverConfig(grid=g, epsilon=2.0**-4, datum=odd, t_final=0.1))
+    blow, tracer = _traced_blowup(t_final=0.1)
     with pytest.raises(ConfigurationError):
-        reconstruct_tv_from_characteristics(rec, 0.1)
-    blow = _blowup_record(t_final=0.1)
-    with pytest.raises(ConfigurationError):
-        reconstruct_tv_from_characteristics(blow, 0.07)
+        reconstruct_tv_from_characteristics(blow, 0.07, tracer)
 
 
 # --- property checks -------------------------------------------------------------

@@ -7,6 +7,8 @@ small deterministic configuration lattices rather than random draws, so a
 failure reproduces byte for byte.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from nltraffic import (
     Grid1D,
     PiecewiseConstant1D,
     RunConfig,
-    SolutionRecord,
     SolverConfig,
     SolverError,
     build_bar_u,
@@ -376,7 +377,8 @@ def test_non_finite_datum_aborts_with_location():
         return u, None
 
     with pytest.raises(SolverError, match="cell 17"):
-        _march(cfg, np.zeros(64), advance, _clock(cfg, 0.9 * g.dx), SolutionRecord(cfg, cfg.epsilon))
+        _march(cfg, np.zeros(64), advance, _clock(cfg, 0.9 * g.dx), scheme="upwind",
+               epsilon=cfg.epsilon, window=(0, 64))
 
 
 def test_march_checks_finiteness_by_one_sum():
@@ -395,20 +397,22 @@ def test_march_checks_finiteness_by_one_sum():
         return advance
 
     def march(cells):
-        rec = SolutionRecord(cfg, cfg.epsilon)
-        _march(cfg, np.zeros(64), planting(cells), _clock(cfg, 0.9 * g.dx), rec)
-        return rec
+        return _march(cfg, np.zeros(64), planting(cells), _clock(cfg, 0.9 * g.dx),
+                      scheme="upwind", epsilon=cfg.epsilon, window=(0, 64))
 
-    with np.errstate(over="ignore"):
+    # numpy warns about neither the overflow nor the inf - inf of the sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rec = march({20: 1e308, 30: 1e308})
-    assert rec.snapshots[0.1][20] == 1e308
-    with np.errstate(invalid="ignore"), pytest.raises(
-        SolverError,
-        match=rf"^non-finite value in cell 23 \(x={g.centers[23]:.6g}\) at t=0.028125 after 1 steps$",
-    ):
-        march({23: np.inf, 40: -np.inf})
-    with pytest.raises(SolverError, match="^non-finite value in cell 63 "):
-        march({63: np.nan})
+        assert rec.snapshots[0.1][20] == 1e308
+        assert rec.info == {"scheme": "upwind", "steps": 4} and rec.epsilon == cfg.epsilon
+        with pytest.raises(
+            SolverError,
+            match=rf"^non-finite value in cell 23 \(x={g.centers[23]:.6g}\) at t=0.028125 after 1 steps$",
+        ):
+            march({23: np.inf, 40: -np.inf})
+        with pytest.raises(SolverError, match="^non-finite value in cell 63 "):
+            march({63: np.nan})
 
 
 # --- marching properties -------------------------------------------------------------

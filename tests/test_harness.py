@@ -30,6 +30,7 @@ from nltraffic import (
     save_piecewise,
     solve_nonlocal,
     sweep_resolution,
+    trace_many,
     write_bounds,
 )
 import nltraffic
@@ -273,17 +274,36 @@ def test_sweep_traces_each_solve_once(monkeypatch):
 
     def spy(cfg, observers=()):
         record = solve_nonlocal(cfg, observers)
-        solves.append((len(observers), record))
+        solves.append((observers, record))
         return record
 
     monkeypatch.setattr(nltraffic.harness, "solve_nonlocal", spy)
     rows, failures = run_sweep(SweepSpec(taus=(0.1, 0.2), js=(4,)))
     assert failures == []
-    [(n_observers, record)] = solves
-    assert n_observers == 1
+    [((tracer,), record)] = solves
     assert [r.tau for r in rows] == [0.1, 0.2]
+    # the reference replays the march with trace_many
+    paths = trace_many(record, tracer.starts)
+    assert len(paths) == 3
     for r in rows:
-        assert r.reconstructed_tv == reconstruct_tv_from_characteristics(record, r.tau).total
+        want = 0.0
+        for path in paths:
+            want += 2.0 * float(path.transported[record.snapshot_steps[r.tau]])
+        assert r.reconstructed_tv == want
+        assert r.reconstructed_tv == reconstruct_tv_from_characteristics(record, r.tau, tracer).total
+
+
+def test_sweep_matches_the_stock_datum_once_per_solve(monkeypatch):
+    built = []
+
+    def spy(K):
+        built.append(K)
+        return build_u0(K)
+
+    monkeypatch.setattr(nltraffic.analysis, "build_u0", spy)
+    rows, failures = run_sweep(SweepSpec(taus=(0.05, 0.1, 0.2), js=(2, 4)))
+    assert failures == [] and len(rows) == 6
+    assert built == [default_truncation(sweep_resolution(j)[2]) for j in (2, 4)]
 
 
 def test_mechanism_demo_validation():
@@ -369,6 +389,10 @@ def test_cli_error_paths(tmp_path, capsys):
     # a time that is not a finite nonnegative number is refused at once
     assert cli_main(["simulate", "--tau", "nan", "--dyadic-j", "4"]) == 2
     assert cli_main(["bounds", "--tau", "nan", "--dyadic-j", "4"]) == 2
+    # a negative j is refused by name, before an epsilon is derived from it
+    capsys.readouterr()
+    assert cli_main(["bounds", "--tau", "0.1", "--dyadic-j", "-1"]) == 2
+    assert capsys.readouterr().err == "error: j must be a nonnegative integer, got -1\n"
     # a key must name a flag of the command, not just any parsed attribute
     cfg.write_text("dyadic-j = 4\n")
     assert cli_main(["bounds", "--config", str(cfg)]) == 0
