@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .characteristics import PathTracer, _check_tau
 from .fv import GridFunction, SolutionRecord, SolverConfig
-from .model import PiecewiseConstant1D, _check_nonnegative_integer, build_u0
+from .model import _MAX_TRUNCATION, PiecewiseConstant1D, _check_nonnegative_integer, build_u0
 
 __all__ = [
     "BoundReport",
@@ -239,7 +239,8 @@ def reconstruction_tracer(config: SolverConfig) -> PathTracer:
     the paths are traced once, during the march, and no history is stored.
     """
     datum = config.datum
-    stock = build_u0(max(0, (datum.breakpoints.size - 3) // 2))
+    # more breakpoints than any build_u0 has: the largest one mismatches
+    stock = build_u0(min(max(0, (datum.breakpoints.size - 3) // 2), _MAX_TRUNCATION))
     if not (np.array_equal(datum.breakpoints, stock.breakpoints)
             and np.array_equal(datum.levels, stock.levels)):
         raise ConfigurationError("the datum is not the oscillatory datum build_u0(K)")

@@ -2,15 +2,15 @@
 
 Three pieces live here.  Path tracing integrates dX/dt = 1 - w(t, X) through
 the lookahead fields of a finite-volume march, on the marcher's own clock,
-either while the run marches or by marching it again, carrying two kinds of
-values along each path: direct samples of the march's snapshots, and the
-solution of the growth law along the path (the material derivative of the
-model, du/dt = u * (u(x + epsilon) - u) / epsilon).  The closed form of
-that growth law for a constant state ahead is the logistic curve, exposed
-separately.  Finally, a fixed-point solver, which nothing traces through,
-rebuilds the solution interval by interval on the marchers' own march
-loop: it freezes each interval's lookahead field, computed from the state
-at the interval's start, transports that state along the field's
+either while the run marches or by marching it again, carrying along each
+path the solution of the growth law (the material derivative of the model,
+du/dt = u * (u(x + epsilon) - u) / epsilon), started from the datum; a
+snapshot's value at a path's position is read from the record itself.  The
+closed form of that growth law for a constant state ahead is the logistic
+curve, exposed separately.  Finally, a fixed-point solver, which nothing
+traces through, rebuilds the solution interval by interval on the marchers'
+own march loop: it freezes each interval's lookahead field, computed from
+the state at the interval's start, transports that state along the field's
 characteristics and remaps it to the grid.  One pass in time order reaches
 the fixed point.  The remap is algebraically the upwind update, so the
 solver tracks the finite-volume marcher by construction rather than
@@ -53,20 +53,19 @@ def _check_tau(tau: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicPath:
-    """One traced trajectory X(t) with values carried along it.
+    """One traced trajectory X(t) with the growth law carried along it.
 
-    ``values[i]`` is the solver snapshot sampled at ``(times[i],
-    positions[i])`` where a snapshot exists and NaN elsewhere; ``transported``
-    integrates the material growth law along the path starting from the
-    datum, which stays meaningful even after the underlying feature has
-    compressed below the grid scale.
+    ``transported`` integrates the material growth law along the path
+    starting from the datum, which stays meaningful even after the
+    underlying feature has compressed below the grid scale.  The snapshot
+    value at row ``k`` of a snapshot taken after ``k`` steps is
+    ``record.snapshots[t][record.grid.cell_of(positions[k])]``.
     """
 
     start: float
     epsilon: float
     times: np.ndarray
     positions: np.ndarray
-    values: np.ndarray
     transported: np.ndarray
 
     def __post_init__(self):
@@ -206,18 +205,17 @@ class PathTracer:
     how the marcher used it; steps that start at or after ``t_end`` are not
     traced and the one that crosses it is cut short there.  The growth-law
     values use the jam state ahead as sampled from the latest snapshot
-    taken at or before the step.  Row ``k`` of a path is the state after
-    ``k`` steps; it samples the snapshot taken after ``k`` steps if that
-    snapshot's time is at most ``t_end``.  ``t_end=None`` traces the whole
-    run.
+    taken at or before the step, and start from the datum's cell averages
+    under the starts.  Row ``k`` of a path is the state after ``k`` steps.
+    ``t_end=None`` traces the whole run.
 
-    The tracer sizes its tables (rows by paths, for the times, positions,
-    transported and sampled values) once, when it is made: one row for the
-    start and one per step that starts before ``t_end``, the steps counted
-    on the clock of :func:`~nltraffic.fv.solve_nonlocal`, the only march it
-    observes.  Tables that cannot fit in physical memory are refused with
-    :class:`~nltraffic.errors.ConfigurationError` before the steps are
-    counted.  Each step writes its row in place, and :meth:`paths` returns
+    The tracer sizes its two tables (rows by paths, for the positions and
+    the transported values) and its column of times once, when it is made:
+    one row for the start and one per step that starts before ``t_end``, the
+    steps counted on the clock of :func:`~nltraffic.fv.solve_nonlocal`, the
+    only march it observes.  Tables that cannot fit in physical memory are
+    refused with :class:`~nltraffic.errors.ConfigurationError` before the
+    steps are counted.  Each step writes its row in place, and :meth:`paths` returns
     read-only column views of the tables.  The growth law reads the latest
     snapshot from one copy, padded with the states outside the grid, that
     each snapshot overwrites.
@@ -250,14 +248,13 @@ class PathTracer:
         # steps of at most dt_max cover [0, t_end]: a floor on the rows, known
         # before the clock is counted step by step
         floor = 1 + math.ceil(min(self.t_end, config.t_final) / dt_max)
-        _refuse_unless_it_fits(8.0 * floor * (1 + 3 * starts.size),
+        _refuse_unless_it_fits(8.0 * floor * (1 + 2 * starts.size),
                                f"tracing {starts.size} paths over {floor - 1} steps")
         rows = 1 + sum(1 for t0, _, _ in _clock(config, dt_max) if t0 < self.t_end)
         self._times = np.zeros(rows)
         self._positions = np.empty((rows, starts.size))
         self._positions[0] = starts
         self._transported = np.empty((rows, starts.size))
-        self._values = np.full((rows, starts.size), np.nan)
         self._filled = 1
         self._edges = grid.edges
         self._edge_view = memoryview(self._edges)
@@ -274,10 +271,8 @@ class PathTracer:
             self._ahead_view = memoryview(self._ahead)
         else:
             self._ahead[1:-1] = u  # one padded copy serves every snapshot
-        sampled = _sample_cells(self._ahead, self.config.grid, self._positions[step])
         if step == 0:
-            self._transported[0] = sampled
-        self._values[step] = sampled
+            self._transported[0] = _sample_cells(self._ahead, self.config.grid, self.starts)
 
     def step(self, step: int, t0: float, t1: float, w: np.ndarray) -> None:
         """Notice of march step ``step`` over ``[t0, t1]`` with lookahead row ``w``."""
@@ -348,11 +343,10 @@ class PathTracer:
         """
         if self._ahead is None:
             raise ConfigurationError("the tracer has not observed a march")
-        times, positions, values, transported = (
-            table[: self._filled] for table in
-            (self._times, self._positions, self._values, self._transported)
+        times, positions, transported = (
+            table[: self._filled] for table in (self._times, self._positions, self._transported)
         )
-        for view in (times, positions, values, transported):
+        for view in (times, positions, transported):
             view.flags.writeable = False
         return [
             CharacteristicPath(
@@ -360,7 +354,6 @@ class PathTracer:
                 epsilon=self.config.epsilon,
                 times=times,
                 positions=positions[:, c],
-                values=values[:, c],
                 transported=transported[:, c],
             )
             for c, y in enumerate(self.starts)

@@ -18,7 +18,8 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigurationError, SolverError
-from .model import PiecewiseConstant1D, build_bar_u, build_u0, load_piecewise
+from .model import (PiecewiseConstant1D, _check_nonnegative_integer, build_bar_u, build_u0,
+                    load_piecewise)
 from .fv import Grid1D, SolverConfig, _whole_cells, solve_local, solve_nonlocal
 from .characteristics import PathTracer, _check_tau
 from .analysis import (
@@ -116,14 +117,17 @@ class RunConfig:
     local: bool = False
     out: str = None
 
+    def __post_init__(self):
+        if self.local and self.scheme != RunConfig.scheme:
+            raise ConfigurationError(f"local runs march Godunov, not the {self.scheme} scheme")
+
     def resolved_epsilon(self, grid: Grid1D) -> float:
         if self.local:
             return grid.dx  # placeholder; the local marcher ignores it
         if (self.epsilon is None) == (self.dyadic_j is None):
             raise ConfigurationError("give exactly one of epsilon and dyadic-j")
         if self.dyadic_j is not None:
-            if self.dyadic_j < 0:
-                raise ConfigurationError(f"dyadic-j must be nonnegative, got {self.dyadic_j}")
+            _check_nonnegative_integer(self.dyadic_j, "j")
             return 2.0 ** -self.dyadic_j
         return float(self.epsilon)
 
@@ -312,8 +316,8 @@ class SweepSpec:
         if len(set(taus)) != len(taus):
             raise ConfigurationError("tau values must be distinct")
         js = tuple(int(j) for j in self.js)
-        if any(j < 1 for j in js):
-            raise ConfigurationError("j values must be positive (epsilon = 2^-j below 1)")
+        for j in js:
+            _check_nonnegative_integer(j, "j")
         if len(set(js)) != len(js):
             raise ConfigurationError("j values must be distinct")
         a, b = self.domain
@@ -356,16 +360,16 @@ def run_sweep(spec: SweepSpec, out: str = None):
     t_final = max(spec.taus)
     for j in spec.js:
         _, _, dx = sweep_resolution(j)
-        gridded = [t for t in spec.taus if t > 0.0]
-        cfg = SolverConfig(
-            grid=make_grid(spec.domain, dx),
-            epsilon=2.0 ** -j,
-            datum=build_u0(default_truncation(dx)),
+        cfg = build_solver_config(RunConfig(
+            datum=f"blowup:{default_truncation(dx)}",  # K from dx: the grid may round its dx
+            domain=spec.domain,
+            dx=dx,
+            dyadic_j=j,
             t_final=t_final,
-            cfl=spec.cfl,
+            output_times=tuple(t for t in spec.taus if t > 0.0),
             scheme=spec.scheme,
-            output_times=tuple(gridded),
-        )
+            cfl=spec.cfl,
+        ))
         tracer = reconstruction_tracer(cfg)
         record = None
         error = None
@@ -506,7 +510,8 @@ def run_mechanism_demo(
     )
 
     (probe,) = tracer.paths()
-    slope = (probe.values[-1] - probe.values[0]) / t_probe
+    probed = record.snapshots[t_probe][grid.cell_of(probe.positions[-1])]
+    slope = (probed - probe.transported[0]) / t_probe
 
     report = MechanismReport(
         h=h,
@@ -531,48 +536,32 @@ def run_mechanism_demo(
 # --- canned verification suites ----------------------------------------------
 
 
-def _canned_blowup(epsilon: float, dx: float, t_final: float, outputs: tuple) -> SolverConfig:
-    grid = make_grid(DEFAULT_DOMAIN, dx)
-    return SolverConfig(
-        grid=grid,
-        epsilon=epsilon,
-        datum=build_u0(default_truncation(dx)),
-        t_final=t_final,
-        output_times=outputs,
-    )
-
-
 def _suite_max_principle():
-    cfg = _canned_blowup(2.0 ** -3, 2.0 ** -8, 0.3, (0.1, 0.2))
+    cfg = build_solver_config(RunConfig(dx=2.0 ** -8, dyadic_j=3, t_final=0.3,
+                                        output_times=(0.1, 0.2)))
     record = solve_nonlocal(cfg, observers=())
     return [check_max_principle(record, 0.0, 1.0)]
 
 
 def _suite_monotonicity():
     reports = []
-    grid = make_grid(DEFAULT_DOMAIN, 2.0 ** -6)
     for scheme in ("upwind", "lax-friedrichs"):
-        cfg = SolverConfig(
-            grid=grid,
-            epsilon=2.0 ** -3,
-            datum=parse_datum("step", grid.dx),
-            t_final=0.5,
-            scheme=scheme,
-            output_times=(0.1, 0.25),
-        )
+        cfg = build_solver_config(RunConfig(datum="step", dx=2.0 ** -6, dyadic_j=3, t_final=0.5,
+                                            output_times=(0.1, 0.25), scheme=scheme))
         report = check_monotonicity(solve_nonlocal(cfg, observers=()))
         reports.append(replace(report, name=f"monotonicity-{scheme}"))
     return reports
 
 
 def _suite_plateau():
-    cfg = _canned_blowup(2.0 ** -4, 2.0 ** -8, 0.5, (0.25,))
+    cfg = build_solver_config(RunConfig(dx=2.0 ** -8, dyadic_j=4, t_final=0.5,
+                                        output_times=(0.25,)))
     record = solve_nonlocal(cfg, observers=())
     return [check_plateau(record)]
 
 
 def _suite_characteristics():
-    cfg = _canned_blowup(2.0 ** -4, 2.0 ** -8, 0.3, ())
+    cfg = build_solver_config(RunConfig(dx=2.0 ** -8, dyadic_j=4, t_final=0.3))
     eps = cfg.epsilon
     tracer = PathTracer(cfg, np.concatenate(
         ([0.0], np.linspace(-eps, 0.0, 20), np.linspace(-1.2, -0.01, 20))))

@@ -128,9 +128,9 @@ def build_bar_u(h: float) -> PiecewiseConstant1D:
 
 
 def _check_nonnegative_integer(value, name: str) -> None:
-    """Refuse ``value`` with ``ValueError`` unless it is a nonnegative integer."""
+    """Refuse ``value`` with ``ConfigurationError`` unless it is a nonnegative integer."""
     if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 # The last block's right edge -2^-(2K+1) rounds to zero past this truncation.

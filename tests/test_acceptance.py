@@ -134,7 +134,8 @@ def test_criterion_05_growth_law_along_path(fine_plateau_record):
     tau = 0.2
     path = trace_many(fine_plateau_record, [-0.046875], t_end=tau)[0]
     want = logistic_value(0.25, tau, eps)
-    got = float(path.values[-1])
+    rec = fine_plateau_record
+    got = float(rec.snapshots[tau][rec.grid.cell_of(path.positions[-1])])
     rel = abs(got - want) / want
     assert rel <= 0.02
 

@@ -339,6 +339,15 @@ def test_reconstruction_rejects_foreign_records_and_bad_times():
         reconstruct_tv_from_characteristics(blow, 0.07, tracer)
 
 
+def test_reconstruction_tracer_refuses_more_breakpoints_than_any_stock_datum():
+    # build_u0(536), the largest, has 1075 breakpoints; 1077 would ask for K = 537
+    g = Grid1D(-1.0, 1.0, 160)
+    many = PiecewiseConstant1D(np.linspace(-1.0, 0.0, 1077), np.full(1076, 0.5), 0.0, 1.0)
+    cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=many, t_final=0.1)
+    with pytest.raises(ConfigurationError, match="not the oscillatory datum"):
+        reconstruction_tracer(cfg)
+
+
 # --- property checks -------------------------------------------------------------
 
 

@@ -119,7 +119,8 @@ def test_trace_through_constant_field_is_a_straight_line():
         path.positions, -0.8 + (1 - c) * path.times, rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(path.transported, c, rtol=0, atol=1e-12)
-    sampled = path.values[np.isfinite(path.values)]
+    sampled = [rec.snapshots[t][rec.grid.cell_of(path.positions[k])]
+               for t, k in rec.snapshot_steps.items()]
     np.testing.assert_allclose(sampled, c, rtol=0, atol=1e-12)
     assert path.epsilon == rec.epsilon
 
@@ -170,30 +171,32 @@ def test_trace_respects_t_end():
     assert path.times[0] == 0.0
 
 
-def _sampled_rows(path):
-    return np.flatnonzero(np.isfinite(path.values)).tolist()
+def _snapshot_rows(path, rec):
+    """The rows of ``path`` that sit at a snapshot time, by the row's own time."""
+    return [k for t, k in rec.snapshot_steps.items()
+            if k < path.times.size and path.times[k] == t]
 
 
 def test_trace_samples_snapshots_at_their_steps():
     rec = _record(build_u0(3), output_times=(0.1, 0.17))
     steps = rec.snapshot_steps
     path = trace_many(rec, [-0.3])[0]
-    assert _sampled_rows(path) == sorted(steps.values())
-    for t, k in steps.items():
-        assert path.values[k] == rec.snapshots[t][rec.grid.cell_of(path.positions[k])]
+    assert _snapshot_rows(path, rec) == sorted(steps.values())
+    # the growth law starts from the datum's cell value under the start
+    assert path.transported[0] == rec.snapshots[0.0][rec.grid.cell_of(path.positions[0])]
 
     at_snapshot = trace_many(rec, [-0.3], t_end=0.1)[0]
-    assert at_snapshot.values.size == steps[0.1] + 1
-    assert _sampled_rows(at_snapshot) == [0, steps[0.1]]
+    assert at_snapshot.positions.size == steps[0.1] + 1
+    assert _snapshot_rows(at_snapshot, rec) == [0, steps[0.1]]
 
     between = trace_many(rec, [-0.3], t_end=0.2)[0]
-    assert _sampled_rows(between) == [0, steps[0.1], steps[0.17]]
-    assert np.isnan(between.values[-1])
+    assert _snapshot_rows(between, rec) == [0, steps[0.1], steps[0.17]]
+    assert between.times[-1] == 0.2
 
     # t_end inside the step that lands on 0.1: that row is short of the snapshot
     short = trace_many(rec, [-0.3], t_end=0.0999)[0]
-    assert short.values.size == steps[0.1] + 1
-    assert _sampled_rows(short) == [0]
+    assert short.positions.size == steps[0.1] + 1
+    assert _snapshot_rows(short, rec) == [0]
 
 
 @pytest.mark.parametrize("outputs", [(0.08, 0.21), (0.104, 0.23)])
@@ -212,9 +215,8 @@ def test_trace_to_a_landing_snapshot_stops_on_it(outputs):
     k = rec.snapshot_steps[t]
     assert step_ends[k - 1] == t
     path = trace_many(rec, [-0.75], t_end=t)[0]
-    assert path.values.size == k + 1
+    assert path.positions.size == k + 1
     assert path.times[-1] == t
-    assert path.values[-1] == rec.snapshots[t][g.cell_of(path.positions[-1])]
 
 
 @pytest.mark.parametrize("t_end", [None, 0.1, 0.2, 0.0999])
@@ -231,7 +233,7 @@ def test_live_tracing_equals_trace_many(t_end):
     assert len(live) == len(replayed)
     for a, b in zip(live, replayed):
         assert a.start == b.start and a.epsilon == b.epsilon
-        for name in ("times", "positions", "values", "transported"):
+        for name in ("times", "positions", "transported"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -306,7 +308,7 @@ class ReferenceTracer:
         self.t_end = np.inf if t_end is None else t_end
         self.X = np.asarray(starts, dtype=float).copy()
         self.V = self.ahead = None
-        self.times, self.positions, self.transported, self.values = [0.0], [self.X.copy()], [], {}
+        self.times, self.positions, self.transported = [0.0], [self.X.copy()], []
 
     def sample(self, u, x):
         g, datum = self.config.grid, self.config.datum
@@ -322,7 +324,6 @@ class ReferenceTracer:
         if step == 0:
             self.V = self.sample(u, self.X)
             self.transported.append(self.V.copy())
-        self.values[step] = self.sample(u, self.X)
 
     def step(self, step, t0, t1, w):
         if not t0 < self.t_end:
@@ -347,15 +348,11 @@ class ReferenceTracer:
 
     def assert_same_paths(self, paths):
         positions, transported = np.asarray(self.positions), np.asarray(self.transported)
-        values = np.full_like(positions, np.nan)
-        for k, row in self.values.items():
-            values[k] = row
         assert len(paths) == positions.shape[1]
         for c, path in enumerate(paths):
             assert path.epsilon == self.config.epsilon
             assert path.times.tobytes() == np.asarray(self.times).tobytes()
             assert path.positions.tobytes() == positions[:, c].tobytes()
-            assert path.values.tobytes() == values[:, c].tobytes()
             assert path.transported.tobytes() == transported[:, c].tobytes()
 
 
@@ -443,8 +440,10 @@ def test_tracer_reserves_one_row_per_step_before_t_end(t_end):
     rows = rec.info["steps"] + 1 if t_end is None else sum(t0 < t_end for t0 in step_starts) + 1
     for path in tracer.paths():
         assert path.times.size == rows
-        for name in ("positions", "values", "transported"):
+        for name in ("positions", "transported"):
             assert getattr(path, name).base.shape == (rows, 2)
+    tables = [a for a in vars(tracer).values() if isinstance(a, np.ndarray) and a.ndim == 2]
+    assert len(tables) == 2
 
 
 def test_tracer_refuses_steps_beyond_its_tables():
@@ -464,7 +463,7 @@ def test_paths_are_read_only_views_of_the_tables():
     solve_nonlocal(cfg, observers=[tracer])
     first, again = tracer.paths(), tracer.paths()
     for a, b in zip(first, again):
-        for name in ("times", "positions", "values", "transported"):
+        for name in ("times", "positions", "transported"):
             x, y = getattr(a, name), getattr(b, name)
             np.testing.assert_array_equal(x, y)
             assert np.shares_memory(x, y)
@@ -639,7 +638,7 @@ def test_picard_keeps_the_jam_exact_off_dyadic_grids():
 
 
 def test_tracer_refuses_tables_that_cannot_fit(monkeypatch):
-    # 100 paths over 37 steps need 37 * 301 * 8 bytes of tables, about 89 kB,
+    # 100 paths over 37 steps need 37 * 201 * 8 bytes of tables, about 59 kB,
     # where the grid's march needs under 5 kB
     g = Grid1D(-1.0, 1.0, 64)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.3), t_final=1.0)
@@ -647,6 +646,18 @@ def test_tracer_refuses_tables_that_cannot_fit(monkeypatch):
     PathTracer(cfg, np.linspace(-1.0, 0.0, 10))
     with pytest.raises(ConfigurationError, match="tracing 100 paths over 36 steps"):
         PathTracer(cfg, np.linspace(-1.0, 0.0, 100))
+
+
+def test_tracer_floor_counts_two_tables(monkeypatch):
+    # 1024 paths over 36 steps: a floor of 37 rows of times, positions and
+    # transported values fits; one more table of 1024 paths would not
+    g = Grid1D(-1.0, 1.0, 64)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.3), t_final=1.0)
+    two, three = (8 * 37 * (1 + tables * 1024) for tables in (2, 3))
+    monkeypatch.setattr(fv, "_PHYSICAL_MEMORY", (two + three) // 2)
+    tracer = PathTracer(cfg, np.linspace(-1.0, 0.0, 1024))
+    solve_nonlocal(cfg, observers=[tracer])
+    assert len(tracer.paths()) == 1024
 
 
 def test_tracer_refuses_a_run_too_long_to_count(monkeypatch):

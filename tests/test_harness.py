@@ -255,7 +255,17 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigurationError):
         SweepSpec(domain=(-0.5, 1.0))
     with pytest.raises(ConfigurationError):
-        SweepSpec(js=(0, 2))  # epsilon = 1 has no series bound
+        SweepSpec(js=(-1, 2))
+
+
+def test_sweep_runs_at_j_zero():
+    # epsilon = 1 lies in the range of every bound, so j = 0 is a row like any
+    rows, failures = run_sweep(SweepSpec(js=(0,)))
+    assert failures == []
+    (row,) = rows
+    assert (row.j, row.epsilon, row.count_bound, row.dyadic_bound) == (0, 1.0, 2, 1)
+    assert row.series_bound == pytest.approx(4.278, abs=1e-3)
+    assert row.reconstructed_tv == 2.0
 
 
 def test_run_sweep_smoke(tmp_path):
@@ -389,10 +399,14 @@ def test_cli_error_paths(tmp_path, capsys):
     # a time that is not a finite nonnegative number is refused at once
     assert cli_main(["simulate", "--tau", "nan", "--dyadic-j", "4"]) == 2
     assert cli_main(["bounds", "--tau", "nan", "--dyadic-j", "4"]) == 2
-    # a negative j is refused by name, before an epsilon is derived from it
+    # a negative j is refused by name, with one message whichever command got it
     capsys.readouterr()
-    assert cli_main(["bounds", "--tau", "0.1", "--dyadic-j", "-1"]) == 2
-    assert capsys.readouterr().err == "error: j must be a nonnegative integer, got -1\n"
+    for argv in (["bounds", "--tau", "0.1", "--dyadic-j", "-1"],
+                 ["simulate", "--dyadic-j", "-1", "--out", str(tmp_path / "neg")],
+                 ["sweep", "--j", "2,-1", "--out", str(tmp_path / "neg")]):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: j must be a nonnegative integer, got -1\n"
+    assert not (tmp_path / "neg").exists()
     # a key must name a flag of the command, not just any parsed attribute
     cfg.write_text("dyadic-j = 4\n")
     assert cli_main(["bounds", "--config", str(cfg)]) == 0
@@ -421,6 +435,16 @@ def test_cli_constant_road_stays_constant(tmp_path, local):
     for f in snapshots:
         u = np.loadtxt(f, delimiter=",", skiprows=1)[:, 1]
         assert u.size == 640 and np.all(u == 0.5)
+
+
+def test_cli_refuses_a_scheme_for_a_local_run(tmp_path, capsys):
+    # the local limit marches Godunov, so a manifest naming another scheme would lie
+    out = tmp_path / "local"
+    argv = ["simulate", "--local", "--dyadic-j", "4", "--out", str(out)]
+    assert cli_main(argv + ["--scheme", "lax-friedrichs"]) == 2
+    assert "local runs march Godunov, not the lax-friedrichs scheme" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(argv) == 0
 
 
 def test_cli_bounds_and_verify(tmp_path, capsys):

@@ -58,5 +58,8 @@ nl sweep --tau 0,0.05,0.1,0.2 --j 5,6 --out "$out/sweep-taus" >"$out/sweep-taus.
 nl sweep --scheme lax-friedrichs --tau 0.1,0.2 --j 2,3,4 --out "$out/sweep-lxf" \
     >"$out/sweep-lxf.txt"
 nl mechanism --out "$out/mechanism" >"$out/mechanism.txt"
+# a second platoon, whose growth rate is read on another grid
+nl mechanism --h 0.05 --epsilon 0.2 --tau 0.05 --out "$out/mechanism-narrow" \
+    >"$out/mechanism-narrow.txt"
 nl bounds --tau 0.1,0.2,0.4 --dyadic-j 4 --out "$out/bounds" >"$out/bounds.txt"
 nl verify >"$out/verify.txt"
