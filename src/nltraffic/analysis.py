@@ -329,13 +329,11 @@ def _worst_over_snapshots(name, tol, record, deviation, centers=None) -> VerifyR
     return VerifyReport(name, worst, tol, where)
 
 
-def check_max_principle(record: SolutionRecord, alpha: float, beta: float) -> VerifyReport:
-    """Every snapshot must stay inside the initial band [alpha, beta]."""
-    u0 = record.snapshots[0.0]
-    if np.min(u0) < alpha or np.max(u0) > beta:
-        raise ConfigurationError(
-            f"initial snapshot leaves [{alpha}, {beta}]; the check presumes it starts inside"
-        )
+def check_max_principle(record: SolutionRecord) -> VerifyReport:
+    """Every snapshot must stay within 1e-12 of the band between the least and
+    the greatest of the datum's levels, tails included, where its cell averages start."""
+    levels = record.config.datum.levels
+    alpha, beta = levels.min(), levels.max()
     return _worst_over_snapshots(
         "max-principle", 1e-12, record, lambda u: np.maximum(alpha - u, u - beta)
     )

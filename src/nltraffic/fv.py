@@ -230,18 +230,29 @@ def _blocks(n: int, m: int) -> int:
     return -(-n // m) + 1
 
 
-def compute_w(u, epsilon: float, dx: float, right_ghost_value: float = 1.0, *,
+def _buffer(buf, shape, what: str) -> np.ndarray:
+    """``buf``, or a new array of ``shape`` if it is None: a given output must have the
+    tuple ``shape``, and a given work buffer at least the ``int`` ``shape`` floats."""
+    if buf is None:
+        return np.empty(shape)
+    if (buf.size < shape) if isinstance(shape, int) else (buf.shape != shape):
+        raise ConfigurationError(f"need {shape} {what} slots, got {buf.shape}")
+    return buf
+
+
+def compute_w(u, epsilon: float, dx: float, right_ghost_value: float, *,
               out=None, work=None) -> np.ndarray:
     """Lookahead averages at every cell interface.
 
     For a field of ``n`` cells this returns ``n + 1`` values; entry ``i`` is
     the mean of the ``M = epsilon/dx`` cells starting at interface ``i``,
-    cells beyond the right edge counting as ``right_ghost_value``.  The
-    values go into ``out`` (``n + 1`` floats) when it is given, and the block
-    split below works in ``work`` (at least ``2 * M * (ceil(n/M) + 1)``
-    floats) when that is given; otherwise both are allocated.  The upwind
-    march of :func:`solve_nonlocal` calls this only at its re-sum points and
-    carries the row by its fluxes in between.
+    cells beyond the right edge counting as ``right_ghost_value``, the
+    datum's right tail, which has no default.  The values go into ``out``
+    (``n + 1`` floats) when it is given, and the block split below works in
+    ``work`` (at least ``2 * M * (ceil(n/M) + 1)`` floats) when that is
+    given; otherwise both are allocated.  The upwind march of
+    :func:`solve_nonlocal` calls this only at its re-sum points and carries
+    the row by its fluxes in between.
 
     The window sums come from the block split of van Herk (*Pattern Recogn.
     Lett.* 13, 1992) and Gil & Werman (*IEEE TPAMI* 15, 1993), which costs
@@ -258,14 +269,8 @@ def compute_w(u, epsilon: float, dx: float, right_ghost_value: float = 1.0, *,
     m = _whole_cells(epsilon, dx, f"epsilon={epsilon}")
     n = u.size
     size = _blocks(n, m) * m
-    if out is None:
-        out = np.empty(n + 1)
-    elif out.shape != (n + 1,):
-        raise ConfigurationError(f"need {n + 1} interface slots, got {out.shape}")
-    if work is None:
-        work = np.empty(2 * size)
-    elif work.size < 2 * size:
-        raise ConfigurationError(f"need {2 * size} work slots, got {work.size}")
+    out = _buffer(out, (n + 1,), "interface")
+    work = _buffer(work, 2 * size, "work")
     ext = work[:size]
     ext[:n] = u
     ext[n:] = right_ghost_value
@@ -298,7 +303,7 @@ def step_upwind(
     w: np.ndarray,
     dt: float,
     dx: float,
-    left_ghost_value: float = 0.0,
+    left_ghost_value: float,
     *,
     out=None,
     work=None,
@@ -306,10 +311,11 @@ def step_upwind(
     """One upwind step: interface flux ``u * (1 - w)`` with u taken from the left.
 
     The transport speed ``1 - w`` is nonnegative whenever the field stays in
-    [0, 1], so the left cell is always the upwind one.  The new state goes
-    into ``out`` when it is given (``out=u`` steps in place), and the fluxes
-    and their differences into ``work`` (at least ``2n + 1`` floats) when
-    that is given; otherwise both are allocated.  On return ``work[:n + 1]``
+    [0, 1], so the left cell is always the upwind one; left of the grid it
+    is ``left_ghost_value``, the datum's left tail, which has no default.
+    The new state goes into ``out`` when it is given (``out=u`` steps in
+    place), and the fluxes and their differences into ``work`` (at least
+    ``2n + 1`` floats) when that is given; otherwise both are allocated.  On return ``work[:n + 1]``
     holds the interface fluxes ``left_ghost_value * (1 - w[0])`` and
     ``u * (1 - w[1:])``, not yet scaled by ``dt / dx``; the upwind march
     carries its lookahead row by them.
@@ -319,14 +325,8 @@ def step_upwind(
     n = u.size
     if w.shape != (n + 1,):
         raise ConfigurationError(f"need {n + 1} interface values, got {w.shape}")
-    if out is None:
-        out = np.empty(n)
-    elif out.shape != (n,):
-        raise ConfigurationError(f"need {n} cell slots, got {out.shape}")
-    if work is None:
-        work = np.empty(2 * n + 1)
-    elif work.size < 2 * n + 1:
-        raise ConfigurationError(f"need {2 * n + 1} work slots, got {work.size}")
+    out = _buffer(out, (n,), "cell")
+    work = _buffer(work, 2 * n + 1, "work")
     lam = dt / dx
     flux = work[: n + 1]
     np.subtract(1.0, w, out=flux)
@@ -345,21 +345,22 @@ def step_lax_friedrichs(
     w: np.ndarray,
     dt: float,
     dx: float,
-    left_ghost_value: float = 0.0,
-    right_ghost_value: float = 1.0,
+    left_ghost_value: float,
+    right_ghost_value: float,
 ) -> np.ndarray:
     """One Lax-Friedrichs step with unit-speed numerical viscosity.
 
-    The interface flux averages the two neighbouring cell fluxes
-    ``u_j * (1 - w)`` (each cell paired with the lookahead average at its
-    right interface) and subtracts half the cell jump, the global bound on
-    the wave speed ``|1 - w| <= 1`` taking the place of the classic
-    ``dx / dt`` coefficient.  The classic coefficient gives every cell zero
-    weight in its own update, and the resulting odd-even mode is pushed out
-    of order by the averaging window; with unit viscosity the self weight
-    ``1 - dt/dx`` absorbs the window coupling as long as the step satisfies
-    ``dt/dx <= 2M/(2M + 1)`` with ``M`` the window width in cells, which
-    :func:`solve_nonlocal` enforces.
+    The cells beside the grid hold the datum's tails, ``left_ghost_value``
+    and ``right_ghost_value``, which have no defaults.  The interface flux
+    averages the two neighbouring cell fluxes ``u_j * (1 - w)`` (each cell
+    paired with the lookahead average at its right interface) and subtracts
+    half the cell jump, the global bound on the wave speed ``|1 - w| <= 1``
+    taking the place of the classic ``dx / dt`` coefficient.  The classic
+    coefficient gives every cell zero weight in its own update, and the
+    resulting odd-even mode is pushed out of order by the averaging window;
+    with unit viscosity the self weight ``1 - dt/dx`` absorbs the window
+    coupling as long as the step satisfies ``dt/dx <= 2M/(2M + 1)`` with
+    ``M`` the window width in cells, which :func:`solve_nonlocal` enforces.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -600,14 +601,8 @@ def godunov_flux_local(ul, ur, *, out=None, work=None):
     ur = np.asarray(ur, dtype=float)
     shape = np.broadcast_shapes(ul.shape, ur.shape)
     size = math.prod(shape)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ConfigurationError(f"need {shape} flux slots, got {out.shape}")
-    if work is None:
-        work = np.empty(2 * size)
-    elif work.size < 2 * size:
-        raise ConfigurationError(f"need {2 * size} work slots, got {work.size}")
+    out = _buffer(out, shape, "flux")
+    work = _buffer(work, 2 * size, "work")
     c = work[:size].reshape(shape)
     fc = work[size : 2 * size].reshape(shape)
     np.maximum(ur, 0.5, out=c)

@@ -361,16 +361,21 @@ def _step_record(**kw):
 
 def test_max_principle_check_passes_and_fails():
     rec = _step_record()
-    report = check_max_principle(rec, 0.0, 1.0)
+    report = check_max_principle(rec)
     assert report.passed
     assert report.worst <= 1e-12
     rec.snapshots[rec.times[-1]][5] = 1.5
-    bad = check_max_principle(rec, 0.0, 1.0)
+    bad = check_max_principle(rec)
     assert not bad.passed
     assert bad.worst == pytest.approx(0.5, abs=1e-12)
     assert "t=" in bad.location
-    with pytest.raises(ConfigurationError):
-        check_max_principle(_step_record(), 0.2, 0.8)
+    # the band is the datum's, tails included: [0.2, 0.8] here
+    g = Grid1D(-1.0, 1.0, 160)
+    inner = solve_nonlocal(SolverConfig(grid=g, epsilon=2.0**-3, t_final=0.1,
+                                        datum=parse_datum("riemann:0.2,0.8", g.dx)))
+    assert check_max_principle(inner).passed
+    inner.snapshots[0.1][5] = 0.125
+    assert check_max_principle(inner).worst == pytest.approx(0.075, abs=1e-12)
 
 
 def test_monotonicity_check_passes_and_fails():

@@ -3,8 +3,10 @@
 Oracles here are brute force on purpose: windowed means by explicit slicing,
 the single-jump flux by dense sampling of f on the interval between the two
 states.  Scheme properties (range, monotonicity, conservation) are swept over
-small deterministic configuration lattices rather than random draws, so a
-failure reproduces byte for byte.
+small deterministic configuration lattices.  The fast marches are also
+compared with whole-grid marches on random configurations, each drawn from
+``np.random.default_rng(seed)`` for a fixed seed, so a failure reproduces
+byte for byte too; ``tools/fuzzmarch.py`` runs any number of seeds.
 """
 
 import warnings
@@ -109,11 +111,9 @@ def test_compute_w_matches_slicing_oracle(m):
         g = Grid1D(0.0, 1.0, n)
         dx = g.dx
         u = (np.arange(n) % 7) / 7.0  # deterministic, non-symmetric profile
-        w = compute_w(u, m * dx, dx)
-        np.testing.assert_allclose(w, window_mean_oracle(u, m, 1.0), rtol=0, atol=1e-15)
-        for ghost in (0.0, 0.375):
-            w0 = compute_w(u, m * dx, dx=dx, right_ghost_value=ghost)
-            np.testing.assert_allclose(w0, window_mean_oracle(u, m, ghost), rtol=0, atol=1e-15)
+        for ghost in (1.0, 0.0, 0.375):
+            w = compute_w(u, m * dx, dx, ghost)
+            np.testing.assert_allclose(w, window_mean_oracle(u, m, ghost), rtol=0, atol=1e-15)
 
 
 def test_compute_w_constant_is_exact():
@@ -128,7 +128,7 @@ def test_compute_w_step_halfway_through_window():
     eps = 0.25
     g = Grid1D(-1.0, 1.0, 128)
     u = np.where(g.centers >= -eps / 2, 1.0, 0.0)
-    w = compute_w(u, eps, g.dx)
+    w = compute_w(u, eps, g.dx, 1.0)
     i = int(np.flatnonzero(np.isclose(g.edges, -eps))[0])
     assert w[i] == 0.5
     assert w[-1] == 1.0
@@ -138,7 +138,7 @@ def test_compute_w_step_halfway_through_window():
 def test_compute_w_requires_whole_cell_window():
     g = Grid1D(0.0, 1.0, 10)
     with pytest.raises(ConfigurationError):
-        compute_w(np.zeros(10), 0.15, g.dx)
+        compute_w(np.zeros(10), 0.15, g.dx, 1.0)
 
 
 def test_compute_w_jam_window_is_bit_exact():
@@ -146,14 +146,14 @@ def test_compute_w_jam_window_is_bit_exact():
     for n, m, edge in ((64, 4, 0.0), (1000, 128, 0.1)):
         g = Grid1D(-1.0, 1.0, n)
         u = np.where(g.centers >= edge, 1.0, 0.3)
-        w = compute_w(u, m * g.dx, g.dx)
+        w = compute_w(u, m * g.dx, g.dx, 1.0)
         jam = np.flatnonzero(g.edges >= edge)
         assert np.all(w[jam] == 1.0)
 
 
 def test_compute_w_returns_its_own_interface_array():
     u = np.linspace(0.0, 1.0, 300)
-    w = compute_w(u, 64 * 0.01, dx=0.01)
+    w = compute_w(u, 64 * 0.01, 0.01, 1.0)
     assert w.shape == (301,)
     assert w.flags.owndata and w.base is None
 
@@ -212,8 +212,8 @@ def test_step_upwind_moves_mass_downstream_only():
     n, dx = 16, 0.125
     u = np.zeros(n)
     u[4] = 0.5
-    w = compute_w(u, 2 * dx, dx=dx, right_ghost_value=0.0)
-    out = step_upwind(u, w, 0.05, dx)
+    w = compute_w(u, 2 * dx, dx, 0.0)
+    out = step_upwind(u, w, 0.05, dx, 0.0)
     assert out[3] == 0.0  # nothing flows upstream
     assert out[5] > 0.0
     assert out.sum() == pytest.approx(u.sum(), abs=1e-15)
@@ -223,37 +223,37 @@ def test_step_upwind_rejects_cfl_violation():
     u = np.zeros(8)
     w = np.zeros(9)
     with pytest.raises(ConfigurationError):
-        step_upwind(u, w, dt=0.2, dx=0.1)
+        step_upwind(u, w, 0.2, 0.1, 0.0)
 
 
 def test_steppers_reject_wrong_interface_count():
     with pytest.raises(ConfigurationError):
-        step_upwind(np.zeros(8), np.zeros(8), 0.01, 0.1)
+        step_upwind(np.zeros(8), np.zeros(8), 0.01, 0.1, 0.0)
     with pytest.raises(ConfigurationError):
-        step_lax_friedrichs(np.zeros(8), np.zeros(10), 0.01, 0.1)
+        step_lax_friedrichs(np.zeros(8), np.zeros(10), 0.01, 0.1, 0.0, 1.0)
 
 
 def test_caller_buffers_give_the_allocated_results_bit_for_bit():
     u = np.linspace(0.0, 1.0, 300)
     eps, dx = 64 * 0.01, 0.01
-    w = compute_w(u, eps, dx)
+    w = compute_w(u, eps, dx, 1.0)
     out, work = np.empty(301), np.empty(2 * 64 * 6)  # 300 cells and the ghost: 6 blocks
-    assert compute_w(u, eps, dx, out=out, work=work) is out
+    assert compute_w(u, eps, dx, 1.0, out=out, work=work) is out
     assert out.tobytes() == w.tobytes()
-    stepped = step_upwind(u, w, 0.009, dx)
+    stepped = step_upwind(u, w, 0.009, dx, 0.0)
     # the step leaves its interface fluxes, not yet scaled by dt/dx, in work
     step_upwind(u, w, 0.009, dx, 0.25, work=work[:601])
     assert work[:301].tobytes() == (np.concatenate(([0.25], u)) * (1.0 - w)).tobytes()
-    assert step_upwind(u, w, 0.009, dx, out=u, work=work[:601]) is u
+    assert step_upwind(u, w, 0.009, dx, 0.0, out=u, work=work[:601]) is u
     assert u.tobytes() == stepped.tobytes()
     with pytest.raises(ConfigurationError, match="interface slots"):
-        compute_w(u, eps, dx, out=np.empty(300))
+        compute_w(u, eps, dx, 1.0, out=np.empty(300))
     with pytest.raises(ConfigurationError, match="work slots"):
-        compute_w(u, eps, dx, work=work[:-1])
+        compute_w(u, eps, dx, 1.0, work=work[:-1])
     with pytest.raises(ConfigurationError, match="cell slots"):
-        step_upwind(u, w, 0.009, dx, out=np.empty(301))
+        step_upwind(u, w, 0.009, dx, 0.0, out=np.empty(301))
     with pytest.raises(ConfigurationError, match="work slots"):
-        step_upwind(u, w, 0.009, dx, work=work[:600])
+        step_upwind(u, w, 0.009, dx, 0.0, work=work[:600])
     flux = godunov_flux_local(u[:-1], u[1:])
     out = np.empty(299)
     assert godunov_flux_local(u[:-1], u[1:], out=out, work=work[:598]) is out
@@ -557,7 +557,8 @@ def test_observers_see_the_history_that_is_not_stored():
     for t, k in bare.snapshot_steps.items():
         if k < len(steps):
             np.testing.assert_array_equal(
-                steps[k][3], compute_w(bare.snapshots[t], cfg.epsilon, g.dx))
+                steps[k][3], compute_w(bare.snapshots[t], cfg.epsilon, g.dx,
+                                       cfg.datum.right_extension))
     # each snapshot is announced before the step that leaves it
     order = [(n[1], n[0] == "step") for n in log.notices]
     assert order == sorted(order)
@@ -778,6 +779,81 @@ def test_local_march_equals_the_whole_grid_march_bit_for_bit(monkeypatch, n, spe
     assert sorted(rec.snapshots) == sorted(snaps)
     for t, u in snaps.items():
         assert rec.snapshots[t].tobytes() == u.tobytes()
+
+
+# --- seeded random marches against the whole-grid marches -------------------------
+
+
+def random_config(seed):
+    """The random configuration number ``seed``, the same on every machine.
+
+    40-400 cells on [-1, 1], windows of 1-11 cells, and 1-7 pieces whose
+    breakpoints fall on cell edges half the time.  A level is 0 or 1 (three
+    tenths each), uniform in [0, 1) (three tenths), 2^-1074 or 1 - 2^-52;
+    a tail is drawn the same way, or one time in four is one of the pieces'
+    levels.  The cfl lies in (0.1, 1], ``t_final`` in [0.02, 0.2), there
+    are 0-2 output times, and one configuration in five is Lax-Friedrichs.
+    """
+    rng = np.random.default_rng(seed)
+    n, m, pieces = int(rng.integers(40, 401)), int(rng.integers(1, 12)), int(rng.integers(1, 8))
+    g = Grid1D(-1.0, 1.0, n)
+    if rng.random() < 0.5:
+        breakpoints = np.sort(rng.choice(g.edges, pieces + 1, replace=False))
+    else:
+        breakpoints = np.sort(rng.uniform(-1.0, 1.0, pieces + 1))
+    kinds = rng.choice(5, size=pieces + 2, p=[0.3, 0.3, 0.3, 0.05, 0.05])
+    levels = np.select([kinds == 0, kinds == 1, kinds == 3, kinds == 4],
+                       [0.0, 1.0, 2.0**-1074, 1.0 - 2.0**-52], rng.random(pieces + 2))
+    values, (left, right) = levels[1:-1], levels[[0, -1]]
+    if rng.random() < 0.25:
+        left = rng.choice(values)
+    if rng.random() < 0.25:
+        right = rng.choice(values)
+    t_final = float(rng.uniform(0.02, 0.2))
+    return SolverConfig(
+        grid=g,
+        epsilon=m * g.dx,
+        datum=PiecewiseConstant1D(breakpoints, values, float(left), float(right)),
+        t_final=t_final,
+        cfl=1.0 - 0.9 * float(rng.random()),
+        scheme="lax-friedrichs" if rng.random() < 0.2 else "upwind",
+        output_times=tuple(np.sort(rng.uniform(0.0, t_final, rng.integers(3)))),
+    )
+
+
+def random_march_differences(seed):
+    """How the fast marches of ``random_config(seed)`` differ from the whole-grid ones.
+
+    One line for each snapshot of :func:`solve_nonlocal` that differs from
+    :func:`_whole_grid_march` in any bit, for the first lookahead row that
+    does, and for each snapshot of :func:`solve_local` that differs from
+    :func:`_whole_grid_godunov`; an empty list when all agree byte for byte.
+    """
+    cfg = random_config(seed)
+    found = []
+    log = _StepLog()
+    snaps, rows = _whole_grid_march(cfg)
+    marches = (
+        ("nonlocal", solve_nonlocal(cfg, observers=[log]).snapshots, snaps),
+        ("local", solve_local(cfg).snapshots, _whole_grid_godunov(cfg)),
+    )
+    for name, fast, whole in marches:
+        for t in sorted(set(fast) | set(whole)):
+            if t not in fast or t not in whole or fast[t].tobytes() != whole[t].tobytes():
+                found.append(f"seed {seed}: {name} snapshot at t={t!r} differs")
+    steps = log.steps()
+    if len(steps) != len(rows):
+        found.append(f"seed {seed}: {len(steps)} nonlocal steps, {len(rows)} whole-grid steps")
+    for k, ((_, _, _, w), row) in enumerate(zip(steps, rows)):
+        if w.tobytes() != row.tobytes():
+            found.append(f"seed {seed}: lookahead row of step {k} differs")
+            break
+    return found
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_random_marches_equal_the_whole_grid_marches_bit_for_bit(seed):
+    assert random_march_differences(seed) == []
 
 
 def test_solver_config_refuses_a_grid_that_cannot_fit(monkeypatch):

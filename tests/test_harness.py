@@ -183,6 +183,13 @@ def test_run_simulate_writes_deterministic_artifacts(tmp_path):
     assert len(timeless(a)) == len(manifest.splitlines()) - 1
 
 
+@pytest.mark.parametrize("local, scheme", [(False, "upwind"), (True, "godunov-local")])
+def test_manifest_names_the_scheme_that_ran(tmp_path, local, scheme):
+    run_simulate(_small_run(tmp_path, local=local))
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("scheme = ")] == [f"scheme = {scheme}"]
+
+
 def test_run_characteristics_writes_paths_and_rejects_local(tmp_path):
     files = run_characteristics(_small_run(tmp_path, datum="blowup:4"), [-0.5, -0.25])
     assert sorted(f.name for f in files) == [
@@ -256,6 +263,9 @@ def test_sweep_spec_validation():
         SweepSpec(domain=(-0.5, 1.0))
     with pytest.raises(ConfigurationError):
         SweepSpec(js=(-1, 2))
+    # refused, not truncated to j = 2
+    with pytest.raises(ConfigurationError, match="j must be a nonnegative integer, got 2.5"):
+        SweepSpec(js=(2.5,))
 
 
 def test_sweep_runs_at_j_zero():

@@ -1,15 +1,22 @@
-"""The determinism check ``tools/cmpcanned.py`` on small hand-made trees."""
+"""The determinism check ``tools/cmpcanned.py`` on small hand-made trees, and the
+seed runner ``tools/fuzzmarch.py``."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "cmpcanned", Path(__file__).resolve().parents[1] / "tools" / "cmpcanned.py"
-)
-cmpcanned = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(cmpcanned)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cmpcanned = _load("cmpcanned")
 
 TREE = {
     "simulate/u.csv": "x,u\n-0.5,0.25\n0.5,0.75\n",
@@ -73,3 +80,10 @@ def test_a_structural_difference_exits_1(tmp_path, capsys, changes, problem):
     code, out = _compare(tmp_path, capsys, changes)
     assert code == 1
     assert f"STRUCTURE {problem}" in out
+
+
+def test_the_seed_runner_counts_seeds_and_differences(capsys):
+    fuzzmarch = _load("fuzzmarch")
+    assert fuzzmarch.main(["3", "5"]) == 0
+    assert capsys.readouterr().out.startswith("3 seeds from 5, 0 differences, ")
+    assert fuzzmarch.main([]) == 2
