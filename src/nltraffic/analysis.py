@@ -165,17 +165,23 @@ class BoundReport:
     reconstructed_tv: float = None
 
 
+def _lookahead(epsilon: float, j: int) -> float:
+    """The lookahead distance given as exactly one of ``epsilon`` and index ``j``."""
+    if (epsilon is None) == (j is None):
+        raise ConfigurationError("give exactly one of epsilon and dyadic-j")
+    if j is not None:
+        _check_nonnegative_integer(j, "j")
+        return 2.0 ** -j
+    return float(epsilon)
+
+
 def evaluate_bounds(tau: float, epsilon: float = None, j: int = None) -> BoundReport:
     """All analytic bounds for one (tau, epsilon) pair.
 
     Give ``j`` for a dyadic lookahead (epsilon = 2^-j, enabling the dyadic
     bound) or ``epsilon`` directly for the other two.
     """
-    if (epsilon is None) == (j is None):
-        raise ConfigurationError("give exactly one of epsilon and j")
-    if j is not None:
-        _check_nonnegative_integer(j, "j")
-        epsilon = 2.0 ** -j
+    epsilon = _lookahead(epsilon, j)
     return BoundReport(
         tau=tau,
         epsilon=epsilon,

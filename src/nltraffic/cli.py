@@ -212,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of lookahead indices (default 2..6)",
     )
     p.add_argument("--scheme", choices=("upwind", "lax-friedrichs"))
-    p.add_argument("--domain", type=_domain)
-    p.add_argument("--cfl", type=float)
     p.add_argument("--out", help="write sweep.csv and manifest here")
 
     p = command("mechanism", _cmd_mechanism, "platoon-against-jam growth demo")
-    p.add_argument("--h", type=float, help="platoon width (default 0.1)")
+    p.add_argument(
+        "--h", type=float,
+        help="platoon width (default 0.1); cells are epsilon/ceil(32 epsilon/h) wide",
+    )
     p.add_argument("--epsilon", type=float, help="lookahead distance (default 0.4)")
     p.add_argument("--tau", type=float, help="horizon (default 0.05)")
-    p.add_argument("--dx", type=float, help="cell size (default epsilon/ceil(32 epsilon/h))")
     p.add_argument("--out", help="write snapshot CSVs here")
 
     p = command("bounds", _cmd_bounds, "analytic lower bounds for given tau, epsilon")

@@ -25,7 +25,9 @@ from .characteristics import PathTracer, _check_tau
 from .analysis import (
     BoundReport,
     VerifyReport,
+    _count_upper_limit,
     _first_confined_block,
+    _lookahead,
     _worst_over_snapshots,
     check_max_principle,
     check_monotonicity,
@@ -55,7 +57,8 @@ __all__ = [
 ]
 
 DEFAULT_DOMAIN = (-1.5, 1.0)
-TV_WINDOW = (-1.25, 0.5)  # sweeps must resolve all variation inside this window
+# The mechanism demo's vacuum cells may rise this far above 0 before it fails.
+_VACUUM_TOL = 1e-6
 
 
 def default_truncation(dx: float) -> int:
@@ -124,12 +127,7 @@ class RunConfig:
     def resolved_epsilon(self, grid: Grid1D) -> float:
         if self.local:
             return grid.dx  # placeholder; the local marcher ignores it
-        if (self.epsilon is None) == (self.dyadic_j is None):
-            raise ConfigurationError("give exactly one of epsilon and dyadic-j")
-        if self.dyadic_j is not None:
-            _check_nonnegative_integer(self.dyadic_j, "j")
-            return 2.0 ** -self.dyadic_j
-        return float(self.epsilon)
+        return _lookahead(self.epsilon, self.dyadic_j)
 
 
 def build_solver_config(run: RunConfig) -> SolverConfig:
@@ -295,16 +293,15 @@ def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
 class SweepSpec:
     """Lookahead sweep: one solve per j, analysed at each tau.
 
-    The grid refines with j so that every block entering the analytic bounds
-    is resolved: with blocks k_min(j)..k_max(j) selected, dx = 4^-(k_max+1)
-    makes the narrowest selected gap exactly one cell wide.
+    Each j marches the stock datum on ``DEFAULT_DOMAIN`` at ``RunConfig``'s
+    CFL number, on a grid that refines with j so that every block entering
+    the analytic bounds is resolved: with blocks k_min(j)..k_max(j) selected,
+    dx = 4^-(k_max+1) makes the narrowest selected gap exactly one cell wide.
     """
 
     taus: tuple = (0.2,)
     js: tuple = (2, 3, 4, 5, 6)
     scheme: str = "upwind"
-    domain: tuple = DEFAULT_DOMAIN
-    cfl: float = 0.9
 
     def __post_init__(self):
         taus = tuple(sorted(float(t) for t in self.taus))
@@ -321,11 +318,6 @@ class SweepSpec:
         js = tuple(int(j) for j in self.js)
         if len(set(js)) != len(js):
             raise ConfigurationError("j values must be distinct")
-        a, b = self.domain
-        if a > TV_WINDOW[0] or b < TV_WINDOW[1]:
-            raise ConfigurationError(
-                f"sweep domain must contain [{TV_WINDOW[0]}, {TV_WINDOW[1]}]"
-            )
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "js", tuple(sorted(js)))
 
@@ -348,7 +340,8 @@ def sweep_resolution(j: int):
 def run_sweep(spec: SweepSpec, out: str = None):
     """Run the blow-up trend experiment; returns (rows, failures).
 
-    Each j gets one solve carried to max(tau) with snapshots at every tau;
+    Each j gets one solve of the stock datum, truncated for the grid of
+    ``sweep_resolution(j)``, carried to max(tau) with snapshots at every tau;
     each (tau, j) row combines the analytic bounds with the measured grid
     total variation and the characteristic-trace reconstruction.  One tracer
     per solve traces the plateau paths during the march, and every tau reads
@@ -362,14 +355,11 @@ def run_sweep(spec: SweepSpec, out: str = None):
     for j in spec.js:
         _, _, dx = sweep_resolution(j)
         cfg = build_solver_config(RunConfig(
-            datum=f"blowup:{default_truncation(dx)}",  # K from dx: the grid may round its dx
-            domain=spec.domain,
             dx=dx,
             dyadic_j=j,
             t_final=t_final,
             output_times=tuple(t for t in spec.taus if t > 0.0),
             scheme=spec.scheme,
-            cfl=spec.cfl,
         ))
         tracer = reconstruction_tracer(cfg)
         record = None
@@ -407,7 +397,12 @@ def write_bounds(rows, out: str) -> list:
     t0 = time.perf_counter()
     out_dir = Path(out)
     csv = _write_lines(out_dir / "bounds.csv", _bound_rows_lines(rows))
-    params = {"taus": ",".join(str(r.tau) for r in rows), "rows": len(rows)}
+    params = {
+        "taus": ",".join(str(r.tau) for r in rows),
+        "epsilons": ",".join(str(r.epsilon) for r in rows),
+        "js": ",".join(str(r.j) for r in rows),
+        "rows": len(rows),
+    }
     _write_manifest(out_dir, params, [csv], time.perf_counter() - t0)
     return [csv]
 
@@ -435,7 +430,7 @@ class MechanismReport:
     def ok(self) -> bool:
         return (
             self.tv_final > self.tv_initial
-            and self.vacuum_max <= 1e-6
+            and self.vacuum_max <= _VACUUM_TOL
             and self.plateau_max <= 1e-12
             and self.slope_rel_error <= 0.10
         )
@@ -443,7 +438,7 @@ class MechanismReport:
     def lines(self):
         yield f"platoon width h={self.h:g}, lookahead epsilon={self.epsilon:g}, horizon tau={self.tau:g}, dx={self.dx:g}"
         yield f"total variation: {self.tv_initial:g} initially -> {self.tv_final:.6g} at tau ({'grew' if self.tv_final > self.tv_initial else 'did not grow'})"
-        yield f"vacuum cells stayed below {self.vacuum_max:.3e} (tol 1e-06)"
+        yield f"vacuum cells stayed below {self.vacuum_max:.3e} (tol {_VACUUM_TOL:g})"
         yield f"jam side stayed within {self.plateau_max:.3e} of 1"
         yield (
             f"platoon growth rate {self.slope_estimate:.6g} vs 1/(4 epsilon) = "
@@ -453,15 +448,17 @@ class MechanismReport:
 
 
 def run_mechanism_demo(
-    h: float = 0.1, epsilon: float = 0.4, tau: float = 0.05, dx: float = None, out: str = None
+    h: float = 0.1, epsilon: float = 0.4, tau: float = 0.05, out: str = None
 ) -> MechanismReport:
     """Quantify how a half-density platoon steepens against a jam.
 
     Requires ``epsilon > h`` so the whole platoon sees the jam through the
     lookahead window from the start; that is the regime where the growth
-    rate at the platoon value 1/2 equals 1/(4 epsilon).
+    rate at the platoon value 1/2 equals 1/(4 epsilon).  The cell size is
+    epsilon / ceil(32 epsilon / h): a whole number of cells per lookahead,
+    and at most h/32, so the vacuum window [-h/8, 0) holds cell centres.
     """
-    build_bar_u(h)  # refuses a width that is not positive and finite; m divides by it
+    build_bar_u(h)  # refuses a width that is not positive and finite; dx divides by it
     if not math.isfinite(epsilon):
         raise ConfigurationError(f"epsilon must be finite, got {epsilon}")
     if not epsilon > h:
@@ -472,11 +469,7 @@ def run_mechanism_demo(
     if not tau > 0.0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
     t0 = time.perf_counter()
-    if dx is None:
-        m = math.ceil(32.0 * epsilon / h)
-    else:
-        m = _whole_cells(epsilon, dx, f"epsilon={epsilon}")
-    dx = epsilon / m
+    dx = epsilon / math.ceil(32.0 * epsilon / h)
     n_left = math.ceil(max(1.0, 4.0 * h) / dx)
     n_right = math.ceil(max(1.0, epsilon + 0.25) / dx)
     t_probe = tau / 5.0
@@ -485,17 +478,12 @@ def run_mechanism_demo(
         epsilon=epsilon, t_final=tau, output_times=(t_probe,)))
     centers = cfg.grid.centers
     vacuum_sel = (centers >= -h / 8.0) & (centers < 0.0)
-    if not vacuum_sel.any():
-        raise ConfigurationError(
-            f"dx={dx} puts no cell centre in the vacuum window [-h/8, 0) = "
-            f"[{-h / 8.0}, 0) for h={h}; a dx of at most h/4 puts one there"
-        )
 
     tracer = PathTracer(cfg, [-0.75 * h], t_end=t_probe)
     record = solve_nonlocal(cfg, observers=[tracer])
 
     vacuum = _worst_over_snapshots(
-        "vacuum", 1e-6, record, lambda u: np.abs(u[vacuum_sel]), centers[vacuum_sel]
+        "vacuum", _VACUUM_TOL, record, lambda u: np.abs(u[vacuum_sel]), centers[vacuum_sel]
     )
 
     (probe,) = tracer.paths()
@@ -605,9 +593,7 @@ def _suite_bounds():
     for k in range(25):
         for tau in [0.05 * i for i in range(20)]:
             for eps in [0.05 * i for i in range(1, 21)]:
-                x = tau / eps
-                threshold = x / math.log(2.0) + math.log1p(math.exp(-x)) / math.log(2.0)
-                if term_threshold_check(k, tau, eps) != (k <= threshold):
+                if term_threshold_check(k, tau, eps) != (k <= _count_upper_limit(tau / eps)):
                     mismatches += 1
                     spot = spot or f"k={k}, tau={tau}, eps={eps}"
     reports.append(VerifyReport("threshold-equivalence", float(mismatches), 0.0, spot))

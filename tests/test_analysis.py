@@ -212,9 +212,10 @@ def test_every_bound_refuses_a_tau_that_is_not_finite_and_nonnegative():
 
 
 def test_evaluate_bounds_requires_exactly_one_parameterisation():
-    with pytest.raises(ConfigurationError):
+    # the message a run configuration gives too
+    with pytest.raises(ConfigurationError, match="give exactly one of epsilon and dyadic-j"):
         evaluate_bounds(0.2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="give exactly one of epsilon and dyadic-j"):
         evaluate_bounds(0.2, epsilon=0.25, j=2)
 
 

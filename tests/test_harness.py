@@ -119,9 +119,9 @@ def test_resolved_epsilon_rules():
     assert RunConfig(dyadic_j=3).resolved_epsilon(g) == 0.125
     assert RunConfig(epsilon=0.25).resolved_epsilon(g) == 0.25
     assert RunConfig(local=True).resolved_epsilon(g) == g.dx
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="give exactly one of epsilon and dyadic-j"):
         RunConfig().resolved_epsilon(g)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="give exactly one of epsilon and dyadic-j"):
         RunConfig(epsilon=0.25, dyadic_j=2).resolved_epsilon(g)
     with pytest.raises(ConfigurationError):
         RunConfig(dyadic_j=-1).resolved_epsilon(g)
@@ -157,6 +157,11 @@ def _small_run(out, **kw):
 def _manifest_digests(out):
     lines = (out / "manifest.txt").read_text().splitlines()
     return [ln for ln in lines if "sha256=" in ln]
+
+
+def _parameter_lines(out):
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return [ln for ln in lines if " = " in ln and ln.split(" = ")[0] not in ("tool", "wall_time_s")]
 
 
 def test_run_simulate_writes_deterministic_artifacts(tmp_path):
@@ -225,12 +230,7 @@ def test_runs_refuse_values_that_would_share_a_file(tmp_path):
 def test_characteristics_manifest_records_how_far_it_traced(tmp_path):
     run_characteristics(_small_run(tmp_path / "whole", datum="blowup:4"), [-0.5])
     run_characteristics(_small_run(tmp_path / "cut", datum="blowup:4"), [-0.5], t_end=0.1)
-
-    def params(name):
-        lines = (tmp_path / name / "manifest.txt").read_text().splitlines()
-        return [ln for ln in lines if " = " in ln and not ln.startswith("wall_time_s")]
-
-    whole, cut = params("whole"), params("cut")
+    whole, cut = _parameter_lines(tmp_path / "whole"), _parameter_lines(tmp_path / "cut")
     assert "t_end = None" in whole and "t_end = 0.1" in cut
     assert [ln for ln in whole if ln not in cut] == ["t_end = None"]
 
@@ -243,6 +243,19 @@ def test_write_bounds_creates_table(tmp_path):
     assert text[0] == "tau,epsilon,j,series,count,dyadic,measured_tv,reconstructed_tv"
     assert len(text) == 3
     assert (tmp_path / "manifest.txt").exists()
+
+
+def test_bounds_manifest_names_its_lookahead(tmp_path):
+    # one tau at three lookaheads: given as epsilon, as the same epsilon by j, and another
+    runs = {"eps": ["--epsilon", "0.0625"], "j": ["--dyadic-j", "4"], "other": ["--epsilon", "0.1"]}
+    for name, argv in runs.items():
+        assert cli_main(["bounds", "--tau", "0.2", *argv, "--out", str(tmp_path / name)]) == 0
+    assert _parameter_lines(tmp_path / "eps") == [
+        "epsilons = 0.0625", "js = None", "rows = 1", "taus = 0.2"]
+    assert _parameter_lines(tmp_path / "j") == [
+        "epsilons = 0.0625", "js = 4", "rows = 1", "taus = 0.2"]
+    assert _parameter_lines(tmp_path / "other") == [
+        "epsilons = 0.1", "js = None", "rows = 1", "taus = 0.2"]
 
 
 # --- sweep and demos ----------------------------------------------------------------
@@ -259,8 +272,6 @@ def test_sweep_spec_validation():
             SweepSpec(taus=taus)
     with pytest.raises(ConfigurationError):
         SweepSpec(js=(2, 2))
-    with pytest.raises(ConfigurationError):
-        SweepSpec(domain=(-0.5, 1.0))
     with pytest.raises(ConfigurationError):
         SweepSpec(js=(-1, 2))
     # refused, not truncated to j = 2
@@ -287,6 +298,9 @@ def test_run_sweep_smoke(tmp_path):
         assert r.reconstructed_tv > 0.0
         assert r.count_bound >= r.dyadic_bound
     assert (tmp_path / "sweep.csv").exists()
+    # the manifest lists what the sweep was given and how many solves failed
+    assert _parameter_lines(tmp_path) == [
+        "failures = 0", "js = 2", "scheme = upwind", "taus = 0.1,0.2"]
 
 
 def test_sweep_traces_each_solve_once(monkeypatch):
@@ -334,16 +348,17 @@ def test_mechanism_demo_validation():
     with pytest.raises(ConfigurationError):
         run_mechanism_demo(tau=0.0)
     with pytest.raises(ConfigurationError):
-        run_mechanism_demo(dx=0.03)  # epsilon is not a whole number of cells
-    with pytest.raises(ConfigurationError):
         run_mechanism_demo(epsilon=math.inf)
 
 
-def test_mechanism_demo_refuses_a_grid_without_vacuum_cells():
-    # at dx = 0.4 the cell centres nearest 0 are -0.2 and 0.2, so none falls
-    # in the vacuum window [-h/8, 0) that the demo checks
-    with pytest.raises(ConfigurationError, match=r"dx=0\.4 .*vacuum window \[-h/8, 0\)"):
-        run_mechanism_demo(dx=0.4)
+@pytest.mark.parametrize("h", [0.03, 0.05, 0.07, 0.1])
+def test_mechanism_demo_cells_are_at_most_h_over_32(h):
+    # 32 epsilon / h is whole for some pairs and not for others; either way the
+    # lookahead holds whole cells and the vacuum window [-h/8, 0) holds cell centres
+    for epsilon in (0.11, 0.15, 0.2, 0.3, 0.4):
+        report = run_mechanism_demo(h=h, epsilon=epsilon, tau=0.01)
+        assert report.dx <= h / 32.0
+        assert epsilon / report.dx == math.ceil(32.0 * epsilon / h)
 
 
 def test_run_verify_suite_selection(capsys):
@@ -356,6 +371,16 @@ def test_run_verify_suite_selection(capsys):
 
 
 # --- command line -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--domain=-2,1"], ["sweep", "--cfl", "0.5"], ["mechanism", "--dx", "0.01"],
+])
+def test_cli_sweep_and_mechanism_take_no_grid_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_simulate_with_config_file(tmp_path):
@@ -393,11 +418,13 @@ def test_cli_error_paths(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_key = 1\n")
     assert cli_main(["simulate", "--config", str(cfg)]) == 2
+    # a sweep picks its own domain, so a file cannot give it one
+    cfg.write_text("domain = -2,1\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+    assert not (tmp_path / "sweep").exists()
     assert cli_main(["verify", "nonsense"]) == 2
     assert cli_main(["mechanism", "--epsilon", "inf"]) == 2
-    # a cell width or a domain that is not finite is refused before any division
-    assert cli_main(["mechanism", "--dx", "0"]) == 2
-    assert cli_main(["mechanism", "--dx", "nan"]) == 2
+    # a domain that is not finite is refused before any division
     assert cli_main(["simulate", "--domain=-inf,1", "--dyadic-j", "4"]) == 2
     # a sweep grid of 1.7e11 cells is refused at once, not counted or allocated
     started = time.perf_counter()

@@ -1,7 +1,9 @@
-"""The determinism check ``tools/cmpcanned.py`` on small hand-made trees, and the
-seed runner ``tools/fuzzmarch.py``."""
+"""The determinism check ``tools/cmpcanned.py`` on small hand-made trees, the
+seed runner ``tools/fuzzmarch.py``, and the command lines of ``tools/canned.sh``."""
 
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ def _load(name):
 
 
 cmpcanned = _load("cmpcanned")
+CANNED = Path(__file__).resolve().parents[1] / "tools" / "canned.sh"
 
 TREE = {
     "simulate/u.csv": "x,u\n-0.5,0.25\n0.5,0.75\n",
@@ -87,3 +90,31 @@ def test_the_seed_runner_counts_seeds_and_differences(capsys):
     assert fuzzmarch.main(["3", "5"]) == 0
     assert capsys.readouterr().out.startswith("3 seeds from 5, 0 differences, ")
     assert fuzzmarch.main([]) == 2
+
+
+def _canned_commands(out: str) -> list:
+    """The argument lists of the script's ``nl`` lines, with its variables filled in."""
+    text = CANNED.read_text().replace("\\\n", " ")
+    values = {"out": out}
+    commands = []
+    for line in text.splitlines():
+        assigned = re.fullmatch(r"(\w+)=([^$()]+)", line)
+        if assigned:
+            values[assigned.group(1)] = assigned.group(2)
+        elif line.startswith("nl "):
+            line = re.sub(r"\$(\w+)", lambda m: values[m.group(1)], line)
+            words = shlex.split(line)[1:]
+            redirect = next(i for i, w in enumerate(words) if w.startswith(">"))
+            commands.append(words[:redirect])
+    return commands
+
+
+def test_every_canned_command_parses(tmp_path):
+    from nltraffic.cli import build_parser
+
+    commands = _canned_commands(str(tmp_path))
+    assert {argv[0] for argv in commands} == {
+        "simulate", "characteristics", "sweep", "mechanism", "bounds", "verify"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a flag the command lacks exits 2
