@@ -33,15 +33,6 @@ def _domain(text: str) -> tuple:
     return (float(parts[0]), float(parts[1]))
 
 
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _read_config(path: str) -> list:
     pairs = []
     try:
@@ -71,8 +62,6 @@ def _flag(parser: argparse.ArgumentParser, key: str) -> argparse.Action:
 
 def _typed(action: argparse.Action, raw: str):
     """A config value converted as its flag converts it on the command line."""
-    if action.nargs == 0:  # --local
-        return _bool(raw)
     if action.nargs == "*":  # verify's suites
         return [v.strip() for v in raw.split(",")]
     return action.type(raw) if action.type else raw
@@ -107,14 +96,12 @@ def _add_run_flags(p: argparse.ArgumentParser):
         help="comma list of snapshot times",
     )
     p.add_argument("--datum", help="blowup[:K] | bar_u:h | step | riemann:ul,ur | file:path")
-    p.add_argument("--scheme", choices=("upwind", "lax-friedrichs"))
-    p.add_argument("--cfl", type=float, help="CFL number in (0, 1] (default 0.9)")
-    p.add_argument("--out", help="output directory (default ./out)")
     p.add_argument(
-        "--local",
-        action="store_true",
-        help="solve the sharp-interaction limit instead (Godunov)",
+        "--scheme", choices=("upwind", "lax-friedrichs", "godunov-local"),
+        help="marcher (default upwind); godunov-local solves the sharp-interaction "
+        "limit, which has no lookahead, so only simulate runs it",
     )
+    p.add_argument("--out", help="output directory (default ./out)")
 
 
 def _cmd_simulate(given: dict) -> int:

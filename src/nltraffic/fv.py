@@ -109,7 +109,9 @@ class SolverConfig:
     is a piecewise-constant profile, projected to exact cell averages, whose
     tails are the states outside the grid; every level, tails included, must
     lie in [0, 1], because the marchers step at ``cfl * dx``, which bounds the
-    transport speed ``1 - w`` only while ``w`` stays in [0, 1].
+    transport speed ``1 - w`` only while ``w`` stays in [0, 1].  ``scheme``
+    names the marcher: ``upwind`` or ``lax-friedrichs`` for
+    :func:`solve_nonlocal`, ``godunov-local`` for :func:`solve_local`.
     """
 
     grid: Grid1D
@@ -121,7 +123,7 @@ class SolverConfig:
     output_times: tuple = ()
 
     def __post_init__(self):
-        if self.scheme not in ("upwind", "lax-friedrichs"):
+        if self.scheme not in ("upwind", "lax-friedrichs", "godunov-local"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigurationError(f"cfl must lie in (0, 1], got {self.cfl}")
@@ -537,8 +539,12 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     last interface's flux.  The carry is the step's own arithmetic, so it
     differs from a fresh sum only by roundoff, a few ulps of 1 per carried
     step, which each re-sum clears.  The frozen tails stay exact, because
-    their fluxes are exactly 0.
+    their fluxes are exactly 0.  A ``godunov-local`` configuration is
+    refused: :func:`solve_local` marches it.
     """
+    if config.scheme == "godunov-local":
+        raise ConfigurationError("the godunov-local scheme marches the local limit, "
+                                 "which has no lookahead field to march")
     dx = config.grid.dx
     left = config.datum.left_extension
     right = config.datum.right_extension
@@ -621,8 +627,9 @@ def godunov_flux_local(ul, ur, *, out=None, work=None):
 def solve_local(config: SolverConfig) -> SolutionRecord:
     """Godunov marcher for the sharp-interaction limit ``u_t + (u(1-u))_x = 0``.
 
-    ``config.epsilon`` is ignored (pass ``grid.dx`` to satisfy validation);
-    the returned record carries ``epsilon = 0`` and the scheme
+    ``config.epsilon`` and ``config.scheme`` are ignored (the harness names
+    ``"godunov-local"`` and passes ``grid.dx`` to satisfy validation); the
+    returned record carries ``epsilon = 0`` and the scheme
     ``"godunov-local"``, by which :func:`~nltraffic.characteristics.trace_many`
     refuses it.
 

@@ -106,7 +106,11 @@ def make_grid(domain, dx: float) -> Grid1D:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed parameters for a single simulate/characteristics run."""
+    """Parsed parameters for a single simulate/characteristics run.
+
+    ``scheme`` names the marcher; ``godunov-local`` marches the local limit,
+    which has no lookahead and ignores ``epsilon`` and ``dyadic_j``.
+    """
 
     datum: str = "blowup"
     domain: tuple = DEFAULT_DOMAIN
@@ -116,28 +120,17 @@ class RunConfig:
     t_final: float = 0.5
     output_times: tuple = ()
     scheme: str = "upwind"
-    cfl: float = 0.9
-    local: bool = False
     out: str = None
-
-    def __post_init__(self):
-        if self.local and self.scheme != RunConfig.scheme:
-            raise ConfigurationError(f"local runs march Godunov, not the {self.scheme} scheme")
-
-    def resolved_epsilon(self, grid: Grid1D) -> float:
-        if self.local:
-            return grid.dx  # placeholder; the local marcher ignores it
-        return _lookahead(self.epsilon, self.dyadic_j)
 
 
 def build_solver_config(run: RunConfig) -> SolverConfig:
     grid = make_grid(run.domain, run.dx)
+    local = run.scheme == "godunov-local"  # no lookahead: one cell passes validation
     return SolverConfig(
         grid=grid,
-        epsilon=run.resolved_epsilon(grid),
+        epsilon=grid.dx if local else _lookahead(run.epsilon, run.dyadic_j),
         datum=parse_datum(run.datum, grid.dx),
         t_final=run.t_final,
-        cfl=run.cfl,
         scheme=run.scheme,
         output_times=run.output_times,
     )
@@ -253,13 +246,13 @@ def run_simulate(run: RunConfig) -> list:
     t0 = time.perf_counter()
     cfg = build_solver_config(run)
     _refuse_shared_names(sorted({0.0, *cfg.output_times, cfg.t_final}), "snapshot times")
-    record = solve_local(cfg) if run.local else solve_nonlocal(cfg, observers=())
+    local = cfg.scheme == "godunov-local"
+    record = solve_local(cfg) if local else solve_nonlocal(cfg, observers=())
     out_dir = Path(run.out or "out")
     files = _write_snapshots(out_dir, record)
     extra = {
-        "scheme": record.info["scheme"],
         "n_cells": cfg.grid.n_cells,
-        "lookahead_cells": 0 if run.local else cfg.lookahead_cells,
+        "lookahead_cells": 0 if local else cfg.lookahead_cells,
         "steps": record.info.get("steps"),
     }
     _write_manifest(out_dir, _flat_params(run, extra), files, time.perf_counter() - t0)
@@ -268,8 +261,6 @@ def run_simulate(run: RunConfig) -> list:
 
 def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
     """Solve one configuration, trace paths, and write one CSV per start."""
-    if run.local:
-        raise ConfigurationError("paths need the lookahead field; local runs have none")
     t0 = time.perf_counter()
     cfg = build_solver_config(run)
     _refuse_shared_names([float(y) for y in starts], "starts")
@@ -293,8 +284,8 @@ def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
 class SweepSpec:
     """Lookahead sweep: one solve per j, analysed at each tau.
 
-    Each j marches the stock datum on ``DEFAULT_DOMAIN`` at ``RunConfig``'s
-    CFL number, on a grid that refines with j so that every block entering
+    Each j marches the stock datum on ``DEFAULT_DOMAIN`` at the default CFL
+    number, on a grid that refines with j so that every block entering
     the analytic bounds is resolved: with blocks k_min(j)..k_max(j) selected,
     dx = 4^-(k_max+1) makes the narrowest selected gap exactly one cell wide.
     """
@@ -316,6 +307,8 @@ class SweepSpec:
         for j in self.js:
             _check_nonnegative_integer(j, "j")
         js = tuple(int(j) for j in self.js)
+        if not js:
+            raise ConfigurationError("sweep needs at least one j")
         if len(set(js)) != len(js):
             raise ConfigurationError("j values must be distinct")
         object.__setattr__(self, "taus", taus)
@@ -454,7 +447,9 @@ def run_mechanism_demo(
 
     Requires ``epsilon > h`` so the whole platoon sees the jam through the
     lookahead window from the start; that is the regime where the growth
-    rate at the platoon value 1/2 equals 1/(4 epsilon).  The cell size is
+    rate at the platoon value 1/2 equals 1/(4 epsilon).  It also requires
+    ``tau < epsilon ln 4``, the time at which the platoon's front
+    -(h/2) exp(-tau/epsilon) enters the vacuum window [-h/8, 0).  The cell size is
     epsilon / ceil(32 epsilon / h): a whole number of cells per lookahead,
     and at most h/32, so the vacuum window [-h/8, 0) holds cell centres.
     """
@@ -468,6 +463,10 @@ def run_mechanism_demo(
         )
     if not tau > 0.0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
+    if not tau < epsilon * math.log(4.0):
+        raise ConfigurationError(
+            f"the demo needs tau < epsilon ln 4 = {epsilon * math.log(4):g}, when the "
+            f"platoon enters the vacuum window [-h/8, 0); got tau={tau}")
     t0 = time.perf_counter()
     dx = epsilon / math.ceil(32.0 * epsilon / h)
     n_left = math.ceil(max(1.0, 4.0 * h) / dx)

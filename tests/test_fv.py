@@ -867,6 +867,15 @@ def test_solver_config_refuses_a_grid_that_cannot_fit(monkeypatch):
         SolverConfig(**ok, output_times=(0.05,))
 
 
+def test_nonlocal_marcher_refuses_the_local_scheme():
+    g = Grid1D(-1.0, 1.0, 50)
+    cfg = SolverConfig(grid=g, epsilon=g.dx, datum=constant(0.6), t_final=0.2,
+                       scheme="godunov-local")
+    with pytest.raises(ConfigurationError, match="godunov-local scheme marches the local limit"):
+        solve_nonlocal(cfg)
+    assert solve_local(cfg).info["scheme"] == "godunov-local"
+
+
 def test_local_solver_keeps_constants_and_marks_record():
     g = Grid1D(-1.0, 1.0, 50)
     cfg = SolverConfig(grid=g, epsilon=g.dx, datum=constant(0.6), t_final=0.2)

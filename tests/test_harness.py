@@ -35,6 +35,7 @@ from nltraffic import (
 )
 import nltraffic
 from nltraffic.cli import main as cli_main
+from nltraffic.harness import build_solver_config
 
 
 def test_package_exports_names_not_submodules():
@@ -115,16 +116,21 @@ def test_make_grid_and_validation():
 
 
 def test_resolved_epsilon_rules():
-    g = make_grid((-1.0, 1.0), 0.125)
-    assert RunConfig(dyadic_j=3).resolved_epsilon(g) == 0.125
-    assert RunConfig(epsilon=0.25).resolved_epsilon(g) == 0.25
-    assert RunConfig(local=True).resolved_epsilon(g) == g.dx
+    def epsilon(**kw):
+        run = RunConfig(datum="step", domain=(-1.0, 1.0), dx=0.125, **kw)
+        return build_solver_config(run).epsilon
+
+    assert epsilon(dyadic_j=3) == 0.125
+    assert epsilon(epsilon=0.25) == 0.25
+    # the local limit has no lookahead: one cell stands in, whatever was given
+    assert epsilon(scheme="godunov-local") == 0.125
+    assert epsilon(scheme="godunov-local", epsilon=0.25, dyadic_j=2) == 0.125
     with pytest.raises(ConfigurationError, match="give exactly one of epsilon and dyadic-j"):
-        RunConfig().resolved_epsilon(g)
+        epsilon()
     with pytest.raises(ConfigurationError, match="give exactly one of epsilon and dyadic-j"):
-        RunConfig(epsilon=0.25, dyadic_j=2).resolved_epsilon(g)
+        epsilon(epsilon=0.25, dyadic_j=2)
     with pytest.raises(ConfigurationError):
-        RunConfig(dyadic_j=-1).resolved_epsilon(g)
+        epsilon(dyadic_j=-1)
 
 
 def test_sweep_resolution_table():
@@ -190,9 +196,10 @@ def test_run_simulate_writes_deterministic_artifacts(tmp_path):
 
 @pytest.mark.parametrize("local, scheme", [(False, "upwind"), (True, "godunov-local")])
 def test_manifest_names_the_scheme_that_ran(tmp_path, local, scheme):
-    run_simulate(_small_run(tmp_path, local=local))
-    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    run_simulate(_small_run(tmp_path, scheme=scheme))
+    lines = _parameter_lines(tmp_path)
     assert [ln for ln in lines if ln.startswith("scheme = ")] == [f"scheme = {scheme}"]
+    assert f"lookahead_cells = {0 if local else 4}" in lines
 
 
 def test_run_characteristics_writes_paths_and_rejects_local(tmp_path):
@@ -202,8 +209,10 @@ def test_run_characteristics_writes_paths_and_rejects_local(tmp_path):
         "char_y-0.5_eps0.0625.csv",
     ]
     assert files[0].read_text().splitlines()[0] == "t,x,u"
-    with pytest.raises(ConfigurationError):
-        run_characteristics(_small_run(tmp_path, local=True), [-0.5])
+    local = _small_run(tmp_path / "local", datum="blowup:4", scheme="godunov-local")
+    with pytest.raises(ConfigurationError, match="godunov-local scheme marches the local limit"):
+        run_characteristics(local, [-0.5])
+    assert not (tmp_path / "local").exists()
 
 
 def test_runs_refuse_values_that_would_share_a_file(tmp_path):
@@ -277,6 +286,15 @@ def test_sweep_spec_validation():
     # refused, not truncated to j = 2
     with pytest.raises(ConfigurationError, match="j must be a nonnegative integer, got 2.5"):
         SweepSpec(js=(2.5,))
+    # refused like an empty tau list, not run to a sweep.csv of its header alone
+    with pytest.raises(ConfigurationError, match="sweep needs at least one j"):
+        SweepSpec(js=())
+
+
+def test_sweep_refuses_the_local_scheme(tmp_path):
+    with pytest.raises(ConfigurationError, match="godunov-local scheme marches the local limit"):
+        run_sweep(SweepSpec(js=(2,), scheme="godunov-local"), out=str(tmp_path / "sweep"))
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_runs_at_j_zero():
@@ -349,6 +367,10 @@ def test_mechanism_demo_validation():
         run_mechanism_demo(tau=0.0)
     with pytest.raises(ConfigurationError):
         run_mechanism_demo(epsilon=math.inf)
+    # the platoon's front -(h/2) exp(-tau/epsilon) reaches -h/8 at tau = epsilon ln 4
+    for tau in (0.6, 0.4 * math.log(4.0), math.inf):
+        with pytest.raises(ConfigurationError, match=r"tau < epsilon ln 4 = 0\.554518"):
+            run_mechanism_demo(h=0.1, epsilon=0.4, tau=tau)
 
 
 @pytest.mark.parametrize("h", [0.03, 0.05, 0.07, 0.1])
@@ -379,6 +401,16 @@ def test_run_verify_suite_selection(capsys):
 def test_cli_sweep_and_mechanism_take_no_grid_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "characteristics"])
+@pytest.mark.parametrize("flag", [["--cfl", "0.5"], ["--local"]])
+def test_cli_runs_take_no_cfl_or_local_flag(command, flag, capsys):
+    # the step is the default CFL number's, and --scheme godunov-local names the local limit
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--dyadic-j", "4", *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -424,6 +456,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert not (tmp_path / "sweep").exists()
     assert cli_main(["verify", "nonsense"]) == 2
     assert cli_main(["mechanism", "--epsilon", "inf"]) == 2
+    # an unknown scheme from a file exits 2 before any file is written
+    cfg.write_text("dyadic-j = 4\nscheme = nonsense\n")
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
     # a domain that is not finite is refused before any division
     assert cli_main(["simulate", "--domain=-inf,1", "--dyadic-j", "4"]) == 2
     # a sweep grid of 1.7e11 cells is refused at once, not counted or allocated
@@ -466,7 +502,7 @@ def test_cli_error_paths(tmp_path, capsys):
 def test_cli_constant_road_stays_constant(tmp_path, local):
     out = tmp_path / "out"
     argv = ["simulate", "--datum", "riemann:0.5,0.5", "--dyadic-j", "4", "--out", str(out)]
-    assert cli_main(argv + ["--local"] * local) == 0
+    assert cli_main(argv + ["--scheme", "godunov-local"] * local) == 0
     snapshots = sorted(out.glob("u_t*.csv"))
     assert len(snapshots) == 2
     for f in snapshots:
@@ -474,14 +510,12 @@ def test_cli_constant_road_stays_constant(tmp_path, local):
         assert u.size == 640 and np.all(u == 0.5)
 
 
-def test_cli_refuses_a_scheme_for_a_local_run(tmp_path, capsys):
-    # the local limit marches Godunov, so a manifest naming another scheme would lie
+def test_cli_characteristics_refuses_the_local_scheme(tmp_path, capsys):
     out = tmp_path / "local"
-    argv = ["simulate", "--local", "--dyadic-j", "4", "--out", str(out)]
-    assert cli_main(argv + ["--scheme", "lax-friedrichs"]) == 2
-    assert "local runs march Godunov, not the lax-friedrichs scheme" in capsys.readouterr().err
+    argv = ["characteristics", "--scheme", "godunov-local", "--start=-0.5", "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert "godunov-local scheme marches the local limit" in capsys.readouterr().err
     assert not out.exists()
-    assert cli_main(argv) == 0
 
 
 def test_cli_bounds_and_verify(tmp_path, capsys):
@@ -533,15 +567,12 @@ def test_cli_hands_over_only_the_options_given(tmp_path, monkeypatch):
 
     # config values are typed by the command's own flag
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dyadic-j = 4\nlocal = yes\n")
+    cfg.write_text("dyadic-j = 4\nscheme = godunov-local\n")
     assert cli_main(["simulate", "--config", str(cfg)]) == 0
-    assert seen["run_simulate"] == ((RunConfig(dyadic_j=4, local=True),), {})
-    assert seen["run_simulate"][0][0].local is True
+    assert seen["run_simulate"] == ((RunConfig(dyadic_j=4, scheme="godunov-local"),), {})
     cfg.write_text("tau = 0.05\n")
     assert cli_main(["mechanism", "--config", str(cfg)]) == 0
     assert seen["run_mechanism_demo"] == ((), {"tau": 0.05})
-    cfg.write_text("local = maybe\n")
-    assert cli_main(["simulate", "--config", str(cfg)]) == 2
 
 
 def test_cli_mechanism_smoke(capsys):

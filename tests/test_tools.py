@@ -1,5 +1,6 @@
 """The determinism check ``tools/cmpcanned.py`` on small hand-made trees, the
-seed runner ``tools/fuzzmarch.py``, and the command lines of ``tools/canned.sh``."""
+seed runner ``tools/fuzzmarch.py``, and the command lines of ``tools/canned.sh``
+and of the README."""
 
 import importlib.util
 import re
@@ -19,7 +20,9 @@ def _load(name):
 
 
 cmpcanned = _load("cmpcanned")
-CANNED = Path(__file__).resolve().parents[1] / "tools" / "canned.sh"
+ROOT = Path(__file__).resolve().parents[1]
+CANNED = ROOT / "tools" / "canned.sh"
+COMMANDS = {"simulate", "characteristics", "sweep", "mechanism", "bounds", "verify"}
 
 TREE = {
     "simulate/u.csv": "x,u\n-0.5,0.25\n0.5,0.75\n",
@@ -109,12 +112,29 @@ def _canned_commands(out: str) -> list:
     return commands
 
 
-def test_every_canned_command_parses(tmp_path):
+def _assert_every_command_parses(commands):
     from nltraffic.cli import build_parser
 
-    commands = _canned_commands(str(tmp_path))
-    assert {argv[0] for argv in commands} == {
-        "simulate", "characteristics", "sweep", "mechanism", "bounds", "verify"}
+    assert {argv[0] for argv in commands} == COMMANDS
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a flag the command lacks exits 2
+
+
+def test_every_canned_command_parses(tmp_path):
+    _assert_every_command_parses(_canned_commands(str(tmp_path)))
+
+
+def _readme_commands() -> list:
+    """The argument lists of the ``nltraffic`` lines in the README's shell blocks."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("nltraffic "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_every_readme_command_parses():
+    _assert_every_command_parses(_readme_commands())

@@ -27,9 +27,9 @@ nl() {
 nl simulate --dyadic-j 4 --tau 0.1,0.3 --out "$out/simulate-blowup" >/dev/null
 nl simulate --datum step --scheme lax-friedrichs --dyadic-j 3 --tau 0.1,0.17 \
     --out "$out/simulate-step-lxf" >/dev/null
-nl simulate --datum riemann:1,0 --local --out "$out/simulate-riemann-local" >/dev/null
+nl simulate --datum riemann:1,0 --scheme godunov-local --out "$out/simulate-riemann-local" >/dev/null
 # the local limit of the blowup datum, whose vacuum and jam tails both hold still
-nl simulate --local --tau 0.1,0.3 --out "$out/simulate-blowup-local" >/dev/null
+nl simulate --scheme godunov-local --tau 0.1,0.3 --out "$out/simulate-blowup-local" >/dev/null
 nl simulate --datum riemann:0.2,0.8 --dyadic-j 4 --tau 0.1 --out "$out/simulate-riemann" >/dev/null
 # vacuum tail only, jam tail only, and tails that meet so nothing moves
 nl simulate --datum riemann:0,0.5 --dyadic-j 4 --tau 0.1 --out "$out/simulate-riemann-vacuum" >/dev/null
