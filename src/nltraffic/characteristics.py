@@ -25,9 +25,9 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .fv import (Grid1D, SolutionRecord, SolverConfig, _clock, _dt_max, _march,
+from .fv import (_CFL, Grid1D, SolutionRecord, SolverConfig, _clock, _dt_max, _march,
                  _moving_cells, _refuse_unless_it_fits, compute_w, solve_nonlocal)
-from .model import cell_averages
+from .model import _check_positive, cell_averages
 
 __all__ = [
     "CharacteristicPath",
@@ -85,8 +85,7 @@ def logistic_value(u0y: float, t: float, epsilon: float) -> float:
     if not (0.0 <= u0y <= 1.0):
         raise ValueError(f"u0y must lie in [0, 1], got {u0y}")
     _check_tau(t)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_positive(epsilon, "epsilon")
     if u0y == 0.0:
         return 0.0
     return u0y / ((1.0 - u0y) * math.exp(-t / epsilon) + u0y)
@@ -407,10 +406,10 @@ def _resample_markers(
 def _picard_nodes(config: SolverConfig) -> np.ndarray:
     """The node times of :func:`solve_picard`, ``0`` and ``t_final`` included.
 
-    An even grid with steps of at most ``cfl * dx``, plus every output time,
+    An even grid with steps of at most ``0.9 * dx``, plus every output time,
     each a node of its own however close it falls to a grid node.
     """
-    n_sub = max(1, math.ceil(config.t_final / (config.cfl * config.grid.dx)))
+    n_sub = max(1, math.ceil(config.t_final / (_CFL * config.grid.dx)))
     grid_nodes = np.linspace(0.0, config.t_final, n_sub + 1)
     return np.unique(np.concatenate((grid_nodes, np.asarray(config.output_times, dtype=float))))
 

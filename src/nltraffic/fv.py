@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .model import PiecewiseConstant1D, cell_averages
+from .model import PiecewiseConstant1D, _check_positive, cell_averages
 
 __all__ = [
     "Grid1D",
@@ -39,6 +39,9 @@ __all__ = [
     "godunov_flux_local",
     "solve_local",
 ]
+
+# Every march steps at _CFL * dx: the transport speed is at most 1 for states in [0, 1].
+_CFL = 0.9
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class SolverConfig:
     plain window sum; anything else would smear the datum's jumps.  ``datum``
     is a piecewise-constant profile, projected to exact cell averages, whose
     tails are the states outside the grid; every level, tails included, must
-    lie in [0, 1], because the marchers step at ``cfl * dx``, which bounds the
+    lie in [0, 1], because the marchers step at ``0.9 * dx``, which bounds the
     transport speed ``1 - w`` only while ``w`` stays in [0, 1].  ``scheme``
     names the marcher: ``upwind`` or ``lax-friedrichs`` for
     :func:`solve_nonlocal`, ``godunov-local`` for :func:`solve_local`.
@@ -118,20 +121,15 @@ class SolverConfig:
     epsilon: float
     datum: PiecewiseConstant1D
     t_final: float
-    cfl: float = 0.9
     scheme: str = "upwind"
     output_times: tuple = ()
 
     def __post_init__(self):
         if self.scheme not in ("upwind", "lax-friedrichs", "godunov-local"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ConfigurationError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        _check_positive(self.epsilon, "epsilon")
         _whole_cells(self.epsilon, self.grid.dx, f"epsilon={self.epsilon}")
-        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
-            raise ConfigurationError(f"t_final must be positive, got {self.t_final}")
+        _check_positive(self.t_final, "t_final")
         if not isinstance(self.datum, PiecewiseConstant1D):
             raise ConfigurationError(
                 f"datum must be a PiecewiseConstant1D profile, got {type(self.datum).__name__}"
@@ -215,8 +213,7 @@ def _refuse_unless_it_fits(nbytes: float, what: str) -> None:
 
 def _whole_cells(length: float, dx: float, what: str) -> int:
     """Number of cells of size ``dx`` in ``length``, which must be whole."""
-    if not (math.isfinite(dx) and dx > 0.0):
-        raise ConfigurationError(f"dx must be finite and positive, got {dx}")
+    _check_positive(dx, "dx")
     ratio = length / dx
     m = round(ratio) if math.isfinite(ratio) else 0
     if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, m):
@@ -382,12 +379,12 @@ def _targets(config: SolverConfig) -> list:
 
 
 def _dt_max(config: SolverConfig) -> float:
-    """The step of :func:`solve_nonlocal`: ``cfl * dx``, times 2M/(2M+1) for Lax-Friedrichs.
+    """The step of :func:`solve_nonlocal`: ``0.9 * dx``, times 2M/(2M+1) for Lax-Friedrichs.
 
     The Lax-Friedrichs update is a convex combination of neighbours only up
     to lambda = 2M/(2M+1), with M the window width in cells.
     """
-    dt = config.cfl * config.grid.dx
+    dt = _CFL * config.grid.dx
     if config.scheme != "lax-friedrichs":
         return dt
     m = config.lookahead_cells
@@ -518,7 +515,7 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     march's own buffer, valid only during the call: an observer that keeps
     it must copy it.
 
-    Every step is ``cfl * dx`` (shrunk for Lax-Friedrichs), or shorter to
+    Every step is ``0.9 * dx`` (shrunk for Lax-Friedrichs), or shorter to
     land on a target: the transport speed ``1 - w`` is at most 1 for fields
     in [0, 1], and :func:`step_upwind` refuses a step that breaks the limit.
 
@@ -599,9 +596,9 @@ def godunov_flux_local(ul, ur, *, out=None, work=None):
     ``[ur, ul]`` closest to 1/2 otherwise.  Both cases are one formula: with
     ``c = min(max(ur, 1/2), ul)``, which is ``ul`` when ``ul <= ur`` and the
     point closest to 1/2 otherwise, the flux is ``min(f(c), f(max(ur, c)))``.
-    For arrays the values go into ``out`` when it is given, and the formula
-    works in ``work`` (at least twice the size) when that is given;
-    otherwise both are allocated.  Two floats give a float.
+    The values go into ``out`` when it is given, and the formula works in
+    ``work`` (at least twice the size) when that is given; otherwise both
+    are allocated.
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
@@ -618,10 +615,7 @@ def godunov_flux_local(ul, ur, *, out=None, work=None):
     np.maximum(ur, c, out=out)
     np.subtract(1.0, out, out=c)
     out *= c
-    np.minimum(fc, out, out=out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.minimum(fc, out, out=out)
 
 
 def solve_local(config: SolverConfig) -> SolutionRecord:
@@ -640,7 +634,7 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     the snapshots equal the whole grid's bit for bit.
     """
     dx = config.grid.dx
-    dt_max = config.cfl * dx  # |f'(u)| = |1 - 2u| <= 1 on [0, 1]
+    dt_max = _CFL * dx  # |f'(u)| = |1 - 2u| <= 1 on [0, 1]
     u0 = cell_averages(config.datum, config.grid.edges)
     lo, hi = _moving_cells(u0, config.datum, 1)
     n = hi - lo

@@ -18,8 +18,8 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigurationError, SolverError
-from .model import (PiecewiseConstant1D, _check_nonnegative_integer, build_bar_u, build_u0,
-                    load_piecewise)
+from .model import (PiecewiseConstant1D, _check_nonnegative_integer, _check_positive,
+                    build_bar_u, build_u0, load_piecewise)
 from .fv import Grid1D, SolverConfig, _whole_cells, solve_local, solve_nonlocal
 from .characteristics import PathTracer, _check_tau
 from .analysis import (
@@ -109,7 +109,7 @@ class RunConfig:
     """Parsed parameters for a single simulate/characteristics run.
 
     ``scheme`` names the marcher; ``godunov-local`` marches the local limit,
-    which has no lookahead and ignores ``epsilon`` and ``dyadic_j``.
+    which has no lookahead and refuses ``epsilon`` and ``dyadic_j``.
     """
 
     datum: str = "blowup"
@@ -126,6 +126,9 @@ class RunConfig:
 def build_solver_config(run: RunConfig) -> SolverConfig:
     grid = make_grid(run.domain, run.dx)
     local = run.scheme == "godunov-local"  # no lookahead: one cell passes validation
+    if local and (run.epsilon is not None or run.dyadic_j is not None):
+        raise ConfigurationError("the godunov-local scheme marches the local limit, "
+                                 "which takes no lookahead")
     return SolverConfig(
         grid=grid,
         epsilon=grid.dx if local else _lookahead(run.epsilon, run.dyadic_j),
@@ -284,8 +287,8 @@ def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
 class SweepSpec:
     """Lookahead sweep: one solve per j, analysed at each tau.
 
-    Each j marches the stock datum on ``DEFAULT_DOMAIN`` at the default CFL
-    number, on a grid that refines with j so that every block entering
+    Each j marches the stock datum on ``DEFAULT_DOMAIN`` in steps of 0.9
+    cells, on a grid that refines with j so that every block entering
     the analytic bounds is resolved: with blocks k_min(j)..k_max(j) selected,
     dx = 4^-(k_max+1) makes the narrowest selected gap exactly one cell wide.
     """
@@ -454,15 +457,13 @@ def run_mechanism_demo(
     and at most h/32, so the vacuum window [-h/8, 0) holds cell centres.
     """
     build_bar_u(h)  # refuses a width that is not positive and finite; dx divides by it
-    if not math.isfinite(epsilon):
-        raise ConfigurationError(f"epsilon must be finite, got {epsilon}")
+    _check_positive(epsilon, "epsilon")
     if not epsilon > h:
         raise ConfigurationError(
             f"the demo needs epsilon > h (platoon inside one lookahead), got "
             f"epsilon={epsilon}, h={h}"
         )
-    if not tau > 0.0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
+    _check_positive(tau, "tau")
     if not tau < epsilon * math.log(4.0):
         raise ConfigurationError(
             f"the demo needs tau < epsilon ln 4 = {epsilon * math.log(4):g}, when the "

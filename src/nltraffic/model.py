@@ -64,14 +64,6 @@ class PiecewiseConstant1D:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
-    def __call__(self, x):
-        """Evaluate at a scalar or an array of points."""
-        xs = np.asarray(x, dtype=float)
-        out = self.levels[np.searchsorted(self.breakpoints, xs, side="right")]
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
-
     @property
     def levels(self) -> np.ndarray:
         """Every value left to right, tails included: ``levels[i]`` holds on
@@ -117,8 +109,7 @@ def build_bar_u(h: float) -> PiecewiseConstant1D:
 
     Total variation is 2 for every ``h > 0``.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ConfigurationError(f"h must be positive and finite, got {h}")
+    _check_positive(h, "h")
     return PiecewiseConstant1D(
         breakpoints=np.array([-h, -h / 2.0, 0.0]),
         values=np.array([0.5, 0.0]),
@@ -131,6 +122,12 @@ def _check_nonnegative_integer(value, name: str) -> None:
     """Refuse ``value`` with ``ConfigurationError`` unless it is a nonnegative integer."""
     if not isinstance(value, (int, np.integer)) or value < 0:
         raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _check_positive(value: float, name: str) -> None:
+    """Refuse ``value`` with ``ConfigurationError`` unless it is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
 
 # The last block's right edge -2^-(2K+1) rounds to zero past this truncation.

@@ -91,6 +91,8 @@ def test_logistic_validates_arguments():
         logistic_value(0.5, float("nan"), 0.1)
     with pytest.raises(ValueError):
         logistic_value(0.5, 1.0, 0.0)
+    with pytest.raises(ConfigurationError, match="epsilon must be positive and finite, got inf"):
+        logistic_value(0.5, 0.1, float("inf"))
 
 
 def test_material_rhs_values():
@@ -267,7 +269,7 @@ def test_picard_keeps_an_output_time_next_to_a_node():
     # 1e-13 past a node of the Picard time grid: the output time is a node of
     # its own, and its snapshot sits there
     g = Grid1D(-1.5, 1.0, 320)
-    n_sub = 29  # ceil(t_final / (cfl * dx))
+    n_sub = 29  # ceil(t_final / (0.9 * dx))
     t = np.linspace(0.0, 0.2, n_sub + 1)[10] + 1e-13
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.2,
                        output_times=(t,))
@@ -556,7 +558,7 @@ def jacobi_picard(config, tol=1e-14, max_passes=60):
     g, eps, datum = config.grid, config.epsilon, config.datum
     edges = g.edges
     u0 = cell_averages(datum, edges)
-    n_sub = max(1, int(np.ceil(config.t_final / (config.cfl * g.dx))))
+    n_sub = max(1, int(np.ceil(config.t_final / (0.9 * g.dx))))
     nodes = np.unique(np.concatenate((np.linspace(0.0, config.t_final, n_sub + 1),
                                       np.asarray(config.output_times, dtype=float))))
     w_rows = np.tile(compute_w(u0, eps, g.dx, datum.right_extension), (nodes.size - 1, 1))

@@ -179,7 +179,7 @@ def test_every_step_is_the_cfl_step_except_landings(scheme, factor):
                            scheme=scheme, output_times=outputs)
         log = _StepLog()
         solve_nonlocal(cfg, observers=[log])
-        # replay the march clock: full steps of cfl * dx * factor, and a
+        # replay the march clock: full steps of 0.9 * dx * factor, and a
         # shortened step that ends exactly on each target it reaches
         dt = 0.9 * g.dx * factor
         t, times, landings = 0.0, [0.0], 0
@@ -311,10 +311,8 @@ def test_solver_config_validation():
         SolverConfig(**{**ok, "epsilon": 3.7 * g.dx})
     with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "scheme": "weno"})
-    with pytest.raises(ConfigurationError):
-        SolverConfig(**{**ok, "cfl": 0.0})
-    with pytest.raises(ConfigurationError):
-        SolverConfig(**{**ok, "cfl": 1.5})
+    with pytest.raises(TypeError):  # every march steps at 0.9 * dx
+        SolverConfig(**ok, cfl=0.5)
     with pytest.raises(ConfigurationError):
         SolverConfig(**{**ok, "t_final": 0.0})
     with pytest.raises(ConfigurationError):
@@ -418,23 +416,21 @@ def test_march_checks_finiteness_by_one_sum():
 # --- marching properties -------------------------------------------------------------
 
 
-def _blowup_cfg(scheme, cfl=0.9, eps=2.0**-3, n=160, t_final=0.2):
+def _blowup_cfg(scheme, eps=2.0**-3, n=160, t_final=0.2):
     g = Grid1D(-1.5, 1.0, n)
     return SolverConfig(
         grid=g,
         epsilon=eps,
         datum=build_u0(4),
         t_final=t_final,
-        cfl=cfl,
         scheme=scheme,
         output_times=(t_final / 2,),
     )
 
 
 @pytest.mark.parametrize("scheme", ["upwind", "lax-friedrichs"])
-@pytest.mark.parametrize("cfl", [0.5, 0.9, 1.0])
-def test_range_preserved_on_oscillatory_datum(scheme, cfl):
-    rec = solve_nonlocal(_blowup_cfg(scheme, cfl=cfl))
+def test_range_preserved_on_oscillatory_datum(scheme):
+    rec = solve_nonlocal(_blowup_cfg(scheme))
     for t in rec.times:
         v = rec.snapshot(t).values
         assert v.min() >= -1e-12
@@ -461,7 +457,7 @@ def test_range_preserved_on_the_j7_sweep_grid():
 def test_monotone_data_stay_monotone(scheme, datum_spec):
     g = Grid1D(-1.0, 1.0, 128)
     datum = parse_datum(datum_spec, g.dx)
-    sign = 1.0 if datum(1.0) >= datum(-1.0) else -1.0
+    sign = 1.0 if datum.right_extension >= datum.left_extension else -1.0
     cfg = SolverConfig(
         grid=g,
         epsilon=2.0**-3,
@@ -565,17 +561,17 @@ def test_observers_see_the_history_that_is_not_stored():
 
 
 def test_a_short_clock_takes_a_landing_step():
-    # 400 steps of dx = 0.0025 add up to about 1e-14 short of 1.0, so the
-    # march takes a 401st step of that size, which ends exactly on t_final
+    # 120 steps of 0.9 * dx = 0.00225 add up to one ulp short of 0.27, so
+    # the march takes a 121st step of that ulp, which ends exactly on t_final
     g = Grid1D(-1.5, 1.0, 1000)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx),
-                       t_final=1.0, cfl=1.0)
+                       t_final=0.27)
     log = _StepLog()
     rec = solve_nonlocal(cfg, observers=[log])
     steps = log.steps()
-    assert rec.info["steps"] == len(steps) == 401
-    assert steps[-1][1] < 1.0 - 1e-14
-    assert steps[-1][2] == 1.0
+    assert rec.info["steps"] == len(steps) == 121
+    assert np.nextafter(steps[-1][1], 1.0) == 0.27
+    assert steps[-1][2] == 0.27
 
 
 def _whole_grid_march(cfg):
@@ -589,7 +585,7 @@ def _whole_grid_march(cfg):
     left, right = datum.left_extension, datum.right_extension
     m = cfg.lookahead_cells
     factor = 1.0 if cfg.scheme == "upwind" else 2.0 * m / (2.0 * m + 1.0)
-    dt_max = cfg.cfl * g.dx * factor
+    dt_max = 0.9 * g.dx * factor
     u = cell_averages(datum, g.edges)
     snaps, rows, t = {0.0: u.copy()}, [], 0.0
     for target in sorted(set(cfg.output_times) | {cfg.t_final}):
@@ -737,7 +733,7 @@ def test_an_observer_cannot_write_into_the_row():
 def _whole_grid_godunov(cfg):
     """Snapshots of a Godunov march that steps every cell with fresh arrays."""
     g, datum = cfg.grid, cfg.datum
-    dt_max = cfg.cfl * g.dx
+    dt_max = 0.9 * g.dx
     u = cell_averages(datum, g.edges)
     snaps, t = {0.0: u.copy()}, 0.0
     for target in sorted(set(cfg.output_times) | {cfg.t_final}):
@@ -791,8 +787,8 @@ def random_config(seed):
     breakpoints fall on cell edges half the time.  A level is 0 or 1 (three
     tenths each), uniform in [0, 1) (three tenths), 2^-1074 or 1 - 2^-52;
     a tail is drawn the same way, or one time in four is one of the pieces'
-    levels.  The cfl lies in (0.1, 1], ``t_final`` in [0.02, 0.2), there
-    are 0-2 output times, and one configuration in five is Lax-Friedrichs.
+    levels.  ``t_final`` lies in [0.02, 0.2), there are 0-2 output times,
+    and one configuration in five is Lax-Friedrichs.
     """
     rng = np.random.default_rng(seed)
     n, m, pieces = int(rng.integers(40, 401)), int(rng.integers(1, 12)), int(rng.integers(1, 8))
@@ -815,7 +811,6 @@ def random_config(seed):
         epsilon=m * g.dx,
         datum=PiecewiseConstant1D(breakpoints, values, float(left), float(right)),
         t_final=t_final,
-        cfl=1.0 - 0.9 * float(rng.random()),
         scheme="lax-friedrichs" if rng.random() < 0.2 else "upwind",
         output_times=tuple(np.sort(rng.uniform(0.0, t_final, rng.integers(3)))),
     )

@@ -122,9 +122,11 @@ def test_resolved_epsilon_rules():
 
     assert epsilon(dyadic_j=3) == 0.125
     assert epsilon(epsilon=0.25) == 0.25
-    # the local limit has no lookahead: one cell stands in, whatever was given
+    # the local limit has no lookahead: one cell stands in, and a given one is refused
     assert epsilon(scheme="godunov-local") == 0.125
-    assert epsilon(scheme="godunov-local", epsilon=0.25, dyadic_j=2) == 0.125
+    for given in (dict(epsilon=0.25), dict(dyadic_j=2), dict(epsilon=0.25, dyadic_j=2)):
+        with pytest.raises(ConfigurationError, match="local limit, which takes no lookahead"):
+            epsilon(scheme="godunov-local", **given)
     with pytest.raises(ConfigurationError, match="give exactly one of epsilon and dyadic-j"):
         epsilon()
     with pytest.raises(ConfigurationError, match="give exactly one of epsilon and dyadic-j"):
@@ -196,7 +198,7 @@ def test_run_simulate_writes_deterministic_artifacts(tmp_path):
 
 @pytest.mark.parametrize("local, scheme", [(False, "upwind"), (True, "godunov-local")])
 def test_manifest_names_the_scheme_that_ran(tmp_path, local, scheme):
-    run_simulate(_small_run(tmp_path, scheme=scheme))
+    run_simulate(_small_run(tmp_path, scheme=scheme, dyadic_j=None if local else 4))
     lines = _parameter_lines(tmp_path)
     assert [ln for ln in lines if ln.startswith("scheme = ")] == [f"scheme = {scheme}"]
     assert f"lookahead_cells = {0 if local else 4}" in lines
@@ -209,7 +211,8 @@ def test_run_characteristics_writes_paths_and_rejects_local(tmp_path):
         "char_y-0.5_eps0.0625.csv",
     ]
     assert files[0].read_text().splitlines()[0] == "t,x,u"
-    local = _small_run(tmp_path / "local", datum="blowup:4", scheme="godunov-local")
+    local = _small_run(tmp_path / "local", datum="blowup:4", scheme="godunov-local",
+                       dyadic_j=None)
     with pytest.raises(ConfigurationError, match="godunov-local scheme marches the local limit"):
         run_characteristics(local, [-0.5])
     assert not (tmp_path / "local").exists()
@@ -365,10 +368,12 @@ def test_mechanism_demo_validation():
         run_mechanism_demo(h=0.0)
     with pytest.raises(ConfigurationError):
         run_mechanism_demo(tau=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="epsilon must be positive and finite, got inf"):
         run_mechanism_demo(epsilon=math.inf)
+    with pytest.raises(ConfigurationError, match="tau must be positive and finite, got inf"):
+        run_mechanism_demo(tau=math.inf)
     # the platoon's front -(h/2) exp(-tau/epsilon) reaches -h/8 at tau = epsilon ln 4
-    for tau in (0.6, 0.4 * math.log(4.0), math.inf):
+    for tau in (0.6, 0.4 * math.log(4.0)):
         with pytest.raises(ConfigurationError, match=r"tau < epsilon ln 4 = 0\.554518"):
             run_mechanism_demo(h=0.1, epsilon=0.4, tau=tau)
 
@@ -408,7 +413,7 @@ def test_cli_sweep_and_mechanism_take_no_grid_flags(argv, capsys):
 @pytest.mark.parametrize("command", ["simulate", "characteristics"])
 @pytest.mark.parametrize("flag", [["--cfl", "0.5"], ["--local"]])
 def test_cli_runs_take_no_cfl_or_local_flag(command, flag, capsys):
-    # the step is the default CFL number's, and --scheme godunov-local names the local limit
+    # every march steps at 0.9 cells, and --scheme godunov-local names the local limit
     with pytest.raises(SystemExit) as exc:
         cli_main([command, "--dyadic-j", "4", *flag])
     assert exc.value.code == 2
@@ -472,6 +477,13 @@ def test_cli_error_paths(tmp_path, capsys):
     # a time that is not a finite nonnegative number is refused at once
     assert cli_main(["simulate", "--tau", "nan", "--dyadic-j", "4"]) == 2
     assert cli_main(["bounds", "--tau", "nan", "--dyadic-j", "4"]) == 2
+    # an infinite lookahead or horizon is refused by name
+    capsys.readouterr()
+    for argv, name in ((["--epsilon", "inf"], "epsilon"),
+                       (["--dyadic-j", "4", "--t-final", "inf"], "t_final")):
+        assert cli_main(["simulate", *argv, "--out", str(tmp_path / "inf")]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be positive and finite, got inf\n"
+    assert not (tmp_path / "inf").exists()
     # a negative j is refused by name, with one message whichever command got it
     capsys.readouterr()
     for argv in (["bounds", "--tau", "0.1", "--dyadic-j", "-1"],
@@ -501,13 +513,23 @@ def test_cli_error_paths(tmp_path, capsys):
 @pytest.mark.parametrize("local", [False, True])
 def test_cli_constant_road_stays_constant(tmp_path, local):
     out = tmp_path / "out"
-    argv = ["simulate", "--datum", "riemann:0.5,0.5", "--dyadic-j", "4", "--out", str(out)]
-    assert cli_main(argv + ["--scheme", "godunov-local"] * local) == 0
+    argv = ["simulate", "--datum", "riemann:0.5,0.5", "--out", str(out)]
+    scheme = ["--scheme", "godunov-local"] if local else ["--dyadic-j", "4"]
+    assert cli_main(argv + scheme) == 0
     snapshots = sorted(out.glob("u_t*.csv"))
     assert len(snapshots) == 2
     for f in snapshots:
         u = np.loadtxt(f, delimiter=",", skiprows=1)[:, 1]
         assert u.size == 640 and np.all(u == 0.5)
+
+
+def test_cli_local_run_refuses_a_lookahead(tmp_path, capsys):
+    out = tmp_path / "local"
+    argv = ["simulate", "--scheme", "godunov-local", "--epsilon", "-5", "--dyadic-j", "-1",
+            "--datum", "riemann:1,0", "--dx", "0.0625", "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert "local limit, which takes no lookahead" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_characteristics_refuses_the_local_scheme(tmp_path, capsys):

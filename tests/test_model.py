@@ -38,6 +38,11 @@ def exact_mean(f, a, b):
     return total / (b - a)
 
 
+def value_at(f, x):
+    """The value of a piecewise profile at ``x``: pieces are closed on the left."""
+    return f.levels[sum(1 for b in f.breakpoints if b <= x)]
+
+
 def exact_tv(f):
     levels = [Fraction(f.left_extension)] + [Fraction(v) for v in f.values]
     levels.append(Fraction(f.right_extension))
@@ -56,7 +61,8 @@ def test_blowup_datum_total_variation_exact(K):
 
 
 def test_blowup_datum_block_layout():
-    u0 = build_u0(2)
+    b = build_u0(2)
+    u0 = lambda x: value_at(b, x)
     # block k occupies [-4^-k, -4^-k/2) at height 2^-k, gaps are 0, jam right of 0
     assert u0(-1.0) == 1.0
     assert u0(-0.75) == 1.0
@@ -71,13 +77,15 @@ def test_blowup_datum_block_layout():
 
 
 def test_blowup_datum_breakpoint_membership_is_left_closed():
+    # a cell that starts on a breakpoint takes the piece to its right, and
+    # one that ends there the piece to its left
     u0 = build_u0(1)
-    for b in u0.breakpoints:
-        left = u0(float(b) - 1e-9)
-        at = u0(float(b))
-        right = u0(float(b) + 1e-9)
-        assert at == right
-        assert at != left or b in (u0.breakpoints[-1],)
+    levels = u0.levels
+    for i, b in enumerate(u0.breakpoints):
+        b = float(b)
+        assert cell_averages(u0, np.array([b, b + 1e-9]))[0] == levels[i + 1]
+        assert cell_averages(u0, np.array([b - 1e-9, b]))[0] == levels[i]
+        assert levels[i + 1] != levels[i]
 
 
 def test_blowup_datum_rejects_bad_truncation():
@@ -95,15 +103,16 @@ def test_blowup_datum_rejects_bad_truncation():
 
 
 def test_platoon_datum_levels_and_jumps():
-    f = build_bar_u(0.1)
+    bar = build_bar_u(0.1)
+    f = lambda x: value_at(bar, x)
     assert f(-0.2) == 0.0
     assert f(-0.1) == 0.5
     assert f(-0.075) == 0.5
     assert f(-0.05) == 0.0
     assert f(-0.01) == 0.0
     assert f(0.0) == 1.0
-    assert total_variation(f) == 2.0
-    assert f.levels.tolist() == [0.0, 0.5, 0.0, 1.0]  # tails included
+    assert total_variation(bar) == 2.0
+    assert bar.levels.tolist() == [0.0, 0.5, 0.0, 1.0]  # tails included
 
 
 def test_platoon_datum_rejects_nonpositive_width():
@@ -114,15 +123,6 @@ def test_platoon_datum_rejects_nonpositive_width():
 
 
 # --- evaluation and projection ------------------------------------------------
-
-
-def test_eval_array_and_scalar_agree():
-    f = build_u0(3)
-    xs = np.linspace(-1.3, 0.2, 47)
-    arr = f(xs)
-    assert arr.shape == xs.shape
-    for x, v in zip(xs, arr):
-        assert f(float(x)) == v
 
 
 def test_cell_average_matches_rational_oracle():
@@ -150,7 +150,8 @@ def test_cell_averages_exact_on_constant_pieces():
     edges = np.arange(-256, 257) / 256.0
     vals = cell_averages(f, edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    inside = f(mids) == f(edges[:-1])  # cells that touch no jump
+    value = np.vectorize(lambda x: value_at(f, x))
+    inside = value(mids) == value(edges[:-1])  # cells that touch no jump
     # every breakpoint of the oscillatory datum is a jump
     assert np.all(np.diff(f.levels) != 0.0)
     whole = np.array(
@@ -158,7 +159,7 @@ def test_cell_averages_exact_on_constant_pieces():
          for a, b in zip(edges[:-1], edges[1:])]
     )
     # a cell fully inside one piece must carry that piece's value bit for bit
-    assert np.all(vals[whole] == f(edges[:-1][whole]))
+    assert np.all(vals[whole] == value(edges[:-1][whole]))
     assert inside[whole].all()
 
 
