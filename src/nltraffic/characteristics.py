@@ -254,42 +254,35 @@ class PathTracer:
         self._positions = np.empty((rows, starts.size))
         self._positions[0] = starts
         self._transported = np.empty((rows, starts.size))
-        self._filled = 1
+        self._filled = 0
         self._edges = grid.edges
         self._edge_view = memoryview(self._edges)
         self._row = np.empty(grid.n_cells + 1)
         self._ahead = self._ahead_view = None
 
-    def snapshot(self, step: int, t: float, u: np.ndarray) -> None:
-        """Notice of the snapshot ``u`` at time ``t``, taken after ``step`` steps."""
-        if t > self.t_end:
-            return
-        if self._ahead is None:
+    def step(self, t0: float, t1: float, w: np.ndarray, u: np.ndarray) -> None:
+        """Notice of a march step over ``[t0, t1]`` with lookahead row ``w`` from state ``u``."""
+        if self._filled == 0:
             datum = self.config.datum
             self._ahead = _pad(u, datum.left_extension, datum.right_extension)
             self._ahead_view = memoryview(self._ahead)
-        else:
-            self._ahead[1:-1] = u  # one padded copy serves every snapshot
-        if step == 0:
             self._transported[0] = _sample_cells(self._ahead, self.config.grid, self.starts)
-
-    def step(self, step: int, t0: float, t1: float, w: np.ndarray) -> None:
-        """Notice of march step ``step`` over ``[t0, t1]`` with lookahead row ``w``."""
+            self._filled = 1
+        elif t0 in self.config.output_times:
+            self._ahead[1:-1] = u  # one padded copy serves every snapshot
         if not t0 < self.t_end:
             return
-        reserved = self._times.size - 1
-        if step >= reserved:
+        k = self._filled
+        if k >= self._times.size:
             raise ConfigurationError(
-                f"the tracer reserved rows for {reserved} steps and was handed step {step + 1}"
+                f"the tracer reserved rows for {self._times.size - 1} steps and was handed step {k}"
             )
         end = min(t1, self.t_end)
-        h = end - t0
-        k = step + 1
         self._times[k] = end
         if self.starts.size <= _SCALAR_PATHS:
-            self._step_each(step, h, w)
+            self._step_each(k - 1, end - t0, w)
         else:
-            self._step_batch(step, h, w)
+            self._step_batch(k - 1, end - t0, w)
         self._filled = k + 1
 
     def _step_each(self, step: int, h: float, w: np.ndarray) -> None:
@@ -340,7 +333,7 @@ class PathTracer:
         The arrays of a path are read-only views of the tracer's tables, so
         calling this again copies nothing.
         """
-        if self._ahead is None:
+        if self._filled == 0:
             raise ConfigurationError("the tracer has not observed a march")
         times, positions, transported = (
             table[: self._filled] for table in (self._times, self._positions, self._transported)
@@ -462,7 +455,7 @@ def solve_picard(config: SolverConfig) -> SolutionRecord:
     lo, hi = _moving_cells(u0, config.datum, config.lookahead_cells)
     edges = grid.edges[lo : hi + 1]
 
-    def advance(u, t0, dt):
+    def advance(u, t0, dt, t1):
         moving = u[lo:hi]
         w_row = compute_w(moving, eps, dx, right)
         # Per-cell slopes of the row, padded for _sample_cells on the whole
@@ -479,7 +472,7 @@ def solve_picard(config: SolverConfig) -> SolutionRecord:
 
         E, v = _rk4(speed, value_rate, edges, moving, dt)
         u[lo:hi] = _resample_markers(E, v, edges, dx, left, right)
-        return u, None
+        return u
 
     nodes = _picard_nodes(config).tolist()
     clock = ((t0, t1 - t0, t1) for t0, t1 in zip(nodes, nodes[1:]))

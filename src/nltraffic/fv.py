@@ -164,9 +164,9 @@ class SolutionRecord:
     ``snapshots`` maps times to cell-average arrays, and ``snapshot_steps``
     maps the same times to the number of steps taken before each snapshot.
     No solver stores a field history (only :func:`solve_nonlocal` hands
-    its lookahead rows on, to its observers), so ``w_fields`` stays empty;
-    it stays because ``perfbench/tracer.py`` reads its size.  Runs of the
-    sharp-interaction limit set ``epsilon`` to 0.
+    each step's lookahead row and state on, to its observers), so
+    ``w_fields`` stays empty; it stays because ``perfbench/tracer.py`` reads
+    its size.  Runs of the sharp-interaction limit set ``epsilon`` to 0.
     """
 
     config: SolverConfig
@@ -410,7 +410,7 @@ def _clock(config: SolverConfig, dt_max: float):
 
 
 def _march(config: SolverConfig, u: np.ndarray, advance, clock, *, scheme: str,
-           epsilon: float, window: tuple, observers=()) -> SolutionRecord:
+           epsilon: float, window: tuple) -> SolutionRecord:
     """Carry ``u``, the datum's cell averages, to ``t_final``, snapshotting on the way.
 
     This is the one place a solver's record is made: the returned
@@ -418,20 +418,15 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, *, scheme: str,
     snapshots and ``info["steps"]``.  The steps are those of ``clock``,
     ``(t0, dt, t1)`` for each in order
     (:func:`_clock` for the marchers, the node intervals for the fixed-point
-    solver), and must land on every target: ``advance(u, t0, dt)`` returns
-    the state one step of ``dt`` from ``t0`` on (``u`` itself if it stepped
-    in place) and the lookahead row it used (None where no observer hears
-    it), and a snapshot is taken at each target once the clock reaches it.
+    solver), and must land on every target: ``advance(u, t0, dt, t1)``
+    returns the state one step of ``dt`` from ``t0`` on, which ends at
+    ``t1`` (``u`` itself if it stepped in place), and a snapshot is taken at
+    each target once the clock reaches it.
     ``window = (lo, hi)`` names the cells a step can change; only those are
     checked for non-finite values, by one sum over them that any NaN or
     infinity makes non-finite (numpy's warnings on that sum are silenced),
     and only a non-finite sum is scanned for the first bad cell.  Each
-    snapshot is stored with the number of steps taken before it.  Every
-    observer hears ``snapshot(step, t, u)`` for each stored snapshot,
-    ``step`` being the number of steps taken, and ``step(step, t0, t1, w)``
-    after each step over ``[t0, t1]``.  The row ``w`` may be a buffer the
-    next step overwrites: it is valid only during the call, and an observer
-    that keeps it must copy it.
+    snapshot is stored with the number of steps taken before it.
     """
     record = SolutionRecord(config=config, epsilon=epsilon, info={"scheme": scheme})
     lo, hi = window
@@ -440,13 +435,11 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, *, scheme: str,
     def snapshot(t):
         record.snapshots[t] = u.copy()
         record.snapshot_steps[t] = step
-        for obs in observers:
-            obs.snapshot(step, t, record.snapshots[t])
 
     snapshot(0.0)
     targets = _targets(config)
     for t0, dt, t1 in clock:
-        u, w = advance(u, t0, dt)
+        u = advance(u, t0, dt, t1)
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.add.reduce(u[lo:hi])
         if not math.isfinite(total):
@@ -457,8 +450,6 @@ def _march(config: SolverConfig, u: np.ndarray, advance, clock, *, scheme: str,
                     f"non-finite value in cell {cell} (x={config.grid.centers[cell]:.6g}) "
                     f"at t={t1:.6g} after {step + 1} steps"
                 )
-        for obs in observers:
-            obs.step(step, t0, t1, w)
         step += 1
         while targets and targets[0] <= t1:
             snapshot(targets.pop(0))
@@ -508,12 +499,13 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     """March the lookahead model to ``t_final``, snapshotting on the way.
 
     Snapshots are taken at ``config.output_times`` and at ``t_final``, hitting
-    each time exactly by shortening the step.  The lookahead row of each
-    step is handed to ``observers`` (see :func:`_march`; a
-    :class:`~nltraffic.characteristics.PathTracer`, say) and not stored, so
-    the record keeps only the snapshots.  The row is a read-only view of the
-    march's own buffer, valid only during the call: an observer that keeps
-    it must copy it.
+    each time exactly by shortening the step.  Each step over ``[t0, t1]``
+    calls ``obs.step(t0, t1, w, u)`` on every observer (a
+    :class:`~nltraffic.characteristics.PathTracer`, say) once its lookahead
+    row ``w`` is summed or carried and before the state ``u`` it steps from
+    changes; nothing is stored, so the record keeps only the snapshots.
+    ``w`` and ``u`` are read-only views of the march's own buffers, valid
+    only during the call: an observer that keeps either must copy it.
 
     Every step is ``0.9 * dx`` (shrunk for Lax-Friedrichs), or shorter to
     land on a target: the transport speed ``1 - w`` is at most 1 for fields
@@ -565,12 +557,20 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     last_dt = 0.0
     carried = 0  # steps since the row was last summed
 
-    def advance(u, t0, dt):
+    def notify(t0, t1, u):
+        if observers:
+            state = u.view()
+            state.flags.writeable = False
+            for obs in observers:
+                obs.step(t0, t1, row, state)
+
+    def advance(u, t0, dt, t1):
         nonlocal last_dt, carried
         moving = u[lo:hi]
         if not upwind:
             compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
-            return step_lax_friedrichs(u, w, dt, dx, left, right), row
+            notify(t0, t1, u)
+            return step_lax_friedrichs(u, w, dt, dx, left, right)
         if t0 == 0.0 or t0 in config.output_times or carried == m:
             compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
             carried = 0
@@ -579,13 +579,14 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
             np.subtract(flux[m:], flux[: n + 1], out=drift)
             np.multiply(drift, last_dt / (m * dx), out=drift)
             np.subtract(w_moving, drift, out=w_moving)
+        notify(t0, t1, u)
         step_upwind(moving, w_moving, dt, dx, left, out=moving, work=work)
         last_dt = dt
         carried += 1
-        return u, row
+        return u
 
     return _march(config, u0, advance, _clock(config, _dt_max(config)), scheme=config.scheme,
-                  epsilon=config.epsilon, window=(lo, hi), observers=observers)
+                  epsilon=config.epsilon, window=(lo, hi))
 
 
 def godunov_flux_local(ul, ur, *, out=None, work=None):
@@ -648,12 +649,12 @@ def solve_local(config: SolverConfig) -> SolutionRecord:
     work = np.empty(2 * n + 2)
     jump = work[:n]
 
-    def advance(u, t0, dt):
+    def advance(u, t0, dt, t1):
         godunov_flux_local(framed[:-1], framed[1:], out=flux, work=work)
         np.subtract(flux[1:], flux[:-1], out=jump)
         np.multiply(jump, dt / dx, out=jump)
         np.subtract(moving, jump, out=moving)
-        return u, None
+        return u
 
     return _march(config, padded[1:-1], advance, _clock(config, dt_max),
                   scheme="godunov-local", epsilon=0.0, window=(lo, hi))

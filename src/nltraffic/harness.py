@@ -250,7 +250,7 @@ def run_simulate(run: RunConfig) -> list:
     cfg = build_solver_config(run)
     _refuse_shared_names(sorted({0.0, *cfg.output_times, cfg.t_final}), "snapshot times")
     local = cfg.scheme == "godunov-local"
-    record = solve_local(cfg) if local else solve_nonlocal(cfg, observers=())
+    record = solve_local(cfg) if local else solve_nonlocal(cfg)
     out_dir = Path(run.out or "out")
     files = _write_snapshots(out_dir, record)
     extra = {
@@ -516,7 +516,7 @@ def run_mechanism_demo(
 def _suite_max_principle():
     cfg = build_solver_config(RunConfig(dx=2.0 ** -8, dyadic_j=3, t_final=0.3,
                                         output_times=(0.1, 0.2)))
-    record = solve_nonlocal(cfg, observers=())
+    record = solve_nonlocal(cfg)
     return [check_max_principle(record)]
 
 
@@ -525,7 +525,7 @@ def _suite_monotonicity():
     for scheme in ("upwind", "lax-friedrichs"):
         cfg = build_solver_config(RunConfig(datum="step", dx=2.0 ** -6, dyadic_j=3, t_final=0.5,
                                             output_times=(0.1, 0.25), scheme=scheme))
-        report = check_monotonicity(solve_nonlocal(cfg, observers=()))
+        report = check_monotonicity(solve_nonlocal(cfg))
         reports.append(replace(report, name=f"monotonicity-{scheme}"))
     return reports
 
@@ -533,7 +533,7 @@ def _suite_monotonicity():
 def _suite_plateau():
     cfg = build_solver_config(RunConfig(dx=2.0 ** -8, dyadic_j=4, t_final=0.5,
                                         output_times=(0.25,)))
-    record = solve_nonlocal(cfg, observers=())
+    record = solve_nonlocal(cfg)
     return [check_plateau(record)]
 
 

@@ -210,8 +210,7 @@ def test_trace_to_a_landing_snapshot_stops_on_it(outputs):
     cfg = SolverConfig(grid=g, epsilon=g.dx, datum=build_u0(0), t_final=0.5,
                        output_times=outputs)
     step_ends = []
-    clock = SimpleNamespace(snapshot=lambda step, t, u: None,
-                            step=lambda step, t0, t1, w: step_ends.append(t1))
+    clock = SimpleNamespace(step=lambda t0, t1, w, u: step_ends.append(t1))
     rec = solve_nonlocal(cfg, observers=[clock])
     t = outputs[1]
     k = rec.snapshot_steps[t]
@@ -319,15 +318,12 @@ class ReferenceTracer:
         return np.where(idx < 0, datum.left_extension,
                         np.where(idx >= g.n_cells, datum.right_extension, inner))
 
-    def snapshot(self, step, t, u):
-        if t > self.t_end:
-            return
-        self.ahead = u
-        if step == 0:
+    def step(self, t0, t1, w, u):
+        if self.V is None:
             self.V = self.sample(u, self.X)
             self.transported.append(self.V.copy())
-
-    def step(self, step, t0, t1, w):
+        if t0 == 0.0 or t0 in self.config.output_times:
+            self.ahead = u.copy()
         if not t0 < self.t_end:
             return
         edges, eps, ahead, row = self.config.grid.edges, self.config.epsilon, self.ahead, np.array(w)
@@ -435,8 +431,7 @@ def test_tracer_reserves_one_row_per_step_before_t_end(t_end):
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3,
                        output_times=(0.1, 0.17))
     step_starts = []
-    clock = SimpleNamespace(snapshot=lambda step, t, u: None,
-                            step=lambda step, t0, t1, w: step_starts.append(t0))
+    clock = SimpleNamespace(step=lambda t0, t1, w, u: step_starts.append(t0))
     tracer = PathTracer(cfg, [-0.3, -0.1], t_end)
     rec = solve_nonlocal(cfg, observers=[tracer, clock])
     rows = rec.info["steps"] + 1 if t_end is None else sum(t0 < t_end for t0 in step_starts) + 1

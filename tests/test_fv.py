@@ -61,20 +61,13 @@ def godunov_oracle(ul, ur):
 
 
 class _StepLog:
-    """Observer that records every notice a march hands out."""
+    """Observer that records ``(t0, t1, w, u)`` of every step, in march order."""
 
     def __init__(self):
-        self.notices = []
+        self.steps = []
 
-    def snapshot(self, step, t, u):
-        self.notices.append(("snapshot", step, t))
-
-    def step(self, step, t0, t1, w):
-        self.notices.append(("step", step, t0, t1, w.copy()))
-
-    def steps(self):
-        """(step, t0, t1, w) of every step notice, in march order."""
-        return [n[1:] for n in self.notices if n[0] == "step"]
+    def step(self, t0, t1, w, u):
+        self.steps.append((t0, t1, w.copy(), u.copy()))
 
 
 # --- grid ----------------------------------------------------------------------
@@ -190,8 +183,8 @@ def test_every_step_is_the_cfl_step_except_landings(scheme, factor):
                 t = target if landing else t + dt
                 times.append(t)
         assert landings == 3
-        assert [0.0] + [s[2] for s in log.steps()] == times
-        assert [s[1] for s in log.steps()] == times[:-1]
+        assert [0.0] + [s[1] for s in log.steps] == times
+        assert [s[0] for s in log.steps] == times[:-1]
 
 
 # --- single steps ----------------------------------------------------------------
@@ -369,10 +362,10 @@ def test_non_finite_datum_aborts_with_location():
     g = Grid1D(-1.0, 1.0, 64)
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.0), t_final=0.1)
 
-    def advance(u, t0, dt):
+    def advance(u, t0, dt, t1):
         u = u.copy()
         u[17] = np.nan
-        return u, None
+        return u
 
     with pytest.raises(SolverError, match="cell 17"):
         _march(cfg, np.zeros(64), advance, _clock(cfg, 0.9 * g.dx), scheme="upwind",
@@ -387,11 +380,11 @@ def test_march_checks_finiteness_by_one_sum():
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=constant(0.0), t_final=0.1)
 
     def planting(cells):
-        def advance(u, t0, dt):
+        def advance(u, t0, dt, t1):
             u = np.zeros(64)
             for i, v in cells.items():
                 u[i] = v
-            return u, None
+            return u
         return advance
 
     def march(cells):
@@ -525,9 +518,9 @@ def test_snapshots_land_exactly_on_requested_times():
     log = _StepLog()
     rec = solve_nonlocal(cfg, observers=[log])
     assert sorted(rec.snapshots) == [0.0, 0.1, 0.17, 0.25]
-    steps = log.steps()
+    steps = log.steps
     assert rec.info["steps"] == len(steps)
-    assert all(s[3].shape == (g.n_cells + 1,) for s in steps)
+    assert all(s[2].shape == (g.n_cells + 1,) for s in steps)
 
 
 def test_observers_see_the_history_that_is_not_stored():
@@ -543,21 +536,32 @@ def test_observers_see_the_history_that_is_not_stored():
     for t in bare.snapshots:
         np.testing.assert_array_equal(live.snapshots[t], bare.snapshots[t])
     assert live.snapshot_steps == bare.snapshot_steps
-    snaps = [n[1:] for n in log.notices if n[0] == "snapshot"]
-    assert snaps == [(bare.snapshot_steps[t], t) for t in bare.times]
-    steps = log.steps()
-    assert [s[0] for s in steps] == list(range(bare.info["steps"]))
+    steps = log.steps
+    assert len(steps) == bare.info["steps"]
     # each step starts where the previous one ended
-    assert [s[1] for s in steps] == [0.0] + [s[2] for s in steps[:-1]]
+    assert [s[0] for s in steps] == [0.0] + [s[1] for s in steps[:-1]]
     # the step taken from a snapshot averages that snapshot
     for t, k in bare.snapshot_steps.items():
         if k < len(steps):
             np.testing.assert_array_equal(
-                steps[k][3], compute_w(bare.snapshots[t], cfg.epsilon, g.dx,
+                steps[k][2], compute_w(bare.snapshots[t], cfg.epsilon, g.dx,
                                        cfg.datum.right_extension))
-    # each snapshot is announced before the step that leaves it
-    order = [(n[1], n[0] == "step") for n in log.notices]
-    assert order == sorted(order)
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "lax-friedrichs"])
+def test_observers_hear_the_state_each_step_starts_from(scheme):
+    g = Grid1D(-1.0, 1.0, 64)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("riemann:0.2,0.8", g.dx),
+                       t_final=0.25, scheme=scheme, output_times=(0.1, 0.17))
+    log = _StepLog()
+    rec = solve_nonlocal(cfg, observers=[log])
+    assert log.steps[0][3].tobytes() == rec.snapshots[0.0].tobytes()
+    for t in cfg.output_times:
+        (k,) = [k for k, s in enumerate(log.steps) if s[0] == t]
+        assert k == rec.snapshot_steps[t]
+        assert log.steps[k][3].tobytes() == rec.snapshots[t].tobytes()
+    # between snapshots the state moves on from step to step
+    assert not np.array_equal(log.steps[1][3], log.steps[0][3])
 
 
 def test_a_short_clock_takes_a_landing_step():
@@ -568,10 +572,10 @@ def test_a_short_clock_takes_a_landing_step():
                        t_final=0.27)
     log = _StepLog()
     rec = solve_nonlocal(cfg, observers=[log])
-    steps = log.steps()
+    steps = log.steps
     assert rec.info["steps"] == len(steps) == 121
-    assert np.nextafter(steps[-1][1], 1.0) == 0.27
-    assert steps[-1][2] == 0.27
+    assert np.nextafter(steps[-1][0], 1.0) == 0.27
+    assert steps[-1][1] == 0.27
 
 
 def _whole_grid_march(cfg):
@@ -627,9 +631,9 @@ def test_march_equals_the_whole_grid_march_bit_for_bit(scheme, spec):
     assert sorted(rec.snapshots) == sorted(snaps)
     for t, u in snaps.items():
         assert rec.snapshots[t].tobytes() == u.tobytes()
-    steps = log.steps()
+    steps = log.steps
     assert len(steps) == len(rows)
-    for (_, _, _, w), row in zip(steps, rows):
+    for (_, _, w, _), row in zip(steps, rows):
         assert w.tobytes() == row.tobytes()
 
 
@@ -661,7 +665,7 @@ def test_upwind_row_is_summed_at_resums_and_carried_between(monkeypatch, spec, t
     u = rec.snapshots[0.0].copy()
     lo, hi = fv._moving_cells(u, cfg.datum, m)
     worst = 0.0
-    for k, ((_, _, _, w), moving) in enumerate(zip(log.steps(), states, strict=True)):
+    for k, ((_, _, w, _), moving) in enumerate(zip(log.steps, states, strict=True)):
         u[lo:hi] = moving
         summed = compute_w(u, cfg.epsilon, g.dx, right)
         if k in resums:
@@ -717,11 +721,22 @@ def test_an_observer_cannot_write_into_the_row():
     cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx), t_final=0.1)
 
     class Scribbler:
-        def snapshot(self, step, t, u):
-            pass
-
-        def step(self, step, t0, t1, w):
+        def step(self, t0, t1, w, u):
             w[0] = 0.5
+
+    with pytest.raises(ValueError, match="read-only"):
+        solve_nonlocal(cfg, observers=[Scribbler()])
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "lax-friedrichs"])
+def test_an_observer_cannot_write_into_the_state(scheme):
+    g = Grid1D(-1.0, 1.0, 64)
+    cfg = SolverConfig(grid=g, epsilon=4 * g.dx, datum=parse_datum("step", g.dx), t_final=0.1,
+                       scheme=scheme)
+
+    class Scribbler:
+        def step(self, t0, t1, w, u):
+            u[40] = 0.5
 
     with pytest.raises(ValueError, match="read-only"):
         solve_nonlocal(cfg, observers=[Scribbler()])
@@ -836,10 +851,10 @@ def random_march_differences(seed):
         for t in sorted(set(fast) | set(whole)):
             if t not in fast or t not in whole or fast[t].tobytes() != whole[t].tobytes():
                 found.append(f"seed {seed}: {name} snapshot at t={t!r} differs")
-    steps = log.steps()
+    steps = log.steps
     if len(steps) != len(rows):
         found.append(f"seed {seed}: {len(steps)} nonlocal steps, {len(rows)} whole-grid steps")
-    for k, ((_, _, _, w), row) in enumerate(zip(steps, rows)):
+    for k, ((_, _, w, _), row) in enumerate(zip(steps, rows)):
         if w.tobytes() != row.tobytes():
             found.append(f"seed {seed}: lookahead row of step {k} differs")
             break
