@@ -4,9 +4,9 @@ Three pieces live here.  Path tracing integrates dX/dt = 1 - w(t, X) through
 the lookahead fields of a finite-volume march, on the marcher's own clock,
 either while the run marches or by marching it again, carrying along each
 path the solution of the growth law (the material derivative of the model,
-du/dt = u * (u(x + epsilon) - u) / epsilon), started from the datum; a
-snapshot's value at a path's position is read from the record itself.  The
-closed form of that growth law for a constant state ahead is the logistic
+du/dt = u * (u(x + epsilon) - u) / epsilon), started from the datum, with
+the road ahead read from the state each step starts from; a snapshot's
+value at a path's position is read from the record itself.  The closed form of that growth law for a constant state ahead is the logistic
 curve, exposed separately.  Finally, a fixed-point solver, which nothing
 traces through, rebuilds the solution interval by interval on the marchers'
 own march loop: it freezes each interval's lookahead field, computed from
@@ -56,8 +56,10 @@ class CharacteristicPath:
     """One traced trajectory X(t) with the growth law carried along it.
 
     ``transported`` integrates the material growth law along the path
-    starting from the datum, which stays meaningful even after the
-    underlying feature has compressed below the grid scale.  The snapshot
+    starting from the datum, reading the road ahead from the state each
+    march step starts from, so it does not depend on the run's snapshot
+    times and stays meaningful even after the underlying feature has
+    compressed below the grid scale.  The snapshot
     value at row ``k`` of a snapshot taken after ``k`` steps is
     ``record.snapshots[t][record.grid.cell_of(positions[k])]``.
     """
@@ -121,12 +123,13 @@ def _sample_cells(padded: np.ndarray, grid: Grid1D, x):
     return padded[np.fmin(np.fmax(pos, 0.0), grid.n_cells + 1.0).astype(int)]
 
 
-def _scalar_lookups(grid: Grid1D, edges, row, cells):
+def _scalar_lookups(grid: Grid1D, edges, row, cells, left: float, right: float):
     """One-point forms of the array step's lookups, for floats.
 
     Returns ``speed(x)``, equal to ``1 - np.interp(x, edges, row)`` on the
-    grid's ``edges``, and ``cell(x)``, equal to ``_sample_cells(cells, grid,
-    x)`` on padded cell values, both computed with the same floating-point
+    grid's ``edges``, and ``cell(x)``, equal to ``_sample_cells(_pad(cells,
+    left, right), grid, x)``, the cell values with the states ``left`` and
+    ``right`` off the grid, both computed with the same floating-point
     operations as numpy's, so a path traced through them is bit-identical to
     one traced in arrays.  The three sequences are read one entry at a time
     and never copied; memoryviews of the arrays read fastest.
@@ -165,8 +168,8 @@ def _scalar_lookups(grid: Grid1D, edges, row, cells):
         # inside the grid; NaN fails the first test and reads the left state
         pos = (x - x_left) / dx
         if pos >= 0.0:
-            return cells[n + 1] if pos >= n else cells[math.floor(pos) + 1]
-        return cells[0]
+            return right if pos >= n else cells[math.floor(pos)]
+        return left
 
     return speed, cell
 
@@ -203,10 +206,11 @@ class PathTracer:
     step's field linearly interpolated in space and frozen in time, matching
     how the marcher used it; steps that start at or after ``t_end`` are not
     traced and the one that crosses it is cut short there.  The growth-law
-    values use the jam state ahead as sampled from the latest snapshot
-    taken at or before the step, and start from the datum's cell averages
-    under the starts.  Row ``k`` of a path is the state after ``k`` steps.
-    ``t_end=None`` traces the whole run.
+    values read the state ahead from the state the step starts from, frozen
+    over the step like the field, and start from the datum's cell averages
+    under the starts, read on the first step the tracer is handed.  Row
+    ``k`` of a path is the state after ``k`` steps.  ``t_end=None`` traces
+    the whole run.
 
     The tracer sizes its two tables (rows by paths, for the positions and
     the transported values) and its column of times once, when it is made:
@@ -215,17 +219,17 @@ class PathTracer:
     only march it observes.  Tables that cannot fit in physical memory are
     refused with :class:`~nltraffic.errors.ConfigurationError` before the
     steps are counted.  Each step writes its row in place, and :meth:`paths` returns
-    read-only column views of the tables.  The growth law reads the latest
-    snapshot from one copy, padded with the states outside the grid, that
-    each snapshot overwrites.
+    read-only column views of the tables.
 
     A batch of at most ``_SCALAR_PATHS`` paths (the one to three plateau
     paths of a sweep solve, say) is stepped one path at a time in Python
-    floats, reading single entries of the row and the snapshot: at that size
+    floats, reading single entries of the row and the state: at that size
     numpy's cost per call, not the arithmetic, would set the time.  A larger
     batch is stepped in arrays, interpolating only the slice of the row
-    around the paths.  Both do the same floating-point operations in the
-    same order, so the paths do not depend on the batch size.
+    around the paths and reading the state from one copy padded with the
+    datum's tails, into which each step loads only the cells its stages can
+    read.  Both do the same floating-point operations in the same order, so
+    the paths do not depend on the batch size.
     """
 
     def __init__(self, config: SolverConfig, starts, t_end: float = None):
@@ -258,18 +262,17 @@ class PathTracer:
         self._edges = grid.edges
         self._edge_view = memoryview(self._edges)
         self._row = np.empty(grid.n_cells + 1)
-        self._ahead = self._ahead_view = None
+        # the state padded with the datum's tails; a cell no step has loaded reads NaN
+        self._ahead = _pad(np.full(grid.n_cells, math.nan), config.datum.left_extension,
+                           config.datum.right_extension)
 
     def step(self, t0: float, t1: float, w: np.ndarray, u: np.ndarray) -> None:
         """Notice of a march step over ``[t0, t1]`` with lookahead row ``w`` from state ``u``."""
         if self._filled == 0:
-            datum = self.config.datum
-            self._ahead = _pad(u, datum.left_extension, datum.right_extension)
-            self._ahead_view = memoryview(self._ahead)
+            if self.starts.size:
+                self._load_ahead(u, self.starts.min(), self.starts.max())
             self._transported[0] = _sample_cells(self._ahead, self.config.grid, self.starts)
             self._filled = 1
-        elif t0 in self.config.output_times:
-            self._ahead[1:-1] = u  # one padded copy serves every snapshot
         if not t0 < self.t_end:
             return
         k = self._filled
@@ -280,16 +283,28 @@ class PathTracer:
         end = min(t1, self.t_end)
         self._times[k] = end
         if self.starts.size <= _SCALAR_PATHS:
-            self._step_each(k - 1, end - t0, w)
+            self._step_each(k - 1, end - t0, w, u)
         else:
-            self._step_batch(k - 1, end - t0, w)
+            self._step_batch(k - 1, end - t0, w, u)
         self._filled = k + 1
 
-    def _step_each(self, step: int, h: float, w: np.ndarray) -> None:
+    def _load_ahead(self, u: np.ndarray, x_min: float, x_max: float) -> None:
+        """Copy into the padded state the cells of ``u`` from that of ``x_min`` to that of ``x_max``.
+
+        One cell more on each side absorbs roundoff in the positions, and
+        the range is clamped to the grid, off which the tails are read.
+        """
+        grid = self.config.grid
+        lo = min(max(math.floor((x_min - grid.x_left) / grid.dx) - 1, 0), grid.n_cells)
+        hi = min(max(math.floor((x_max - grid.x_left) / grid.dx) + 2, lo), grid.n_cells)
+        self._ahead[lo + 1 : hi + 1] = u[lo:hi]
+
+    def _step_each(self, step: int, h: float, w: np.ndarray, u: np.ndarray) -> None:
         """Advance each path over ``h`` in Python floats."""
         eps = self.config.epsilon
+        datum = self.config.datum
         speed, cell = _scalar_lookups(self.config.grid, self._edge_view, memoryview(w),
-                                      self._ahead_view)
+                                      memoryview(u), datum.left_extension, datum.right_extension)
 
         def growth(x, v):
             return material_rhs(v, cell(x + eps), eps)
@@ -300,22 +315,25 @@ class PathTracer:
                 speed, growth, X.item(step, c), V.item(step, c), h
             )
 
-    def _step_batch(self, step: int, h: float, w: np.ndarray) -> None:
+    def _step_batch(self, step: int, h: float, w: np.ndarray, u: np.ndarray) -> None:
         """Advance all paths over ``h`` at once in arrays."""
         grid = self.config.grid
         eps = self.config.epsilon
         ahead = self._ahead
         X = self._positions[step]
+        x_min, x_max = float(X.min()), float(X.max())
         # The speed 1 - w lies in [0, 1], so every stage stays in [X, X + h];
         # np.interp reads only the two nodes around a point, so the nodes
         # from two cells left of the paths to two cells right of X + h give
         # the whole row's values.  It would copy the read-only row on every
-        # call: one copy of the slice serves all four stages.
-        lo = min(max(math.floor((X.min() - grid.x_left) / grid.dx) - 2, 0), grid.n_cells - 1)
-        hi = min(math.floor((X.max() + h - grid.x_left) / grid.dx) + 3, grid.n_cells + 1)
+        # call: one copy of the slice serves all four stages.  The growth law
+        # reads the state one lookahead ahead of the stages.
+        lo = min(max(math.floor((x_min - grid.x_left) / grid.dx) - 2, 0), grid.n_cells - 1)
+        hi = min(math.floor((x_max + h - grid.x_left) / grid.dx) + 3, grid.n_cells + 1)
         edges = self._edges[lo:hi]
         row = self._row[: hi - lo]
         row[:] = w[lo:hi]
+        self._load_ahead(u, x_min + eps, x_max + h + eps)
 
         def speed(x):
             return 1.0 - np.interp(x, edges, row)
