@@ -4,10 +4,11 @@ Three pieces live here.  Path tracing integrates dX/dt = 1 - w(t, X) through
 the lookahead fields of a finite-volume march, on the marcher's own clock,
 either while the run marches or by marching it again, carrying along each
 path the solution of the growth law (the material derivative of the model,
-du/dt = u * (u(x + epsilon) - u) / epsilon), started from the datum, with
-the road ahead read from the state each step starts from; a snapshot's
-value at a path's position is read from the record itself.  The closed form of that growth law for a constant state ahead is the logistic
-curve, exposed separately.  Finally, a fixed-point solver, which nothing
+du/dt = u * (u(x + epsilon) - u) / epsilon) from the datum on, reading the
+road ahead from the state each step starts from; a snapshot's value at a
+path's position is read from the record itself.  The closed form of that
+growth law for a constant state ahead is the logistic curve, exposed
+separately.  Finally, a fixed-point solver, which nothing
 traces through, rebuilds the solution interval by interval on the marchers'
 own march loop: it freezes each interval's lookahead field, computed from
 the state at the interval's start, transports that state along the field's
@@ -55,12 +56,10 @@ def _check_tau(tau: float) -> None:
 class CharacteristicPath:
     """One traced trajectory X(t) with the growth law carried along it.
 
-    ``transported`` integrates the material growth law along the path
-    starting from the datum, reading the road ahead from the state each
-    march step starts from, so it does not depend on the run's snapshot
-    times and stays meaningful even after the underlying feature has
-    compressed below the grid scale.  The snapshot
-    value at row ``k`` of a snapshot taken after ``k`` steps is
+    ``transported`` integrates the material growth law along the path from
+    the datum on, whatever the run's snapshot times, which stays meaningful
+    even after the underlying feature has compressed below the grid scale.
+    The value at row ``k`` of a snapshot taken after ``k`` steps is
     ``record.snapshots[t][record.grid.cell_of(positions[k])]``.
     """
 
@@ -128,8 +127,7 @@ def _scalar_lookups(grid: Grid1D, edges, row, cells, left: float, right: float):
 
     Returns ``speed(x)``, equal to ``1 - np.interp(x, edges, row)`` on the
     grid's ``edges``, and ``cell(x)``, equal to ``_sample_cells(_pad(cells,
-    left, right), grid, x)``, the cell values with the states ``left`` and
-    ``right`` off the grid, both computed with the same floating-point
+    left, right), grid, x)``, both computed with the same floating-point
     operations as numpy's, so a path traced through them is bit-identical to
     one traced in arrays.  The three sequences are read one entry at a time
     and never copied; memoryviews of the arrays read fastest.
@@ -205,12 +203,11 @@ class PathTracer:
     Each march step gets one Runge-Kutta step (fourth order), with the
     step's field linearly interpolated in space and frozen in time, matching
     how the marcher used it; steps that start at or after ``t_end`` are not
-    traced and the one that crosses it is cut short there.  The growth-law
-    values read the state ahead from the state the step starts from, frozen
-    over the step like the field, and start from the datum's cell averages
-    under the starts, read on the first step the tracer is handed.  Row
-    ``k`` of a path is the state after ``k`` steps.  ``t_end=None`` traces
-    the whole run.
+    traced and the one that crosses it is cut short there.  The growth law
+    reads the state ahead from the state the step starts from, frozen over
+    the step like the field, and starts from that state under the starts on
+    the first step.  Row ``k`` of a path is the state after ``k`` steps.
+    ``t_end=None`` traces the whole run.
 
     The tracer sizes its two tables (rows by paths, for the positions and
     the transported values) and its column of times once, when it is made:
@@ -226,10 +223,10 @@ class PathTracer:
     floats, reading single entries of the row and the state: at that size
     numpy's cost per call, not the arithmetic, would set the time.  A larger
     batch is stepped in arrays, interpolating only the slice of the row
-    around the paths and reading the state from one copy padded with the
-    datum's tails, into which each step loads only the cells its stages can
-    read.  Both do the same floating-point operations in the same order, so
-    the paths do not depend on the batch size.
+    around the paths and reading the state from a copy padded with the
+    datum's tails, which each step loads only where its stages read.  Both
+    do the same floating-point operations in the same order, so the paths
+    do not depend on the batch size.
     """
 
     def __init__(self, config: SolverConfig, starts, t_end: float = None):
@@ -259,12 +256,12 @@ class PathTracer:
         self._positions[0] = starts
         self._transported = np.empty((rows, starts.size))
         self._filled = 0
+        self._tails = config.datum.left_extension, config.datum.right_extension
         self._edges = grid.edges
         self._edge_view = memoryview(self._edges)
         self._row = np.empty(grid.n_cells + 1)
-        # the state padded with the datum's tails; a cell no step has loaded reads NaN
-        self._ahead = _pad(np.full(grid.n_cells, math.nan), config.datum.left_extension,
-                           config.datum.right_extension)
+        # the state padded with the datum's tails; a cell no step loaded reads NaN
+        self._ahead = _pad(np.full(grid.n_cells, math.nan), *self._tails)
 
     def step(self, t0: float, t1: float, w: np.ndarray, u: np.ndarray) -> None:
         """Notice of a march step over ``[t0, t1]`` with lookahead row ``w`` from state ``u``."""
@@ -282,18 +279,12 @@ class PathTracer:
             )
         end = min(t1, self.t_end)
         self._times[k] = end
-        if self.starts.size <= _SCALAR_PATHS:
-            self._step_each(k - 1, end - t0, w, u)
-        else:
-            self._step_batch(k - 1, end - t0, w, u)
+        stepper = self._step_each if self.starts.size <= _SCALAR_PATHS else self._step_batch
+        stepper(k - 1, end - t0, w, u)
         self._filled = k + 1
 
     def _load_ahead(self, u: np.ndarray, x_min: float, x_max: float) -> None:
-        """Copy into the padded state the cells of ``u`` from that of ``x_min`` to that of ``x_max``.
-
-        One cell more on each side absorbs roundoff in the positions, and
-        the range is clamped to the grid, off which the tails are read.
-        """
+        """Load into the padded state the cells of ``u`` from ``x_min`` to ``x_max``, and one more."""
         grid = self.config.grid
         lo = min(max(math.floor((x_min - grid.x_left) / grid.dx) - 1, 0), grid.n_cells)
         hi = min(max(math.floor((x_max - grid.x_left) / grid.dx) + 2, lo), grid.n_cells)
@@ -302,9 +293,8 @@ class PathTracer:
     def _step_each(self, step: int, h: float, w: np.ndarray, u: np.ndarray) -> None:
         """Advance each path over ``h`` in Python floats."""
         eps = self.config.epsilon
-        datum = self.config.datum
         speed, cell = _scalar_lookups(self.config.grid, self._edge_view, memoryview(w),
-                                      memoryview(u), datum.left_extension, datum.right_extension)
+                                      memoryview(u), *self._tails)
 
         def growth(x, v):
             return material_rhs(v, cell(x + eps), eps)

@@ -502,10 +502,9 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     each time exactly by shortening the step.  Each step over ``[t0, t1]``
     calls ``obs.step(t0, t1, w, u)`` on every observer (a
     :class:`~nltraffic.characteristics.PathTracer`, say) once its lookahead
-    row ``w`` is summed or carried and before the state ``u`` it steps from
-    changes; nothing is stored, so the record keeps only the snapshots.
-    ``w`` and ``u`` are read-only views of the march's own buffers, valid
-    only during the call: an observer that keeps either must copy it.
+    row ``w`` is summed or carried, before the state ``u`` it steps from
+    changes.  Both are read-only views of the march's buffers, valid only
+    during the call, and nothing is stored: the record keeps the snapshots.
 
     Every step is ``0.9 * dx`` (shrunk for Lax-Friedrichs), or shorter to
     land on a target: the transport speed ``1 - w`` is at most 1 for fields
@@ -558,11 +557,10 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     carried = 0  # steps since the row was last summed
 
     def notify(t0, t1, u):
-        if observers:
-            state = u.view()
-            state.flags.writeable = False
-            for obs in observers:
-                obs.step(t0, t1, row, state)
+        state = u.view()
+        state.flags.writeable = False
+        for obs in observers:
+            obs.step(t0, t1, row, state)
 
     def advance(u, t0, dt, t1):
         nonlocal last_dt, carried

@@ -42,6 +42,9 @@ nl characteristics --dyadic-j 4 --start=$starts --t-end 0.3 \
     --out "$out/characteristics-t0.3" >/dev/null
 nl characteristics --dyadic-j 4 --start=$starts --t-end 0.2 \
     --out "$out/characteristics-t0.2" >/dev/null
+# the same paths through a run whose snapshots fall inside the trace
+nl characteristics --dyadic-j 4 --start=$starts --tau 0.1,0.3 \
+    --out "$out/characteristics-taus" >/dev/null
 # paths that leave the grid at x = 1, and Lax-Friedrichs paths cut at t_end
 nl characteristics --datum riemann:0.2,0.8 --dyadic-j 4 --start=-1.5,0.5,0.99,1.0 \
     --out "$out/characteristics-riemann" >/dev/null
