@@ -103,13 +103,8 @@ def material_rhs(u_here, u_ahead, epsilon: float):
     return u_here * (u_ahead - u_here) / epsilon
 
 
-def _pad(values: np.ndarray, left: float, right: float) -> np.ndarray:
-    """``values`` with ``left`` before and ``right`` after, for :func:`_sample_cells`."""
-    return np.concatenate(([left], values, [right]))
-
-
 def _sample_cells(padded: np.ndarray, grid: Grid1D, x):
-    """Piecewise-constant lookup of cell values padded by :func:`_pad`.
+    """Piecewise-constant lookup of cell values padded with one state on each side.
 
     Points left of the grid read the left state and points right of it the
     right state.  The cell index is clamped while still a float, so a NaN
@@ -126,10 +121,10 @@ def _scalar_lookups(grid: Grid1D, edges, row, cells, left: float, right: float):
     """One-point forms of the array step's lookups, for floats.
 
     Returns ``speed(x)``, equal to ``1 - np.interp(x, edges, row)`` on the
-    grid's ``edges``, and ``cell(x)``, equal to ``_sample_cells(_pad(cells,
-    left, right), grid, x)``, both computed with the same floating-point
-    operations as numpy's, so a path traced through them is bit-identical to
-    one traced in arrays.  The three sequences are read one entry at a time
+    grid's ``edges``, and ``cell(x)``, equal to :func:`_sample_cells` of
+    ``cells`` padded with ``left`` and ``right``, both computed with the
+    same floating-point operations as numpy's, so a path traced through them
+    is bit-identical to one traced in arrays.  The three sequences are read one entry at a time
     and never copied; memoryviews of the arrays read fastest.
     """
     x_left, dx, n = float(grid.x_left), float(grid.dx), int(grid.n_cells)
@@ -260,15 +255,14 @@ class PathTracer:
         self._edges = grid.edges
         self._edge_view = memoryview(self._edges)
         self._row = np.empty(grid.n_cells + 1)
-        # the state padded with the datum's tails; a cell no step loaded reads NaN
-        self._ahead = _pad(np.full(grid.n_cells, math.nan), *self._tails)
+        self._ahead = None
 
     def step(self, t0: float, t1: float, w: np.ndarray, u: np.ndarray) -> None:
         """Notice of a march step over ``[t0, t1]`` with lookahead row ``w`` from state ``u``."""
         if self._filled == 0:
-            if self.starts.size:
-                self._load_ahead(u, self.starts.min(), self.starts.max())
-            self._transported[0] = _sample_cells(self._ahead, self.config.grid, self.starts)
+            _, cell = _scalar_lookups(self.config.grid, self._edge_view, memoryview(w),
+                                      memoryview(u), *self._tails)
+            self._transported[0] = [cell(x) for x in self.starts.tolist()]
             self._filled = 1
         if not t0 < self.t_end:
             return
@@ -282,13 +276,6 @@ class PathTracer:
         stepper = self._step_each if self.starts.size <= _SCALAR_PATHS else self._step_batch
         stepper(k - 1, end - t0, w, u)
         self._filled = k + 1
-
-    def _load_ahead(self, u: np.ndarray, x_min: float, x_max: float) -> None:
-        """Load into the padded state the cells of ``u`` from ``x_min`` to ``x_max``, and one more."""
-        grid = self.config.grid
-        lo = min(max(math.floor((x_min - grid.x_left) / grid.dx) - 1, 0), grid.n_cells)
-        hi = min(max(math.floor((x_max - grid.x_left) / grid.dx) + 2, lo), grid.n_cells)
-        self._ahead[lo + 1 : hi + 1] = u[lo:hi]
 
     def _step_each(self, step: int, h: float, w: np.ndarray, u: np.ndarray) -> None:
         """Advance each path over ``h`` in Python floats."""
@@ -323,7 +310,14 @@ class PathTracer:
         edges = self._edges[lo:hi]
         row = self._row[: hi - lo]
         row[:] = w[lo:hi]
-        self._load_ahead(u, x_min + eps, x_max + h + eps)
+        if ahead is None:  # the state padded with the datum's tails; unloaded cells read NaN
+            ahead = self._ahead = np.full(u.size + 2, math.nan)
+            ahead[[0, -1]] = self._tails
+        # the stages read the state one lookahead ahead of [X, X + h]: load
+        # those cells, and one more on each side for roundoff in the stages
+        a = min(max(math.floor((x_min + eps - grid.x_left) / grid.dx) - 1, 0), grid.n_cells)
+        b = min(max(math.floor((x_max + h + eps - grid.x_left) / grid.dx) + 2, a), grid.n_cells)
+        ahead[a + 1 : b + 1] = u[a:b]
 
         def speed(x):
             return 1.0 - np.interp(x, edges, row)

@@ -39,6 +39,11 @@ def constant(c):
     return PiecewiseConstant1D(np.array([0.0]), np.array([]), c, c)
 
 
+def pad(values, left, right):
+    """``values`` with ``left`` before and ``right`` after, as ``_sample_cells`` reads them."""
+    return np.concatenate(([left], values, [right]))
+
+
 def integrate_growth_ode(u0, t, epsilon, n_steps=20000):
     """Reference RK4 for du/dt = u (1 - u) / epsilon, independent of the package."""
     h = t / n_steps
@@ -361,11 +366,11 @@ def test_cell_lookup_reads_the_outside_states():
                        t_final=0.1)
     values = np.linspace(0.3, 0.65, 8)
     x = np.concatenate((g.edges, g.centers, [-1.0 - 1e-12, 1.0 + 1e-12, -7.0, 7.0]))
-    got = characteristics._sample_cells(characteristics._pad(values, 0.2, 0.8), g, x)
+    got = characteristics._sample_cells(pad(values, 0.2, 0.8), g, x)
     np.testing.assert_array_equal(got, ReferenceTracer(cfg, []).sample(values, x))
     # a NaN position reads the left state, and no position indexes out of range
     far = [np.nan, -np.inf, np.inf, -1e300, 1e300]
-    got = characteristics._sample_cells(characteristics._pad(values, 0.2, 0.8), g, far)
+    got = characteristics._sample_cells(pad(values, 0.2, 0.8), g, far)
     np.testing.assert_array_equal(got, [0.2, 0.2, 0.8, 0.2, 0.8])
 
     # the one-point lookups of small batches read what the array lookups read,
@@ -375,7 +380,7 @@ def test_cell_lookup_reads_the_outside_states():
         cfg = SolverConfig(grid=g, epsilon=g.dx, datum=parse_datum("riemann:0.2,0.8", g.dx),
                            t_final=0.1)
         values = np.sin(np.arange(g.n_cells) + 0.5) ** 2
-        padded = characteristics._pad(values, 0.2, 0.8)
+        padded = pad(values, 0.2, 0.8)
         e = g.edges
         x = np.concatenate((e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), g.centers,
                             [e[0] - 1e-12, e[-1] + 1e-12, -7.0, 7.0], far))
@@ -577,7 +582,7 @@ def jacobi_picard(config, tol=1e-14, max_passes=60):
         u = np.empty((nodes.size, g.n_cells))
         u[0] = u0
         for i, row in enumerate(w_rows):
-            slopes = characteristics._pad(np.diff(row) / g.dx, 0.0, 0.0)
+            slopes = pad(np.diff(row) / g.dx, 0.0, 0.0)
             E, v = characteristics._rk4(
                 lambda x: 1.0 - np.interp(x, edges, row),
                 lambda x, v: v * characteristics._sample_cells(slopes, g, 0.5 * (x[:-1] + x[1:])),
