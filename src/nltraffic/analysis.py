@@ -12,13 +12,14 @@ it becomes a bare integer interval length that is unbounded in j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 import math
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .characteristics import PathTracer, _check_tau
-from .fv import GridFunction, SolutionRecord, SolverConfig
+from .characteristics import _check_tau, _rk4, material_rhs
+from .fv import GridFunction, SolutionRecord, SolverConfig, _clock, _dt_max
 from .model import _MAX_TRUNCATION, PiecewiseConstant1D, _check_nonnegative_integer, build_u0
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "tv_lower_bound_dyadic",
     "term_threshold_check",
     "evaluate_bounds",
-    "reconstruction_tracer",
     "reconstruct_tv_from_characteristics",
     "check_max_principle",
     "check_monotonicity",
@@ -194,7 +194,7 @@ def evaluate_bounds(tau: float, epsilon: float = None, j: int = None) -> BoundRe
 
 @dataclass(frozen=True)
 class BlockTrace:
-    """Traced plateau path for one oscillation block."""
+    """The value grown along the plateau path of one oscillation block."""
 
     k: int
     plateau_start: float
@@ -204,7 +204,7 @@ class BlockTrace:
 
 @dataclass(frozen=True)
 class TVReconstruction:
-    """Oscillation sum rebuilt from characteristic traces.
+    """Oscillation sum rebuilt from the growth law along the plateau paths.
 
     ``total`` is twice the sum of grown plateau values over the blocks that
     are both confined within one lookahead distance and resolved by the grid;
@@ -223,9 +223,9 @@ def _plateau_blocks(config: SolverConfig):
     """The confined blocks of the oscillatory datum that the grid resolves, and the rest.
 
     The truncation K comes from the count of breakpoints, two per block and
-    one at the origin; :func:`reconstruction_tracer` checks that the datum is
-    ``build_u0(K)``.  A block is resolved when the gap beside it spans at
-    least one cell.
+    one at the origin; :func:`reconstruct_tv_from_characteristics` checks
+    that the datum is ``build_u0(K)``.  A block is resolved when the gap
+    beside it spans at least one cell.
     """
     K = (config.datum.breakpoints.size - 3) // 2
     confined = range(_first_confined_block(config.epsilon), K + 1)
@@ -233,72 +233,67 @@ def _plateau_blocks(config: SolverConfig):
     return resolved, tuple(k for k in confined if k not in resolved)
 
 
-def reconstruction_tracer(config: SolverConfig) -> PathTracer:
-    """A path tracer for the reconstruction, to march with ``config``.
+def reconstruct_tv_from_characteristics(record: SolutionRecord, tau: float) -> TVReconstruction:
+    """Rebuild the oscillation sum at time tau from the plateau paths of an upwind march.
 
-    The datum must be the oscillatory datum ``build_u0(K)``; anything else
-    is refused with :class:`~nltraffic.errors.ConfigurationError`.  The
-    tracer starts one path at the plateau midpoint of each resolved block
-    and traces the whole run.  Pass it to ``solve_nonlocal(config,
-    observers=[...])`` and then, for each snapshot time tau, to
-    :func:`reconstruct_tv_from_characteristics` with the returned record, so
-    the paths are traced once, during the march, and no history is stored.
+    For each confined, grid-resolved block k this carries the growth law
+    from the datum's cell value at the plateau midpoint -0.75 * 4^-k and
+    sums 2 * grown value; the vacuum gaps between plateaus never grow.  The
+    carried values stay faithful after a block has been squeezed below the
+    cell size, where snapshot cell averages show only a smeared remnant.
+
+    No position needs tracing: a resolved confined block has
+    ``start + epsilon >= epsilon/4 >= dx``, paths only move right, and the
+    upwind march never touches its trailing run of exact 1.0
+    (:func:`~nltraffic.fv._moving_cells`), so every stage of the path reads
+    exactly 1 one lookahead ahead.  The value therefore follows
+    du/dt = u (1 - u) / epsilon, one Runge-Kutta step per step of the
+    march's clock (:func:`~nltraffic.fv._clock`), of size ``t1 - t0`` and in
+    the arithmetic of :class:`~nltraffic.characteristics.PathTracer`, so it
+    equals the traced value bit for bit after the
+    ``record.snapshot_steps[tau]`` steps that end on tau.
+
+    Only upwind records of the oscillatory datum ``build_u0(K)`` are
+    covered; any other record (Lax-Friedrichs, whose viscosity erodes the
+    jam, the fixed-point solver's, another datum) and a tau that is not a
+    snapshot time are refused with
+    :class:`~nltraffic.errors.ConfigurationError`.
     """
+    config = record.config
+    scheme = record.info["scheme"]
+    if scheme != "upwind":
+        raise ConfigurationError(f"only upwind records can be reconstructed, not a {scheme!r} record")
     datum = config.datum
     # more breakpoints than any build_u0 has: the largest one mismatches
     stock = build_u0(min(max(0, (datum.breakpoints.size - 3) // 2), _MAX_TRUNCATION))
     if not (np.array_equal(datum.breakpoints, stock.breakpoints)
             and np.array_equal(datum.levels, stock.levels)):
         raise ConfigurationError("the datum is not the oscillatory datum build_u0(K)")
-    resolved, _ = _plateau_blocks(config)
-    return PathTracer(config, [-0.75 * 4.0 ** -k for k in resolved])
-
-
-def reconstruct_tv_from_characteristics(
-    record: SolutionRecord, tau: float, tracer: PathTracer
-) -> TVReconstruction:
-    """Rebuild the oscillation sum at time tau from characteristic traces.
-
-    For each confined, grid-resolved block this takes the path from the
-    plateau midpoint, reads off the grown value carried along it, and sums
-    2 * plateau value.  (The gaps between plateaus need no path: vacuum never
-    grows, since the growth law vanishes at u = 0.)  The
-    carried values integrate the material growth law, so the sum stays
-    faithful even after a block has been squeezed below the cell size (where
-    snapshot cell averages would only show a smeared remnant).  The paths
-    come from ``tracer``, made by :func:`reconstruction_tracer` for the
-    record's configuration and marched with the record's run up to tau at
-    least; the grown value is the one in the path's row
-    ``record.snapshot_steps[tau]``, the state after the steps that end on
-    tau.
-    """
     if tau not in record.snapshots:
         raise ConfigurationError(
             f"tau={tau} is not among the record's snapshot times {record.times}"
         )
-    paths = tracer.paths()  # refuses a tracer that observed no march
-    # a tracer observes only the solve_nonlocal march of its own configuration
-    if (tracer.config is not record.config or record.info["scheme"] != record.config.scheme
-            or tracer.t_end < tau):
-        raise ConfigurationError("the tracer must have observed this record's march up to tau")
-    row = record.snapshot_steps[tau]
-    resolved, skipped = _plateau_blocks(record.config)
+    eps = config.epsilon
+    resolved, skipped = _plateau_blocks(config)
+    starts = [-0.75 * 4.0 ** -k for k in resolved]
+    u0 = record.snapshots[0.0]
+    grown = [float(u0[config.grid.cell_of(y)]) for y in starts]
+
+    def still(x):
+        return 0.0
+
+    def growth(x, v):
+        return material_rhs(v, 1.0, eps)
+
+    for t0, _, t1 in islice(_clock(config, _dt_max(config)), record.snapshot_steps[tau]):
+        grown = [_rk4(still, growth, 0.0, v, t1 - t0)[1] for v in grown]
     blocks = []
     total = 0.0
-    for k, path in zip(resolved, paths, strict=True):
-        grown = float(path.transported[row])
-        blocks.append(
-            BlockTrace(
-                k=k,
-                plateau_start=path.start,
-                plateau_value=grown,
-                contribution=2.0 * grown,
-            )
-        )
-        total += 2.0 * grown
-    return TVReconstruction(
-        tau=tau, epsilon=record.epsilon, blocks=tuple(blocks), skipped=skipped, total=total
-    )
+    for k, y, v in zip(resolved, starts, grown):
+        blocks.append(BlockTrace(k=k, plateau_start=y, plateau_value=v, contribution=2.0 * v))
+        total += 2.0 * v
+    return TVReconstruction(tau=tau, epsilon=eps, blocks=tuple(blocks), skipped=skipped,
+                            total=total)
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--j", type=_ints, dest="js", metavar="J",
         help="comma list of lookahead indices (default 2..6)",
     )
-    p.add_argument("--scheme", choices=("upwind", "lax-friedrichs"))
     p.add_argument("--out", help="write sweep.csv and manifest here")
 
     p = command("mechanism", _cmd_mechanism, "platoon-against-jam growth demo")

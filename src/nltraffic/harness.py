@@ -34,7 +34,6 @@ from .analysis import (
     check_plateau,
     evaluate_bounds,
     reconstruct_tv_from_characteristics,
-    reconstruction_tracer,
     term_threshold_check,
     total_variation,
     tv_lower_bound_dyadic,
@@ -285,17 +284,18 @@ def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Lookahead sweep: one solve per j, analysed at each tau.
+    """Lookahead sweep: one upwind solve per j, analysed at each tau.
 
     Each j marches the stock datum on ``DEFAULT_DOMAIN`` in steps of 0.9
     cells, on a grid that refines with j so that every block entering
     the analytic bounds is resolved: with blocks k_min(j)..k_max(j) selected,
     dx = 4^-(k_max+1) makes the narrowest selected gap exactly one cell wide.
+    The marcher is always upwind, the one whose jam the reconstruction of
+    :func:`~nltraffic.analysis.reconstruct_tv_from_characteristics` reads.
     """
 
     taus: tuple = (0.2,)
     js: tuple = (2, 3, 4, 5, 6)
-    scheme: str = "upwind"
 
     def __post_init__(self):
         taus = tuple(sorted(float(t) for t in self.taus))
@@ -339,15 +339,18 @@ def run_sweep(spec: SweepSpec, out: str = None):
     Each j gets one solve of the stock datum, truncated for the grid of
     ``sweep_resolution(j)``, carried to max(tau) with snapshots at every tau;
     each (tau, j) row combines the analytic bounds with the measured grid
-    total variation and the characteristic-trace reconstruction.  One tracer
-    per solve traces the plateau paths during the march, and every tau reads
-    its row of them, so no field history is stored.  A failed solve marks
+    total variation and the characteristic reconstruction, which carries the
+    growth law on the solve's clock, so the march has no observer and no
+    field history is stored.  Every row's bounds and every j's configuration
+    are made before the first solve, so a row the bounds refuse fails the
+    sweep at once, not after the marches before it.  A failed solve marks
     its rows with NaN measurements and is reported, not raised.
     """
     t0 = time.perf_counter()
     rows = []
     failures = []
     t_final = max(spec.taus)
+    plan = []
     for j in spec.js:
         _, _, dx = sweep_resolution(j)
         cfg = build_solver_config(RunConfig(
@@ -355,28 +358,22 @@ def run_sweep(spec: SweepSpec, out: str = None):
             dyadic_j=j,
             t_final=t_final,
             output_times=tuple(t for t in spec.taus if t > 0.0),
-            scheme=spec.scheme,
         ))
-        tracer = reconstruction_tracer(cfg)
-        record = None
-        error = None
+        plan.append((j, cfg, [evaluate_bounds(tau, j=j) for tau in spec.taus]))
+    for j, cfg, bases in plan:
         try:
-            record = solve_nonlocal(cfg, observers=[tracer])
+            record = solve_nonlocal(cfg)
         except SolverError as exc:
-            error = f"j={j}: {exc}"
-            failures.append(error)
-        for tau in spec.taus:
-            base = evaluate_bounds(tau, j=j)
-            if record is None:
-                rows.append(replace(base, measured_tv=math.nan, reconstructed_tv=math.nan))
-                continue
-            snap = record.snapshot(tau)
-            recon = reconstruct_tv_from_characteristics(record, tau, tracer)
+            failures.append(f"j={j}: {exc}")
+            rows.extend(replace(base, measured_tv=math.nan, reconstructed_tv=math.nan)
+                        for base in bases)
+            continue
+        for base in bases:
             rows.append(
                 replace(
                     base,
-                    measured_tv=total_variation(snap),
-                    reconstructed_tv=recon.total,
+                    measured_tv=total_variation(record.snapshot(base.tau)),
+                    reconstructed_tv=reconstruct_tv_from_characteristics(record, base.tau).total,
                 )
             )
     rows.sort(key=lambda r: (r.j, r.tau))

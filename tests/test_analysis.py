@@ -14,19 +14,19 @@ from nltraffic import (
     ConfigurationError,
     Grid1D,
     GridFunction,
-    PathTracer,
     PiecewiseConstant1D,
     SolverConfig,
     build_u0,
     check_max_principle,
     check_monotonicity,
     check_plateau,
+    default_truncation,
     evaluate_bounds,
     parse_datum,
     reconstruct_tv_from_characteristics,
-    reconstruction_tracer,
     solve_nonlocal,
     solve_picard,
+    sweep_resolution,
     term_threshold_check,
     trace_many,
     total_variation,
@@ -257,16 +257,8 @@ def _blowup_record(**kw):
     return solve_nonlocal(_blowup_config(**kw))
 
 
-def _traced_blowup(**kw):
-    """A march of the oscillatory datum and the reconstruction tracer it carried."""
-    cfg = _blowup_config(**kw)
-    tracer = reconstruction_tracer(cfg)
-    return solve_nonlocal(cfg, observers=[tracer]), tracer
-
-
 def test_reconstruction_at_time_zero_returns_resolved_block_sum():
-    rec, tracer = _traced_blowup()
-    out = reconstruct_tv_from_characteristics(rec, 0.0, tracer)
+    out = reconstruct_tv_from_characteristics(_blowup_record(), 0.0)
     # confined blocks are k >= 2; the grid resolves gaps down to k = 3
     assert [b.k for b in out.blocks] == [2, 3]
     assert out.skipped == (4, 5, 6)
@@ -275,78 +267,69 @@ def test_reconstruction_at_time_zero_returns_resolved_block_sum():
 
 
 def test_reconstruction_grows_with_time():
-    rec, tracer = _traced_blowup(taus=(0.1,))
-    early = reconstruct_tv_from_characteristics(rec, 0.1, tracer)
-    late = reconstruct_tv_from_characteristics(rec, 0.2, tracer)
+    rec = _blowup_record(taus=(0.1,))
+    early = reconstruct_tv_from_characteristics(rec, 0.1)
+    late = reconstruct_tv_from_characteristics(rec, 0.2)
     assert late.total > early.total > 2.0 * (2.0**-2 + 2.0**-3)
     for b in late.blocks:
         assert b.contribution == pytest.approx(2.0 * b.plateau_value, abs=0)
         assert b.plateau_value > 2.0**-b.k  # grew above its initial height
 
 
-def _replayed_total(record, tracer, tau):
-    """The reconstruction's sum from a replay of the record's march by trace_many."""
-    paths = trace_many(record, tracer.starts)
-    total = 0.0
-    for path in paths:
-        total += 2.0 * float(path.transported[record.snapshot_steps[tau]])
-    return total
-
-
-def test_reconstruction_traced_during_the_march_equals_replay():
-    g = Grid1D(-1.5, 1.0, 640)
-    cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=build_u0(6), t_final=0.2,
-                       output_times=(0.1,))
-    tracer = reconstruction_tracer(cfg)
-    live = solve_nonlocal(cfg, observers=[tracer])
-    assert live.w_fields.size == 0
-    # one tracer of the whole run serves every tau, and equals a replay
-    for tau in (0.0, 0.1, 0.2):
-        recon = reconstruct_tv_from_characteristics(live, tau, tracer)
-        assert len(recon.blocks) == 2
-        assert recon.total == _replayed_total(live, tracer, tau)
-    short = PathTracer(cfg, tracer.starts, t_end=0.1)
-    solve_nonlocal(cfg, observers=[short])
-    assert reconstruct_tv_from_characteristics(live, 0.1, short) == (
-        reconstruct_tv_from_characteristics(live, 0.1, tracer)
-    )
-    with pytest.raises(ConfigurationError):  # stops short of tau
-        reconstruct_tv_from_characteristics(live, 0.2, short)
-    with pytest.raises(ConfigurationError):  # has observed no march
-        reconstruct_tv_from_characteristics(live, 0.2, reconstruction_tracer(cfg))
-    other = SolverConfig(grid=g, epsilon=2.0**-4, datum=build_u0(6), t_final=0.2)
-    foreign = reconstruction_tracer(other)
-    solve_nonlocal(other, observers=[foreign])
-    with pytest.raises(ConfigurationError):  # of another march
-        reconstruct_tv_from_characteristics(live, 0.2, foreign)
-    with pytest.raises(ConfigurationError):  # a record of another solver
-        reconstruct_tv_from_characteristics(solve_picard(cfg), 0.2, tracer)
+def test_reconstruction_equals_a_replay_of_the_plateau_paths():
+    # the sweep grids of j = 2..5, where the blocks k_min..k_max are resolved,
+    # and a grid that resolves two of the confined blocks 2..6
+    cases = []
+    for j in (2, 3, 4, 5):
+        k_min, k_max, dx = sweep_resolution(j)
+        cases.append((_blowup_config(K=default_truncation(dx), eps=2.0**-j, dx=dx,
+                                     taus=(0.1,)), range(k_min, k_max + 1)))
+    cases.append((_blowup_config(dx=2.5 / 640, taus=(0.1,)), (2, 3)))
+    for cfg, ks in cases:
+        record = solve_nonlocal(cfg)
+        starts = [-0.75 * 4.0**-k for k in ks]
+        paths = trace_many(record, starts)
+        for tau in (0.0, 0.1, 0.2):
+            recon = reconstruct_tv_from_characteristics(record, tau)
+            assert [b.k for b in recon.blocks] == list(ks)
+            assert [b.plateau_start for b in recon.blocks] == starts
+            want = 0.0
+            for path in paths:
+                want += 2.0 * float(path.transported[record.snapshot_steps[tau]])
+            assert recon.total == want  # bit for bit: the tracer's own arithmetic
 
 
 def test_reconstruction_rejects_foreign_records_and_bad_times():
     g = Grid1D(-1.0, 1.0, 160)
-    cfg = SolverConfig(
+    step = SolverConfig(
         grid=g, epsilon=2.0**-4, datum=parse_datum("step", g.dx), t_final=0.1
     )
     with pytest.raises(ConfigurationError, match="not the oscillatory datum"):
-        reconstruction_tracer(cfg)
+        reconstruct_tv_from_characteristics(solve_nonlocal(step), 0.1)
     for K in (3, 6):  # breakpoints of the right count, values of another datum
         datum = build_u0(K)
         odd = PiecewiseConstant1D(datum.breakpoints, datum.values * 0.5, 0.0, 1.0)
+        cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=odd, t_final=0.1)
         with pytest.raises(ConfigurationError, match="not the oscillatory datum"):
-            reconstruction_tracer(SolverConfig(grid=g, epsilon=2.0**-4, datum=odd, t_final=0.1))
-    blow, tracer = _traced_blowup(t_final=0.1)
-    with pytest.raises(ConfigurationError):
-        reconstruct_tv_from_characteristics(blow, 0.07, tracer)
+            reconstruct_tv_from_characteristics(solve_nonlocal(cfg), 0.1)
+    # the viscosity of Lax-Friedrichs erodes the jam the growth law reads
+    lxf = _blowup_record(t_final=0.1, scheme="lax-friedrichs")
+    with pytest.raises(ConfigurationError, match="not a 'lax-friedrichs' record"):
+        reconstruct_tv_from_characteristics(lxf, 0.1)
+    with pytest.raises(ConfigurationError, match="not a 'picard' record"):
+        reconstruct_tv_from_characteristics(solve_picard(_blowup_config(t_final=0.1)), 0.1)
+    blow = _blowup_record(t_final=0.1)
+    with pytest.raises(ConfigurationError, match="not among the record's snapshot times"):
+        reconstruct_tv_from_characteristics(blow, 0.07)
 
 
-def test_reconstruction_tracer_refuses_more_breakpoints_than_any_stock_datum():
+def test_reconstruction_refuses_more_breakpoints_than_any_stock_datum():
     # build_u0(536), the largest, has 1075 breakpoints; 1077 would ask for K = 537
     g = Grid1D(-1.0, 1.0, 160)
     many = PiecewiseConstant1D(np.linspace(-1.0, 0.0, 1077), np.full(1076, 0.5), 0.0, 1.0)
     cfg = SolverConfig(grid=g, epsilon=2.0**-4, datum=many, t_final=0.1)
     with pytest.raises(ConfigurationError, match="not the oscillatory datum"):
-        reconstruction_tracer(cfg)
+        reconstruct_tv_from_characteristics(solve_nonlocal(cfg), 0.1)
 
 
 # --- property checks -------------------------------------------------------------

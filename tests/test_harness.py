@@ -30,7 +30,6 @@ from nltraffic import (
     save_piecewise,
     solve_nonlocal,
     sweep_resolution,
-    trace_many,
     write_bounds,
 )
 import nltraffic
@@ -294,12 +293,6 @@ def test_sweep_spec_validation():
         SweepSpec(js=())
 
 
-def test_sweep_refuses_the_local_scheme(tmp_path):
-    with pytest.raises(ConfigurationError, match="godunov-local scheme marches the local limit"):
-        run_sweep(SweepSpec(js=(2,), scheme="godunov-local"), out=str(tmp_path / "sweep"))
-    assert not (tmp_path / "sweep").exists()
-
-
 def test_sweep_runs_at_j_zero():
     # epsilon = 1 lies in the range of every bound, so j = 0 is a row like any
     rows, failures = run_sweep(SweepSpec(js=(0,)))
@@ -321,34 +314,39 @@ def test_run_sweep_smoke(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
     # the manifest lists what the sweep was given and how many solves failed
     assert _parameter_lines(tmp_path) == [
-        "failures = 0", "js = 2", "scheme = upwind", "taus = 0.1,0.2"]
+        "failures = 0", "js = 2", "taus = 0.1,0.2"]
 
 
-def test_sweep_traces_each_solve_once(monkeypatch):
+def test_sweep_solves_each_j_once_with_no_observer(monkeypatch):
     solves = []
 
-    def spy(cfg, observers=()):
-        record = solve_nonlocal(cfg, observers)
-        solves.append((observers, record))
+    def spy(cfg):  # an observer handed to the march would fail the call
+        record = solve_nonlocal(cfg)
+        solves.append(record)
         return record
 
     monkeypatch.setattr(nltraffic.harness, "solve_nonlocal", spy)
     rows, failures = run_sweep(SweepSpec(taus=(0.1, 0.2), js=(4,)))
     assert failures == []
-    [((tracer,), record)] = solves
+    [record] = solves
     assert [r.tau for r in rows] == [0.1, 0.2]
-    # the reference replays the march with trace_many
-    paths = trace_many(record, tracer.starts)
-    assert len(paths) == 3
     for r in rows:
-        want = 0.0
-        for path in paths:
-            want += 2.0 * float(path.transported[record.snapshot_steps[r.tau]])
-        assert r.reconstructed_tv == want
-        assert r.reconstructed_tv == reconstruct_tv_from_characteristics(record, r.tau, tracer).total
+        recon = reconstruct_tv_from_characteristics(record, r.tau)
+        assert len(recon.blocks) == 3
+        assert r.reconstructed_tv == recon.total
 
 
-def test_sweep_matches_the_stock_datum_once_per_solve(monkeypatch):
+def test_sweep_refuses_a_row_before_it_marches(monkeypatch, capsys):
+    marched = []
+    monkeypatch.setattr(nltraffic.harness, "solve_nonlocal", lambda cfg: marched.append(cfg))
+    # tau/epsilon = 11 * 2^6 = 704 lies past the series bound's reach at j = 6,
+    # and the row (11, 2) must not march first either
+    assert cli_main(["sweep", "--tau", "11", "--j", "2,6"]) == 2
+    assert marched == []
+    assert "exceeds 700" in capsys.readouterr().err
+
+
+def test_sweep_matches_the_stock_datum_once_per_row(monkeypatch):
     built = []
 
     def spy(K):
@@ -358,7 +356,7 @@ def test_sweep_matches_the_stock_datum_once_per_solve(monkeypatch):
     monkeypatch.setattr(nltraffic.analysis, "build_u0", spy)
     rows, failures = run_sweep(SweepSpec(taus=(0.05, 0.1, 0.2), js=(2, 4)))
     assert failures == [] and len(rows) == 6
-    assert built == [default_truncation(sweep_resolution(j)[2]) for j in (2, 4)]
+    assert built == [default_truncation(sweep_resolution(j)[2]) for j in (2, 4) for _ in range(3)]
 
 
 def test_mechanism_demo_validation():
@@ -402,6 +400,7 @@ def test_run_verify_suite_selection(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--domain=-2,1"], ["sweep", "--cfl", "0.5"], ["mechanism", "--dx", "0.01"],
+    ["sweep", "--scheme", "lax-friedrichs"],
 ])
 def test_cli_sweep_and_mechanism_take_no_grid_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -458,6 +457,11 @@ def test_cli_error_paths(tmp_path, capsys):
     # a sweep picks its own domain, so a file cannot give it one
     cfg.write_text("domain = -2,1\n")
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+    assert not (tmp_path / "sweep").exists()
+    # a sweep always marches upwind, so a file cannot name its scheme
+    cfg.write_text("scheme = upwind\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+    assert "config key 'scheme' does not apply" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
     assert cli_main(["verify", "nonsense"]) == 2
     assert cli_main(["mechanism", "--epsilon", "inf"]) == 2

@@ -57,9 +57,6 @@ nl characteristics --dyadic-j 4 --start=$many --t-end 0.25 \
 
 nl sweep --tau 0.1,0.2 --j 2,3,4,5,6,7 --out "$out/sweep" >"$out/sweep.txt"
 nl sweep --tau 0,0.05,0.1,0.2 --j 5,6 --out "$out/sweep-taus" >"$out/sweep-taus.txt"
-# the one sweep whose plateau paths read a jam that the viscosity erodes
-nl sweep --scheme lax-friedrichs --tau 0.1,0.2 --j 2,3,4 --out "$out/sweep-lxf" \
-    >"$out/sweep-lxf.txt"
 nl mechanism --out "$out/mechanism" >"$out/mechanism.txt"
 # a second platoon, whose growth rate is read on another grid
 nl mechanism --h 0.05 --epsilon 0.2 --tau 0.05 --out "$out/mechanism-narrow" \
