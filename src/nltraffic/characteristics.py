@@ -1,9 +1,10 @@
 """Characteristic-line machinery on top of solver runs.
 
 Three pieces live here.  Path tracing integrates dX/dt = 1 - w(t, X) through
-the lookahead fields of a finite-volume march, on the marcher's own clock,
-either while the run marches or by marching it again, carrying along each
-path the solution of the growth law (the material derivative of the model,
+the lookahead fields of a finite-volume march, on the marcher's own clock and
+for a whole batch of paths at once in arrays, either while the run marches
+or by marching it again.  It carries along each path the solution of the
+growth law (the material derivative of the model,
 du/dt = u * (u(x + epsilon) - u) / epsilon) from the datum on, reading the
 road ahead from the state each step starts from; a snapshot's value at a
 path's position is read from the record itself.  The closed form of that
@@ -38,14 +39,6 @@ __all__ = [
     "trace_many",
     "solve_picard",
 ]
-
-# Batches of at most this many paths are traced one path at a time in Python
-# floats, larger ones in arrays.  On the 640-cell grid of a dyadic-j 4
-# characteristics run a step costs about 5-8 us per path in floats and
-# 50-60 us for the whole batch in arrays, nearly all of it numpy's cost per
-# call, so the two cross near 10 paths (Python 3.11, numpy 2.4, Xeon).
-_SCALAR_PATHS = 10
-
 
 def _check_tau(tau: float) -> None:
     """Refuse a time that is not a finite nonnegative number (NaN included)."""
@@ -118,56 +111,6 @@ def _sample_cells(padded: np.ndarray, grid: Grid1D, x):
     return padded[np.fmin(np.fmax(pos, 0.0), grid.n_cells + 1.0).astype(int)]
 
 
-def _scalar_lookups(grid: Grid1D, edges, row, cells, left: float, right: float):
-    """One-point forms of the array step's lookups, for floats.
-
-    Returns ``speed(x)``, equal to ``1 - np.interp(x, edges, row)`` on the
-    grid's ``edges``, and ``cell(x)``, equal to :func:`_sample_cells` of
-    ``cells`` padded with ``left`` and ``right``, both computed with the
-    same floating-point operations as numpy's, so a path traced through them
-    is bit-identical to one traced in arrays.  The three sequences are read one entry at a time
-    and never copied; memoryviews of the arrays read fastest.
-    """
-    x_left, dx, n = float(grid.x_left), float(grid.dx), int(grid.n_cells)
-    first, last = edges[0], edges[n]
-
-    def speed(x):
-        if x != x:
-            return 1.0 - x  # np.interp passes NaN through
-        if x >= last:
-            return 1.0 - row[n]
-        if x < first:
-            return 1.0 - row[0]
-        # the cell estimate can be off by one at an edge; np.interp brackets
-        # edges[j] <= x < edges[j + 1] on the stored edges
-        j = min(int((x - x_left) / dx), n - 1)
-        while x < edges[j]:
-            j -= 1
-        while x >= edges[j + 1]:
-            j += 1
-        e0, w0 = edges[j], row[j]
-        if x == e0:
-            return 1.0 - w0
-        e1, w1 = edges[j + 1], row[j + 1]
-        slope = (w1 - w0) / (e1 - e0)
-        v = slope * (x - e0) + w0
-        if v != v:  # as np.interp: try from the right node, then a flat pair
-            v = slope * (x - e1) + w1
-            if v != v and w0 == w1:
-                v = w0
-        return 1.0 - v
-
-    def cell(x):
-        # the clamp of _sample_cells, with math.floor only on finite values
-        # inside the grid; NaN fails the first test and reads the left state
-        pos = (x - x_left) / dx
-        if pos >= 0.0:
-            return right if pos >= n else cells[math.floor(pos)]
-        return left
-
-    return speed, cell
-
-
 def _rk4(speed, rate, X, V, h):
     """One classical Runge-Kutta step of dX/dt = speed(X), dV/dt = rate(X, V)."""
     k1x = speed(X)
@@ -214,20 +157,19 @@ class PathTracer:
     steps are counted.  Each step writes its row in place, and :meth:`paths` returns
     read-only column views of the tables.
 
-    A batch of at most ``_SCALAR_PATHS`` paths (the mechanism demo's one
-    probe, or the starts of a ``characteristics`` run) is stepped one path
-    at a time in Python floats, reading single entries of the row and the state: at that size
-    numpy's cost per call, not the arithmetic, would set the time.  A larger
-    batch is stepped in arrays, interpolating only the slice of the row
-    around the paths and reading the state from a copy padded with the
-    datum's tails, which each step loads only where its stages read.  Both
-    do the same floating-point operations in the same order, so the paths
-    do not depend on the batch size.
+    Each step moves the whole batch in arrays.  It interpolates only the
+    slice of the row around the paths, and reads the state from a copy
+    padded with the datum's tails, which each step loads only where its
+    stages read; cells no step loaded read NaN.  The first step reads the
+    starts' values through the same copy, so a path is the same bit for bit
+    whatever the size of its batch.  A batch of no starts is refused.
     """
 
     def __init__(self, config: SolverConfig, starts, t_end: float = None):
         grid = config.grid
         starts = np.asarray(starts, dtype=float).reshape(-1)
+        if starts.size == 0:
+            raise ConfigurationError("no starts to trace")
         for y in starts:
             if not (grid.x_left <= y <= grid.x_right):
                 raise ConfigurationError(
@@ -254,16 +196,15 @@ class PathTracer:
         self._filled = 0
         self._tails = config.datum.left_extension, config.datum.right_extension
         self._edges = grid.edges
-        self._edge_view = memoryview(self._edges)
         self._row = np.empty(grid.n_cells + 1)
         self._ahead = None
 
     def step(self, t0: float, t1: float, w: np.ndarray, u: np.ndarray) -> None:
         """Notice of a march step over ``[t0, t1]`` with lookahead row ``w`` from state ``u``."""
+        grid, eps, starts = self.config.grid, self.config.epsilon, self.starts
         if self._filled == 0:
-            _, cell = _scalar_lookups(self.config.grid, self._edge_view, memoryview(w),
-                                      memoryview(u), *self._tails)
-            self._transported[0] = [cell(x) for x in self.starts.tolist()]
+            padded = self._load(u, float(starts.min()), float(starts.max()))
+            self._transported[0] = _sample_cells(padded, grid, starts)
             self._filled = 1
         if not t0 < self.t_end:
             return
@@ -274,31 +215,8 @@ class PathTracer:
             )
         end = min(t1, self.t_end)
         self._times[k] = end
-        stepper = self._step_each if self.starts.size <= _SCALAR_PATHS else self._step_batch
-        stepper(k - 1, end - t0, w, u)
-        self._filled = k + 1
-
-    def _step_each(self, step: int, h: float, w: np.ndarray, u: np.ndarray) -> None:
-        """Advance each path over ``h`` in Python floats."""
-        eps = self.config.epsilon
-        speed, cell = _scalar_lookups(self.config.grid, self._edge_view, memoryview(w),
-                                      memoryview(u), *self._tails)
-
-        def growth(x, v):
-            return material_rhs(v, cell(x + eps), eps)
-
-        X, V = self._positions, self._transported
-        for c in range(self.starts.size):
-            X[step + 1, c], V[step + 1, c] = _rk4(
-                speed, growth, X.item(step, c), V.item(step, c), h
-            )
-
-    def _step_batch(self, step: int, h: float, w: np.ndarray, u: np.ndarray) -> None:
-        """Advance all paths over ``h`` at once in arrays."""
-        grid = self.config.grid
-        eps = self.config.epsilon
-        ahead = self._ahead
-        X = self._positions[step]
+        h = end - t0
+        X = self._positions[k - 1]
         x_min, x_max = float(X.min()), float(X.max())
         # The speed 1 - w lies in [0, 1], so every stage stays in [X, X + h];
         # np.interp reads only the two nodes around a point, so the nodes
@@ -311,14 +229,7 @@ class PathTracer:
         edges = self._edges[lo:hi]
         row = self._row[: hi - lo]
         row[:] = w[lo:hi]
-        if ahead is None:  # the state padded with the datum's tails; unloaded cells read NaN
-            ahead = self._ahead = np.full(u.size + 2, math.nan)
-            ahead[[0, -1]] = self._tails
-        # the stages read the state one lookahead ahead of [X, X + h]: load
-        # those cells, and one more on each side for roundoff in the stages
-        a = min(max(math.floor((x_min + eps - grid.x_left) / grid.dx) - 1, 0), grid.n_cells)
-        b = min(max(math.floor((x_max + h + eps - grid.x_left) / grid.dx) + 2, a), grid.n_cells)
-        ahead[a + 1 : b + 1] = u[a:b]
+        ahead = self._load(u, x_min + eps, x_max + h + eps)
 
         def speed(x):
             return 1.0 - np.interp(x, edges, row)
@@ -326,9 +237,24 @@ class PathTracer:
         def growth(x, v):
             return material_rhs(v, _sample_cells(ahead, grid, x + eps), eps)
 
-        self._positions[step + 1], self._transported[step + 1] = _rk4(
-            speed, growth, X, self._transported[step], h
+        self._positions[k], self._transported[k] = _rk4(
+            speed, growth, X, self._transported[k - 1], h
         )
+        self._filled = k + 1
+
+    def _load(self, u: np.ndarray, x_min: float, x_max: float) -> np.ndarray:
+        """The padded copy of ``u``, loaded over the cells of ``[x_min, x_max]``.
+
+        One more cell is loaded on each side, for roundoff in the points read.
+        """
+        grid = self.config.grid
+        if self._ahead is None:
+            self._ahead = np.full(u.size + 2, math.nan)
+            self._ahead[[0, -1]] = self._tails
+        a = min(max(math.floor((x_min - grid.x_left) / grid.dx) - 1, 0), grid.n_cells)
+        b = min(max(math.floor((x_max - grid.x_left) / grid.dx) + 2, a), grid.n_cells)
+        self._ahead[a + 1 : b + 1] = u[a:b]
+        return self._ahead
 
     def paths(self) -> list:
         """The traced paths, one per start, in the order of the starts.

@@ -556,20 +556,10 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
     last_dt = 0.0
     carried = 0  # steps since the row was last summed
 
-    def notify(t0, t1, u):
-        state = u.view()
-        state.flags.writeable = False
-        for obs in observers:
-            obs.step(t0, t1, row, state)
-
     def advance(u, t0, dt, t1):
         nonlocal last_dt, carried
         moving = u[lo:hi]
-        if not upwind:
-            compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
-            notify(t0, t1, u)
-            return step_lax_friedrichs(u, w, dt, dx, left, right)
-        if t0 == 0.0 or t0 in config.output_times or carried == m:
+        if not upwind or t0 == 0.0 or t0 in config.output_times or carried == m:
             compute_w(moving, config.epsilon, dx, right, out=w_moving, work=work)
             carried = 0
         else:
@@ -577,7 +567,13 @@ def solve_nonlocal(config: SolverConfig, observers=()) -> SolutionRecord:
             np.subtract(flux[m:], flux[: n + 1], out=drift)
             np.multiply(drift, last_dt / (m * dx), out=drift)
             np.subtract(w_moving, drift, out=w_moving)
-        notify(t0, t1, u)
+        if observers:
+            state = u.view()
+            state.flags.writeable = False
+            for obs in observers:
+                obs.step(t0, t1, row, state)
+        if not upwind:
+            return step_lax_friedrichs(u, w, dt, dx, left, right)
         step_upwind(moving, w_moving, dt, dx, left, out=moving, work=work)
         last_dt = dt
         carried += 1

@@ -32,6 +32,7 @@ from nltraffic import (
     trace_many,
 )
 from nltraffic.harness import build_solver_config
+from test_fv import random_config
 
 
 def constant(c):
@@ -250,6 +251,8 @@ def test_path_tracer_validates_before_the_march():
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3)
     with pytest.raises(ConfigurationError):
         PathTracer(cfg, [7.0])
+    with pytest.raises(ConfigurationError, match="no starts to trace"):
+        PathTracer(cfg, [])
     with pytest.raises(ConfigurationError):
         PathTracer(cfg, [-0.3], t_end=0.5)
     PathTracer(cfg, [-0.3], t_end=0.3)
@@ -350,14 +353,20 @@ class ReferenceTracer:
         self.positions.append(self.X.copy())
         self.transported.append(self.V.copy())
 
-    def assert_same_paths(self, paths):
+    def differences(self, paths):
+        """One line per path whose times, positions or values differ in any bit."""
         positions, transported = np.asarray(self.positions), np.asarray(self.transported)
-        assert len(paths) == positions.shape[1]
+        if len(paths) != positions.shape[1]:
+            return [f"{len(paths)} paths, {positions.shape[1]} starts"]
+        found = []
         for c, path in enumerate(paths):
-            assert path.epsilon == self.config.epsilon
-            assert path.times.tobytes() == np.asarray(self.times).tobytes()
-            assert path.positions.tobytes() == positions[:, c].tobytes()
-            assert path.transported.tobytes() == transported[:, c].tobytes()
+            for name, want in (("times", np.asarray(self.times)), ("positions", positions[:, c]),
+                               ("transported", transported[:, c])):
+                if getattr(path, name).tobytes() != want.tobytes():
+                    found.append(f"start {path.start!r}: {name} differ")
+            if path.epsilon != self.config.epsilon:
+                found.append(f"start {path.start!r}: epsilon differs")
+        return found
 
 
 def test_cell_lookup_reads_the_outside_states():
@@ -372,35 +381,6 @@ def test_cell_lookup_reads_the_outside_states():
     far = [np.nan, -np.inf, np.inf, -1e300, 1e300]
     got = characteristics._sample_cells(pad(values, 0.2, 0.8), g, far)
     np.testing.assert_array_equal(got, [0.2, 0.2, 0.8, 0.2, 0.8])
-
-    # the one-point lookups of small batches read what the array lookups read,
-    # also one ulp either side of every edge; on 13 cells the cell estimate of
-    # two edges falls one cell short
-    for g in (g, Grid1D(-1.5, 1.0, 13)):
-        cfg = SolverConfig(grid=g, epsilon=g.dx, datum=parse_datum("riemann:0.2,0.8", g.dx),
-                           t_final=0.1)
-        values = np.sin(np.arange(g.n_cells) + 0.5) ** 2
-        padded = pad(values, 0.2, 0.8)
-        e = g.edges
-        x = np.concatenate((e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), g.centers,
-                            [e[0] - 1e-12, e[-1] + 1e-12, -7.0, 7.0], far))
-        # interpolating these rows up to the far edge of a cell rounds off
-        # its value at the edges the estimate misses; the last row steers
-        # np.interp into its fallbacks for a NaN
-        k = np.arange(e.size)
-        rows = (np.cos(1.7 * k) ** 2, np.sin(0.7 * k) ** 2,
-                np.resize([0.0, np.inf, np.inf, -np.inf, 0.5, np.nan, 0.25], e.size))
-        for w in rows:
-            speed, cell = characteristics._scalar_lookups(g, memoryview(e), memoryview(w),
-                                                          memoryview(values), 0.2, 0.8)
-            got = np.array([speed(float(v)) for v in x])
-            assert got.tobytes() == (1.0 - np.interp(x, e, w)).tobytes()
-            got = np.array([cell(float(v)) for v in x])
-            assert got.tobytes() == characteristics._sample_cells(padded, g, x).tobytes()
-            inside = np.isfinite(x) & (np.abs(x) < 1e300)
-            np.testing.assert_array_equal(
-                got[inside], ReferenceTracer(cfg, []).sample(values, x[inside])
-            )
 
 
 _LANDING = dict(grid=Grid1D(-1.5, 1.0, 10), epsilon=0.25, datum=build_u0(0), t_final=0.5)
@@ -420,15 +400,43 @@ _LANDING = dict(grid=Grid1D(-1.5, 1.0, 10), epsilon=0.25, datum=build_u0(0), t_f
     (SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3,
                   datum=parse_datum("step", 2.5 / 320), t_final=0.33, scheme="lax-friedrichs",
                   output_times=(0.1,)), [-1.5, -0.5, 0.0, 0.9], 0.2),
-    # the largest batch traced one path at a time, and the smallest traced in arrays
+    # a single path, and batches of 10 and 11 paths
     *((SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3, datum=build_u0(3),
                     t_final=0.3, output_times=(0.1, 0.17)), np.linspace(-1.2, 0.0, n), None)
-      for n in (characteristics._SCALAR_PATHS, characteristics._SCALAR_PATHS + 1)),
+      for n in (1, 10, 11)),
 ])
 def test_tracer_equals_the_reference_tracer_bit_for_bit(cfg, starts, t_end):
     tracer, reference = PathTracer(cfg, starts, t_end), ReferenceTracer(cfg, starts, t_end)
     solve_nonlocal(cfg, observers=[tracer, reference])
-    reference.assert_same_paths(tracer.paths())
+    assert reference.differences(tracer.paths()) == []
+
+
+def random_trace_differences(seed):
+    """How the paths traced through ``random_config(seed)`` differ from the reference tracer's.
+
+    The batch holds 1-40 starts, each a grid end (one time in ten each), a
+    cell edge (two in ten) or uniform on the grid; ``t_end`` is the whole
+    run half the time and uniform in ``[0, t_final]`` otherwise.  Returns
+    one line per difference in any bit, each naming the seed; an empty list
+    when the paths agree.
+    """
+    cfg = random_config(seed)
+    g = cfg.grid
+    rng = np.random.default_rng([seed, 1])
+    n = int(rng.integers(1, 41))
+    kinds = rng.choice(4, size=n, p=[0.1, 0.1, 0.2, 0.6])
+    starts = np.select([kinds == 0, kinds == 1, kinds == 2],
+                       [g.x_left, g.x_right, rng.choice(g.edges, n)],
+                       rng.uniform(g.x_left, g.x_right, n))
+    t_end = None if rng.random() < 0.5 else float(rng.uniform(0.0, cfg.t_final))
+    tracer, reference = PathTracer(cfg, starts, t_end), ReferenceTracer(cfg, starts, t_end)
+    solve_nonlocal(cfg, observers=[tracer, reference])
+    return [f"seed {seed}: {line}" for line in reference.differences(tracer.paths())]
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_random_traces_equal_the_reference_tracer_bit_for_bit(seed):
+    assert random_trace_differences(seed) == []
 
 
 def test_transported_values_do_not_depend_on_the_snapshot_times():

@@ -30,6 +30,7 @@ from nltraffic import (
     save_piecewise,
     solve_nonlocal,
     sweep_resolution,
+    trace_many,
     write_bounds,
 )
 import nltraffic
@@ -384,6 +385,39 @@ def test_mechanism_demo_cells_are_at_most_h_over_32(h):
         report = run_mechanism_demo(h=h, epsilon=epsilon, tau=0.01)
         assert report.dx <= h / 32.0
         assert epsilon / report.dx == math.ceil(32.0 * epsilon / h)
+
+
+@pytest.mark.parametrize("h, epsilon, tau", [
+    (0.1, 0.4, 0.05), (0.05, 0.2, 0.05),  # the canned platoons
+    (0.2, 0.25, 0.1), (0.1, 0.4, 0.2), (0.1, 0.4, 0.5),  # vacuum gate FAIL on their own grids
+    (0.1, 0.4, 0.99 * 0.4 * math.log(4.0)),  # the front just short of the vacuum window
+])
+def test_mechanism_probe_lies_in_the_traced_probe_cell(h, epsilon, tau):
+    # The demo reads its growth rate at -h/8 - (5h/8) e^(-t/epsilon), where
+    # the path from -0.75h is in closed form.  On the demo's own grid a path
+    # traced from -0.75h ends in the same cell, so it reads the same rate.
+    report = run_mechanism_demo(h=h, epsilon=epsilon, tau=tau)
+    dx = report.dx
+    n_left = math.ceil(max(1.0, 4.0 * h) / dx)
+    n_right = math.ceil(max(1.0, epsilon + 0.25) / dx)
+    t_probe = tau / 5.0
+    cfg = build_solver_config(RunConfig(
+        datum=f"bar_u:{h!r}", domain=(-n_left * dx, n_right * dx), dx=dx, epsilon=epsilon,
+        t_final=tau, output_times=(t_probe,)))
+    record = solve_nonlocal(cfg)
+    (probe,) = trace_many(record, [-0.75 * h], t_end=t_probe)
+    assert probe.times[-1] == t_probe
+    exact = -h / 8.0 - 5.0 * h / 8.0 * math.exp(-t_probe / epsilon)
+    cell = cfg.grid.cell_of(exact)
+    assert cfg.grid.cell_of(probe.positions[-1]) == cell
+    traced = (record.snapshots[t_probe][cell] - probe.transported[0]) / t_probe
+    assert report.slope_estimate == traced
+
+
+def test_mechanism_demo_keeps_its_growth_rate_and_variation():
+    report = run_mechanism_demo()
+    assert report.slope_estimate == 0.6249782746619137
+    assert report.tv_final == 2.0624252928817617
 
 
 def test_run_verify_suite_selection(capsys):
