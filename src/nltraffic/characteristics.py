@@ -53,12 +53,12 @@ class CharacteristicPath:
     ``transported`` integrates the material growth law along the path from
     the datum on, whatever the run's snapshot times, which stays meaningful
     even after the underlying feature has compressed below the grid scale.
-    The value at row ``k`` of a snapshot taken after ``k`` steps is
+    Row ``k`` is the path after ``k`` steps, so it meets the snapshot at
+    ``t`` in row ``k = record.snapshot_steps[t]``, where the snapshot reads
     ``record.snapshots[t][record.grid.cell_of(positions[k])]``.
     """
 
     start: float
-    epsilon: float
     times: np.ndarray
     positions: np.ndarray
     transported: np.ndarray
@@ -141,20 +141,18 @@ class PathTracer:
     :func:`trace_many` marches a finished record again with it.
     Each march step gets one Runge-Kutta step (fourth order), with the
     step's field linearly interpolated in space and frozen in time, matching
-    how the marcher used it; steps that start at or after ``t_end`` are not
-    traced and the one that crosses it is cut short there.  The growth law
-    reads the state ahead from the state the step starts from, frozen over
-    the step like the field, and starts from that state under the starts on
-    the first step.  Row ``k`` of a path is the state after ``k`` steps.
-    ``t_end=None`` traces the whole run.
+    how the marcher used it.  The growth law reads the state ahead from the
+    state the step starts from, frozen over the step like the field, and
+    starts from that state under the starts on the first step.  Row ``k``
+    of a path is the state after ``k`` steps, up to the run's ``t_final``.
 
     The tracer sizes its two tables (rows by paths, for the positions and
     the transported values) and its column of times once, when it is made:
-    one row for the start and one per step that starts before ``t_end``, the
-    steps counted on the clock of :func:`~nltraffic.fv.solve_nonlocal`, the
-    only march it observes.  Tables that cannot fit in physical memory are
-    refused with :class:`~nltraffic.errors.ConfigurationError` before the
-    steps are counted.  Each step writes its row in place, and :meth:`paths` returns
+    one row for the start and one per step of the clock of
+    :func:`~nltraffic.fv.solve_nonlocal`, the only march it observes.
+    Tables that cannot fit in physical memory are refused with
+    :class:`~nltraffic.errors.ConfigurationError` before the steps are
+    counted.  Each step writes its row in place, and :meth:`paths` returns
     read-only column views of the tables.
 
     Each step moves the whole batch in arrays.  It interpolates only the
@@ -165,7 +163,7 @@ class PathTracer:
     whatever the size of its batch.  A batch of no starts is refused.
     """
 
-    def __init__(self, config: SolverConfig, starts, t_end: float = None):
+    def __init__(self, config: SolverConfig, starts):
         grid = config.grid
         starts = np.asarray(starts, dtype=float).reshape(-1)
         if starts.size == 0:
@@ -175,20 +173,15 @@ class PathTracer:
                 raise ConfigurationError(
                     f"start {y} outside domain [{grid.x_left}, {grid.x_right}]"
                 )
-        if t_end is not None and not (0.0 <= t_end <= config.t_final):
-            raise ConfigurationError(
-                f"t_end={t_end} outside the run's range [0, {config.t_final}]"
-            )
         self.config = config
         self.starts = starts
-        self.t_end = math.inf if t_end is None else t_end
         dt_max = _dt_max(config)
-        # steps of at most dt_max cover [0, t_end]: a floor on the rows, known
+        # steps of at most dt_max cover [0, t_final]: a floor on the rows, known
         # before the clock is counted step by step
-        floor = 1 + math.ceil(min(self.t_end, config.t_final) / dt_max)
+        floor = 1 + math.ceil(config.t_final / dt_max)
         _refuse_unless_it_fits(8.0 * floor * (1 + 2 * starts.size),
                                f"tracing {starts.size} paths over {floor - 1} steps")
-        rows = 1 + sum(1 for t0, _, _ in _clock(config, dt_max) if t0 < self.t_end)
+        rows = 1 + sum(1 for _ in _clock(config, dt_max))
         self._times = np.zeros(rows)
         self._positions = np.empty((rows, starts.size))
         self._positions[0] = starts
@@ -206,16 +199,13 @@ class PathTracer:
             padded = self._load(u, float(starts.min()), float(starts.max()))
             self._transported[0] = _sample_cells(padded, grid, starts)
             self._filled = 1
-        if not t0 < self.t_end:
-            return
         k = self._filled
         if k >= self._times.size:
             raise ConfigurationError(
                 f"the tracer reserved rows for {self._times.size - 1} steps and was handed step {k}"
             )
-        end = min(t1, self.t_end)
-        self._times[k] = end
-        h = end - t0
+        self._times[k] = t1
+        h = t1 - t0
         X = self._positions[k - 1]
         x_min, x_max = float(X.min()), float(X.max())
         # The speed 1 - w lies in [0, 1], so every stage stays in [X, X + h];
@@ -272,7 +262,6 @@ class PathTracer:
         return [
             CharacteristicPath(
                 start=float(y),
-                epsilon=self.config.epsilon,
                 times=times,
                 positions=positions[:, c],
                 transported=transported[:, c],
@@ -281,21 +270,22 @@ class PathTracer:
         ]
 
 
-def trace_many(record: SolutionRecord, starts, t_end: float = None) -> list:
+def trace_many(record: SolutionRecord, starts) -> list:
     """Trace a batch of characteristics through one marcher record's lookahead fields.
 
     The record's configuration is marched again by
     :func:`~nltraffic.fv.solve_nonlocal` with a :class:`PathTracer`
     observing; the march is deterministic, so the paths equal those traced
-    while the record's own run marched.  Records of any other solver (the
-    sharp-interaction limit, the fixed-point solver) are refused.
+    while the record's own run marched, and run to its ``t_final``.
+    Records of any other solver (the sharp-interaction limit, the
+    fixed-point solver) are refused.
     """
     scheme = record.info.get("scheme")
     if scheme not in ("upwind", "lax-friedrichs"):
         raise ConfigurationError(
             f"only upwind and lax-friedrichs marches can be traced, not a {scheme!r} record"
         )
-    tracer = PathTracer(record.config, starts, t_end)
+    tracer = PathTracer(record.config, starts)
     solve_nonlocal(record.config, observers=[tracer])
     return tracer.paths()
 

@@ -90,10 +90,11 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--dyadic-j", type=int, help="lookahead 2^-j")
     p.add_argument("--dx", type=float, help="cell size (default 4^-4)")
     p.add_argument("--domain", type=_domain, help="'a,b' (default -1.5,1.0)")
-    p.add_argument("--t-final", type=float, help="horizon (default 0.5)")
+    p.add_argument("--t-final", type=float, help="horizon, where runs and paths end (default 0.5)")
     p.add_argument(
         "--tau", type=_floats, dest="output_times", metavar="TAU",
-        help="comma list of snapshot times",
+        help="comma list of times the march lands on: simulate writes a snapshot at each; "
+        "characteristics writes none, but its path rows fall on them",
     )
     p.add_argument("--datum", help="blowup[:K] | bar_u:h | step | riemann:ul,ur | file:path")
     p.add_argument(
@@ -111,10 +112,10 @@ def _cmd_simulate(given: dict) -> int:
 
 
 def _cmd_characteristics(given: dict) -> int:
-    trace = {key: given.pop(key) for key in ("starts", "t_end") if key in given}
-    if "starts" not in trace:
+    starts = given.pop("starts", None)
+    if starts is None:
         raise ValueError("--start is required (comma list of launch points)")
-    files = harness.run_characteristics(harness.RunConfig(**given), **trace)
+    files = harness.run_characteristics(harness.RunConfig(**given), starts)
     print(f"wrote {len(files)} path files and manifest.txt to {files[0].parent}")
     return 0
 
@@ -188,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--start", type=_floats, dest="starts", metavar="START",
         help="comma list of launch points",
     )
-    p.add_argument("--t-end", type=float, help="stop tracing early")
 
     p = command("sweep", _cmd_sweep, "variation-growth trend over lookahead indices j")
     p.add_argument(

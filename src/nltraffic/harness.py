@@ -261,12 +261,12 @@ def run_simulate(run: RunConfig) -> list:
     return files
 
 
-def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
-    """Solve one configuration, trace paths, and write one CSV per start."""
+def run_characteristics(run: RunConfig, starts) -> list:
+    """Solve one configuration, trace paths to its ``t_final``, and write one CSV per start."""
     t0 = time.perf_counter()
     cfg = build_solver_config(run)
     _refuse_shared_names([float(y) for y in starts], "starts")
-    tracer = PathTracer(cfg, starts, t_end)
+    tracer = PathTracer(cfg, starts)
     solve_nonlocal(cfg, observers=[tracer])
     out_dir = Path(run.out or "out")
     files = []
@@ -276,7 +276,6 @@ def run_characteristics(run: RunConfig, starts, t_end: float = None) -> list:
     extra = {
         "starts": ",".join(str(float(s)) for s in starts),
         "n_cells": cfg.grid.n_cells,
-        "t_end": t_end,
     }
     _write_manifest(out_dir, _flat_params(run, extra), files, time.perf_counter() - t0)
     return files
@@ -419,14 +418,19 @@ class MechanismReport:
     def slope_rel_error(self) -> float:
         return abs(self.slope_estimate - self.slope_expected) / self.slope_expected
 
+    def _failed_gates(self) -> list:
+        """The names of the gates that did not hold, in the order of :meth:`lines`."""
+        held = {
+            "variation": self.tv_final > self.tv_initial,
+            "vacuum": self.vacuum_max <= _VACUUM_TOL,
+            "jam": self.plateau_max <= 1e-12,
+            "growth rate": self.slope_rel_error <= 0.10,
+        }
+        return [gate for gate, holds in held.items() if not holds]
+
     @property
     def ok(self) -> bool:
-        return (
-            self.tv_final > self.tv_initial
-            and self.vacuum_max <= _VACUUM_TOL
-            and self.plateau_max <= 1e-12
-            and self.slope_rel_error <= 0.10
-        )
+        return not self._failed_gates()
 
     def lines(self):
         yield f"platoon width h={self.h:g}, lookahead epsilon={self.epsilon:g}, horizon tau={self.tau:g}, dx={self.dx:g}"
@@ -437,7 +441,8 @@ class MechanismReport:
             f"platoon growth rate {self.slope_estimate:.6g} vs 1/(4 epsilon) = "
             f"{self.slope_expected:.6g} ({100 * self.slope_rel_error:.2f}% off)"
         )
-        yield "verdict: " + ("PASS" if self.ok else "FAIL")
+        failed = self._failed_gates()
+        yield "verdict: " + (f"FAIL ({', '.join(failed)})" if failed else "PASS")
 
 
 def run_mechanism_demo(

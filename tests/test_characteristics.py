@@ -5,6 +5,7 @@ here from scratch (classical RK4 with steps far below anything the package
 uses), so the formula and the package's own integrator cannot share a bug.
 """
 
+from dataclasses import fields, replace
 from types import SimpleNamespace
 import tracemalloc
 
@@ -13,6 +14,7 @@ import pytest
 
 from nltraffic import characteristics, fv
 from nltraffic import (
+    CharacteristicPath,
     ConfigurationError,
     Grid1D,
     PathTracer,
@@ -132,7 +134,9 @@ def test_trace_through_constant_field_is_a_straight_line():
     sampled = [rec.snapshots[t][rec.grid.cell_of(path.positions[k])]
                for t, k in rec.snapshot_steps.items()]
     np.testing.assert_allclose(sampled, c, rtol=0, atol=1e-12)
-    assert path.epsilon == rec.epsilon
+    # a path carries its start and its columns, nothing of the run's
+    assert [f.name for f in fields(CharacteristicPath)] == [
+        "start", "times", "positions", "transported"]
 
 
 def test_trace_through_jam_never_moves():
@@ -174,17 +178,15 @@ def test_transported_value_follows_growth_law_on_plateau():
     assert path.transported[-1] == pytest.approx(want, rel=1e-9)
 
 
-def test_trace_respects_t_end():
-    rec = _record(build_u0(3))
-    path = trace_many(rec, [-0.3], t_end=0.1)[0]
-    assert path.times[-1] == pytest.approx(0.1, abs=1e-12)
-    assert path.times[0] == 0.0
+def _to(cfg, t_final):
+    """``cfg`` marched to ``t_final`` instead, with its output times up to then."""
+    return replace(cfg, t_final=t_final,
+                   output_times=tuple(t for t in cfg.output_times if t <= t_final))
 
 
 def _snapshot_rows(path, rec):
     """The rows of ``path`` that sit at a snapshot time, by the row's own time."""
-    return [k for t, k in rec.snapshot_steps.items()
-            if k < path.times.size and path.times[k] == t]
+    return [k for t, k in rec.snapshot_steps.items() if path.times[k] == t]
 
 
 def test_trace_samples_snapshots_at_their_steps():
@@ -194,54 +196,72 @@ def test_trace_samples_snapshots_at_their_steps():
     assert _snapshot_rows(path, rec) == sorted(steps.values())
     # the growth law starts from the datum's cell value under the start
     assert path.transported[0] == rec.snapshots[0.0][rec.grid.cell_of(path.positions[0])]
+    assert path.times[-1] == rec.config.t_final
 
-    at_snapshot = trace_many(rec, [-0.3], t_end=0.1)[0]
-    assert at_snapshot.positions.size == steps[0.1] + 1
-    assert _snapshot_rows(at_snapshot, rec) == [0, steps[0.1]]
 
-    between = trace_many(rec, [-0.3], t_end=0.2)[0]
-    assert _snapshot_rows(between, rec) == [0, steps[0.1], steps[0.17]]
-    assert between.times[-1] == 0.2
-
-    # t_end inside the step that lands on 0.1: that row is short of the snapshot
-    short = trace_many(rec, [-0.3], t_end=0.0999)[0]
-    assert short.positions.size == steps[0.1] + 1
-    assert _snapshot_rows(short, rec) == [0]
+# On this coarse grid the step landing on the second output time of
+# (0.08, 0.21) or (0.104, 0.23) starts below half of it, so t0 + (t - t0)
+# misses t by an ulp (over it for 0.21, under it for 0.23); the march ends
+# that step on t all the same.
+_LANDING = dict(grid=Grid1D(-1.5, 1.0, 10), epsilon=0.25, datum=build_u0(0), t_final=0.5)
 
 
 @pytest.mark.parametrize("outputs", [(0.08, 0.21), (0.104, 0.23)])
 def test_trace_to_a_landing_snapshot_stops_on_it(outputs):
-    # On this coarse grid the step landing on the second output time starts
-    # below half of it, so t0 + (t - t0) misses t by an ulp (over it for
-    # 0.21, under it for 0.23); the march ends that step on t all the same.
-    g = Grid1D(-1.5, 1.0, 10)
-    cfg = SolverConfig(grid=g, epsilon=g.dx, datum=build_u0(0), t_final=0.5,
-                       output_times=outputs)
+    cfg = SolverConfig(**_LANDING, output_times=outputs)
     step_ends = []
     clock = SimpleNamespace(step=lambda t0, t1, w, u: step_ends.append(t1))
     rec = solve_nonlocal(cfg, observers=[clock])
     t = outputs[1]
     k = rec.snapshot_steps[t]
     assert step_ends[k - 1] == t
-    path = trace_many(rec, [-0.75], t_end=t)[0]
+    # read at the snapshot's row, and traced through a run that ends there
+    assert trace_many(rec, [-0.75])[0].times[k] == t
+    path = trace_many(solve_nonlocal(_to(cfg, t)), [-0.75])[0]
     assert path.positions.size == k + 1
     assert path.times[-1] == t
 
 
-@pytest.mark.parametrize("t_end", [None, 0.1, 0.2, 0.0999])
-def test_live_tracing_equals_trace_many(t_end):
+_PREFIX_STARTS = [-1.5, -1.2, -0.75, -0.3, -0.05, 0.0, 0.5, 0.99]
+
+
+@pytest.mark.parametrize("longer, t", [
+    (SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3, datum=build_u0(3),
+                  t_final=0.3, output_times=(0.1, 0.17)), 0.17),
+    (SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3,
+                  datum=parse_datum("step", 2.5 / 320), t_final=0.33, scheme="lax-friedrichs",
+                  output_times=(0.1, 0.2)), 0.2),
+    # runs to a time that t0 + (t - t0) misses by an ulp
+    *((SolverConfig(**_LANDING, output_times=outputs), outputs[1])
+      for outputs in ((0.08, 0.21), (0.104, 0.23))),
+])
+def test_a_run_to_t_traces_the_rows_of_a_longer_run_up_to_t(longer, t):
+    tracer = PathTracer(longer, _PREFIX_STARTS)
+    k = solve_nonlocal(longer, observers=[tracer]).snapshot_steps[t]
+    whole = tracer.paths()
+    short = trace_many(solve_nonlocal(_to(longer, t)), _PREFIX_STARTS)
+    assert short[0].times.size == k + 1 and short[0].times[-1] == t
+    for a, b in zip(short, whole):
+        for name in ("times", "positions", "transported"):
+            assert getattr(a, name).tobytes() == getattr(b, name)[: k + 1].tobytes()
+
+
+@pytest.mark.parametrize("t_final", [None, 0.1, 0.2, 0.0999])
+def test_live_tracing_equals_trace_many(t_final):
     g = Grid1D(-1.5, 1.0, 320)
     cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3,
                        output_times=(0.1, 0.17))
+    if t_final is not None:
+        cfg = _to(cfg, t_final)
     starts = np.linspace(-1.2, 0.0, 9)
-    replayed = trace_many(solve_nonlocal(cfg), starts, t_end)
-    tracer = PathTracer(cfg, starts, t_end)
+    replayed = trace_many(solve_nonlocal(cfg), starts)
+    tracer = PathTracer(cfg, starts)
     record = solve_nonlocal(cfg, observers=[tracer])
     assert record.w_fields.size == 0
     live = tracer.paths()
     assert len(live) == len(replayed)
     for a, b in zip(live, replayed):
-        assert a.start == b.start and a.epsilon == b.epsilon
+        assert a.start == b.start
         for name in ("times", "positions", "transported"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -253,11 +273,6 @@ def test_path_tracer_validates_before_the_march():
         PathTracer(cfg, [7.0])
     with pytest.raises(ConfigurationError, match="no starts to trace"):
         PathTracer(cfg, [])
-    with pytest.raises(ConfigurationError):
-        PathTracer(cfg, [-0.3], t_end=0.5)
-    PathTracer(cfg, [-0.3], t_end=0.3)
-    with pytest.raises(ConfigurationError):  # one ulp beyond t_final
-        PathTracer(cfg, [-0.3], t_end=np.nextafter(0.3, 1.0))
     with pytest.raises(ConfigurationError):
         PathTracer(cfg, [-0.3]).paths()  # nothing observed yet
 
@@ -292,8 +307,6 @@ def test_trace_rejects_bad_inputs():
     rec = _record(build_u0(3))
     with pytest.raises(ConfigurationError):
         trace_many(rec, [7.0])  # outside the domain
-    with pytest.raises(ConfigurationError):
-        trace_many(rec, [-0.3], t_end=1.0)  # beyond the run's t_final
     g = Grid1D(-1.0, 1.0, 64)
     local = solve_local(
         SolverConfig(grid=g, epsilon=g.dx, datum=parse_datum("step", g.dx), t_final=0.1)
@@ -315,9 +328,8 @@ class ReferenceTracer:
     spells out the package's arithmetic.
     """
 
-    def __init__(self, config, starts, t_end=None):
+    def __init__(self, config, starts):
         self.config = config
-        self.t_end = np.inf if t_end is None else t_end
         self.X = np.asarray(starts, dtype=float).copy()
         self.V = None
         self.times, self.positions, self.transported = [0.0], [self.X.copy()], []
@@ -333,13 +345,10 @@ class ReferenceTracer:
         if self.V is None:
             self.V = self.sample(u, self.X)
             self.transported.append(self.V.copy())
-        if not t0 < self.t_end:
-            return
         edges, eps, ahead, row = self.config.grid.edges, self.config.epsilon, np.array(u), np.array(w)
         fx = lambda x: 1.0 - np.interp(x, edges, row)
         fv = lambda x, v: material_rhs(v, self.sample(ahead, x + eps), eps)
-        end = min(t1, self.t_end)
-        h, X, V = end - t0, self.X, self.V
+        h, X, V = t1 - t0, self.X, self.V
         k1x, k1v = fx(X), fv(X, V)
         X2, V2 = X + 0.5 * h * k1x, V + 0.5 * h * k1v
         k2x, k2v = fx(X2), fv(X2, V2)
@@ -349,7 +358,7 @@ class ReferenceTracer:
         k4x, k4v = fx(X4), fv(X4, V4)
         self.X = X + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         self.V = V + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        self.times.append(end)
+        self.times.append(t1)
         self.positions.append(self.X.copy())
         self.transported.append(self.V.copy())
 
@@ -364,8 +373,6 @@ class ReferenceTracer:
                                ("transported", transported[:, c])):
                 if getattr(path, name).tobytes() != want.tobytes():
                     found.append(f"start {path.start!r}: {name} differ")
-            if path.epsilon != self.config.epsilon:
-                found.append(f"start {path.start!r}: epsilon differs")
         return found
 
 
@@ -383,13 +390,11 @@ def test_cell_lookup_reads_the_outside_states():
     np.testing.assert_array_equal(got, [0.2, 0.2, 0.8, 0.2, 0.8])
 
 
-_LANDING = dict(grid=Grid1D(-1.5, 1.0, 10), epsilon=0.25, datum=build_u0(0), t_final=0.5)
-
-
-@pytest.mark.parametrize("cfg, starts, t_end", [
+# the third value, where given, replaces the run's horizon
+@pytest.mark.parametrize("cfg, starts, t_final", [
     *((SolverConfig(grid=Grid1D(-1.5, 1.0, 320), epsilon=2.0**-3, datum=build_u0(3),
-                    t_final=0.3, output_times=(0.1, 0.17)), np.linspace(-1.2, 0.0, 9), t_end)
-      for t_end in (None, 0.0999)),
+                    t_final=0.3, output_times=(0.1, 0.17)), np.linspace(-1.2, 0.0, 9), t_final)
+      for t_final in (None, 0.0999)),
     *((SolverConfig(**_LANDING, output_times=outputs), [-0.75, -0.3], outputs[1])
       for outputs in ((0.08, 0.21), (0.104, 0.23))),
     # paths from both ends and from near the right one, which leave the grid
@@ -405,8 +410,10 @@ _LANDING = dict(grid=Grid1D(-1.5, 1.0, 10), epsilon=0.25, datum=build_u0(0), t_f
                     t_final=0.3, output_times=(0.1, 0.17)), np.linspace(-1.2, 0.0, n), None)
       for n in (1, 10, 11)),
 ])
-def test_tracer_equals_the_reference_tracer_bit_for_bit(cfg, starts, t_end):
-    tracer, reference = PathTracer(cfg, starts, t_end), ReferenceTracer(cfg, starts, t_end)
+def test_tracer_equals_the_reference_tracer_bit_for_bit(cfg, starts, t_final):
+    if t_final is not None:
+        cfg = _to(cfg, t_final)
+    tracer, reference = PathTracer(cfg, starts), ReferenceTracer(cfg, starts)
     solve_nonlocal(cfg, observers=[tracer, reference])
     assert reference.differences(tracer.paths()) == []
 
@@ -415,8 +422,10 @@ def random_trace_differences(seed):
     """How the paths traced through ``random_config(seed)`` differ from the reference tracer's.
 
     The batch holds 1-40 starts, each a grid end (one time in ten each), a
-    cell edge (two in ten) or uniform on the grid; ``t_end`` is the whole
-    run half the time and uniform in ``[0, t_final]`` otherwise.  Returns
+    cell edge (two in ten) or uniform on the grid.  Half the time the run
+    keeps its horizon; otherwise it is marched to a time uniform in
+    ``[0, t_final]``, with the output times up to then, so its last step
+    may land on it by a short step.  Returns
     one line per difference in any bit, each naming the seed; an empty list
     when the paths agree.
     """
@@ -428,8 +437,9 @@ def random_trace_differences(seed):
     starts = np.select([kinds == 0, kinds == 1, kinds == 2],
                        [g.x_left, g.x_right, rng.choice(g.edges, n)],
                        rng.uniform(g.x_left, g.x_right, n))
-    t_end = None if rng.random() < 0.5 else float(rng.uniform(0.0, cfg.t_final))
-    tracer, reference = PathTracer(cfg, starts, t_end), ReferenceTracer(cfg, starts, t_end)
+    if rng.random() >= 0.5:
+        cfg = _to(cfg, float(rng.uniform(0.0, cfg.t_final)))
+    tracer, reference = PathTracer(cfg, starts), ReferenceTracer(cfg, starts)
     solve_nonlocal(cfg, observers=[tracer, reference])
     return [f"seed {seed}: {line}" for line in reference.differences(tracer.paths())]
 
@@ -454,16 +464,17 @@ def test_transported_values_do_not_depend_on_the_snapshot_times():
     assert np.ptp(finals, axis=0).max() <= 1e-3
 
 
-@pytest.mark.parametrize("t_end", [None, 0.0999, 0.17])
-def test_tracer_reserves_one_row_per_step_before_t_end(t_end):
+@pytest.mark.parametrize("t_final", [0.3, 0.0999, 0.17])
+def test_tracer_reserves_one_row_per_step(t_final):
     g = Grid1D(-1.5, 1.0, 320)
-    cfg = SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3,
-                       output_times=(0.1, 0.17))
+    cfg = _to(SolverConfig(grid=g, epsilon=2.0**-3, datum=build_u0(3), t_final=0.3,
+                           output_times=(0.1, 0.17)), t_final)
     step_starts = []
     clock = SimpleNamespace(step=lambda t0, t1, w, u: step_starts.append(t0))
-    tracer = PathTracer(cfg, [-0.3, -0.1], t_end)
+    tracer = PathTracer(cfg, [-0.3, -0.1])
     rec = solve_nonlocal(cfg, observers=[tracer, clock])
-    rows = rec.info["steps"] + 1 if t_end is None else sum(t0 < t_end for t0 in step_starts) + 1
+    rows = len(step_starts) + 1
+    assert rows == rec.info["steps"] + 1
     for path in tracer.paths():
         assert path.times.size == rows
         for name in ("positions", "transported"):

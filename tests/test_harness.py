@@ -1,5 +1,6 @@
 """Datum parsing, grid plumbing, experiment drivers, and the command line."""
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -240,11 +241,14 @@ def test_runs_refuse_values_that_would_share_a_file(tmp_path):
 
 
 def test_characteristics_manifest_records_how_far_it_traced(tmp_path):
+    # paths run to the run's horizon, the one the manifest names
     run_characteristics(_small_run(tmp_path / "whole", datum="blowup:4"), [-0.5])
-    run_characteristics(_small_run(tmp_path / "cut", datum="blowup:4"), [-0.5], t_end=0.1)
+    run_characteristics(_small_run(tmp_path / "cut", datum="blowup:4", t_final=0.1), [-0.5])
     whole, cut = _parameter_lines(tmp_path / "whole"), _parameter_lines(tmp_path / "cut")
-    assert "t_end = None" in whole and "t_end = 0.1" in cut
-    assert [ln for ln in whole if ln not in cut] == ["t_end = None"]
+    assert [ln for ln in cut if ln not in whole] == ["t_final = 0.1"]
+    assert not any(ln.startswith("t_end") for ln in whole)
+    (csv,) = (tmp_path / "cut").glob("char_*.csv")
+    assert csv.read_text().splitlines()[-1].startswith("0.1,")
 
 
 def test_write_bounds_creates_table(tmp_path):
@@ -405,13 +409,29 @@ def test_mechanism_probe_lies_in_the_traced_probe_cell(h, epsilon, tau):
         datum=f"bar_u:{h!r}", domain=(-n_left * dx, n_right * dx), dx=dx, epsilon=epsilon,
         t_final=tau, output_times=(t_probe,)))
     record = solve_nonlocal(cfg)
-    (probe,) = trace_many(record, [-0.75 * h], t_end=t_probe)
-    assert probe.times[-1] == t_probe
+    (probe,) = trace_many(record, [-0.75 * h])
+    k = record.snapshot_steps[t_probe]
+    assert probe.times[k] == t_probe
     exact = -h / 8.0 - 5.0 * h / 8.0 * math.exp(-t_probe / epsilon)
     cell = cfg.grid.cell_of(exact)
-    assert cfg.grid.cell_of(probe.positions[-1]) == cell
+    assert cfg.grid.cell_of(probe.positions[k]) == cell
     traced = (record.snapshots[t_probe][cell] - probe.transported[0]) / t_probe
     assert report.slope_estimate == traced
+
+
+@pytest.mark.parametrize("h, epsilon, tau", [(0.1, 0.4, 0.5), (0.2, 0.25, 0.1)])
+def test_cli_mechanism_verdict_names_the_failed_gate(h, epsilon, tau, capsys):
+    code = cli_main(["mechanism", "--h", str(h), "--epsilon", str(epsilon), "--tau", str(tau)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1] == "verdict: FAIL (vacuum)"
+
+
+def test_mechanism_verdict_names_every_failed_gate():
+    report = dataclasses.replace(run_mechanism_demo(), tv_final=1.0, plateau_max=1e-3,
+                                 slope_estimate=0.0)
+    assert not report.ok
+    assert list(report.lines())[-1] == "verdict: FAIL (variation, jam, growth rate)"
 
 
 def test_mechanism_demo_keeps_its_growth_rate_and_variation():
@@ -451,6 +471,21 @@ def test_cli_runs_take_no_cfl_or_local_flag(command, flag, capsys):
         cli_main([command, "--dyadic-j", "4", *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_characteristics_takes_no_t_end(tmp_path, capsys):
+    # paths run to --t-final; a shorter trace is a run with a shorter horizon
+    out = str(tmp_path / "paths")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["characteristics", "--dyadic-j", "4", "--start=-0.5", "--t-end", "0.3",
+                  "--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t-end" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dyadic-j = 4\nstart = -0.5\nt-end = 0.3\n")
+    assert cli_main(["characteristics", "--config", str(cfg), "--out", out]) == 2
+    assert "config key 't-end' does not apply" in capsys.readouterr().err
+    assert not (tmp_path / "paths").exists()
 
 
 def test_cli_simulate_with_config_file(tmp_path):

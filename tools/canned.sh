@@ -38,21 +38,21 @@ nl simulate --datum riemann:0,1 --dyadic-j 4 --tau 0.1 --out "$out/simulate-riem
 
 starts=-0.75,-0.5,-0.25,-0.1,-0.05
 nl characteristics --dyadic-j 4 --start=$starts --out "$out/characteristics" >/dev/null
-nl characteristics --dyadic-j 4 --start=$starts --t-end 0.3 \
+nl characteristics --dyadic-j 4 --start=$starts --t-final 0.3 \
     --out "$out/characteristics-t0.3" >/dev/null
-nl characteristics --dyadic-j 4 --start=$starts --t-end 0.2 \
+nl characteristics --dyadic-j 4 --start=$starts --t-final 0.2 \
     --out "$out/characteristics-t0.2" >/dev/null
 # the same paths through a run whose snapshots fall inside the trace
 nl characteristics --dyadic-j 4 --start=$starts --tau 0.1,0.3 \
     --out "$out/characteristics-taus" >/dev/null
-# paths that leave the grid at x = 1, and Lax-Friedrichs paths cut at t_end
+# paths that leave the grid at x = 1, and Lax-Friedrichs paths through a run to 0.33
 nl characteristics --datum riemann:0.2,0.8 --dyadic-j 4 --start=-1.5,0.5,0.99,1.0 \
     --out "$out/characteristics-riemann" >/dev/null
 nl characteristics --datum step --scheme lax-friedrichs --dyadic-j 3 \
-    --start=-1.5,-0.5,0,0.9 --t-end 0.33 --out "$out/characteristics-step-lxf" >/dev/null
+    --start=-1.5,-0.5,0,0.9 --t-final 0.33 --out "$out/characteristics-step-lxf" >/dev/null
 # sixteen starts from -1.5 to 0, traced as one batch
 many=-1.5,-1.4,-1.3,-1.2,-1.1,-1,-0.9,-0.8,-0.7,-0.6,-0.5,-0.4,-0.3,-0.2,-0.1,0
-nl characteristics --dyadic-j 4 --start=$many --t-end 0.25 \
+nl characteristics --dyadic-j 4 --start=$many --t-final 0.25 \
     --out "$out/characteristics-16" >/dev/null
 
 nl sweep --tau 0.1,0.2 --j 2,3,4,5,6,7 --out "$out/sweep" >"$out/sweep.txt"

@@ -9,8 +9,9 @@ generators the test suite runs on its fixed seeds:
 ``solve_nonlocal`` snapshots and lookahead rows, and its ``solve_local``
 snapshots, must equal the whole-grid marches byte for byte; and
 ``random_trace_differences`` of ``tests/test_characteristics.py``, where a
-random batch of paths traced through the same configuration must equal the
-reference tracer's byte for byte.  Prints every difference, then the seed
+random batch of paths traced through the same configuration, on half the
+seeds marched to a random earlier horizon instead, must equal the reference
+tracer's byte for byte.  Prints every difference, then the seed
 count, the difference count and the wall time; exits 1 on any difference.
 """
 
